@@ -38,7 +38,6 @@ from .detcalc import (
     cdet_tau,
     column_determinant,
     column_determinant_bruteforce,
-    max_weight_component,
     phi_circle,
     uxelem_from_obj,
     uxelem_to_obj,

@@ -32,7 +32,6 @@ from .pbw import (
     element_to_obj,
     get_context,
     translation_T,
-    weight_component,
 )
 from .pyramid import Pyramid
 
@@ -199,11 +198,6 @@ def cdet(p: Pyramid) -> UXElem:
     polynomials in u."""
     ctx = get_context(p, "affine")
     return column_determinant(build_entry_matrix(p), ctx.one(), translation_T)
-
-
-def max_weight_component(v: Element, w: int) -> Element:
-    """Weight-w homogeneous part of a vacuum-module element."""
-    return weight_component(v, w)
 
 
 def uxelem_to_obj(v: UXElem) -> list:

@@ -17,15 +17,27 @@ Monomials are tuples of :class:`LoopGen` sorted by the canonical key
 normal-ordered word sits in a trailing run, so the vacuum quotient is a
 suffix test.  Elements are sparse maps monomial -> exact rational.
 
-The rewriting core is a memoized right-insertion: the normal form of
-``w * g`` for sorted ``w`` is computed from ``w[:-1] * g`` and the
-bracket of the displaced pair, which terminates by the usual filtration
-argument (bracket terms are shorter words).
+The rewriting core is right-insertion of one generator ``g`` into a
+normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
+at most ``g`` and every factor of ``b`` above it.  Only ``b * g`` is
+memoized, so words that differ below ``g`` share one entry; it is
+computed from ``b[:-1] * g`` and the bracket of the displaced pair.  A
+term of ``b * g`` that starts at or above the last factor of ``a`` is
+joined to ``a`` by concatenation, any other is inserted into ``a``
+factor by factor.  This terminates by the usual filtration argument:
+bracket terms are shorter words.
+
+A product right-inserts the factors of its right operand, walked as a
+trie, so monomials that share a prefix share its work.  The action of a
+mode X[s], s >= 0, on a vacuum-module state commutes X[s] rightwards
+through each monomial until it meets the vacuum, so the terms the vacuum
+kills are never built.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
@@ -49,6 +61,17 @@ class LoopGen(NamedTuple):
 
 
 Monomial = Tuple[LoopGen, ...]
+Terms = Dict[Monomial, Fraction]
+
+
+def _axpy(out: Terms, terms: Terms, c) -> None:
+    """out += c * terms, dropping monomials whose coefficient cancels."""
+    for m, v in terms.items():
+        v = out.get(m, 0) + c * v
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
 
 
 class Element:
@@ -82,12 +105,7 @@ class Element:
             return NotImplemented
         self._compat(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+        _axpy(out, other.terms, 1)
         return Element(self.ctx, out)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -138,6 +156,7 @@ class LieContext:
         self.key = (pyramid.lambdas, mode)
         self._bracket_cache: Dict[Tuple[GenId, GenId], Tuple[Tuple[GenId, int], ...]] = {}
         self._form_cache: Dict[Tuple[GenId, GenId], int] = {}
+        self._loop_bracket_cache: Dict[Tuple[LoopGen, LoopGen], tuple] = {}
         self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
 
     # -- structure data
@@ -199,45 +218,79 @@ class LieContext:
 
     # -- the rewriting core
 
-    def _insert(self, w: Monomial, g: LoopGen) -> Dict[Monomial, Fraction]:
+    def loop_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
+        """[h, g] as ((LoopGen, coeff), ...) plus the central scalar."""
+        key = (h, g)
+        hit = self._loop_bracket_cache.get(key)
+        if hit is None:
+            d = h.depth + g.depth
+            a, b = h.gen, g.gen
+            terms = tuple(
+                (LoopGen(d, z.i, z.j, z.r), c) for z, c in self.bracket_terms(a, b)
+            )
+            hit = (terms, h.depth * self.form(a, b) if d == 0 and h.depth else 0)
+            self._loop_bracket_cache[key] = hit
+        return hit
+
+    def _insert(self, w: Monomial, g: LoopGen) -> Terms:
         """Normal form of w*g for a normal-ordered w, in the full loop
-        enveloping algebra (the vacuum quotient is applied by callers)."""
+        enveloping algebra (the vacuum quotient is applied by callers).
+        The result may be a memo entry: callers must not mutate it."""
         if not w or w[-1] <= g:
             return {w + (g,): 1}
-        key = (w, g)
+        k = bisect_right(w, g)
+        return self._prefix(w[:k], self._suffix(w[k:], g))
+
+    def _suffix(self, b: Monomial, g: LoopGen) -> Terms:
+        """Memoized normal form of b*g where every letter of b exceeds g."""
+        key = (b, g)
         hit = self._insert_memo.get(key)
         if hit is not None:
             return hit
-        h = w[-1]
-        head = w[:-1]
-        out: Dict[Monomial, Fraction] = {}
-        # w*g = (head*g)*h + head*[h, g]
-        for m, c in self._insert(head, g).items():
-            for m2, c2 in self._insert(m, h).items():
-                v = out.get(m2, 0) + c * c2
-                if v:
-                    out[m2] = v
-                elif m2 in out:
-                    del out[m2]
-        d = h.depth + g.depth
-        for z, c in self.bracket_terms(h.gen, g.gen):
-            zg = LoopGen(d, z.i, z.j, z.r)
-            for m2, c2 in self._insert(head, zg).items():
-                v = out.get(m2, 0) + c * c2
-                if v:
-                    out[m2] = v
-                elif m2 in out:
-                    del out[m2]
-        if d == 0 and h.depth:
-            s = h.depth * self.form(h.gen, g.gen)
-            if s:
-                v = out.get(head, 0) + s
-                if v:
-                    out[head] = v
-                elif head in out:
-                    del out[head]
+        h, rest = b[-1], b[:-1]
+        # b*g = (rest*g)*h + rest*[h, g]
+        out = self._times(self._suffix(rest, g) if rest else {(g,): 1}, (h,))
+        terms, central = self.loop_bracket(h, g)
+        for z, c in terms:
+            _axpy(out, self._insert(rest, z), c)
+        if central:
+            _axpy(out, {rest: central}, 1)
         self._insert_memo[key] = out
         return out
+
+    def _prefix(self, head: Monomial, terms: Terms) -> Terms:
+        """Normal form of head*terms for a normal-ordered head: a term
+        that starts at or above head's last letter is concatenated."""
+        if not head:
+            return terms
+        last = head[-1]
+        out = {}
+        late = []
+        for t, c in terms.items():
+            if not t or t[0] >= last:
+                out[head + t] = c
+            else:
+                late.append((t, c))
+        for t, c in late:
+            _axpy(out, self._times({head: 1}, t), c)
+        return out
+
+    def _times(self, terms: Terms, word: Monomial) -> Terms:
+        """Normal form of terms*word, inserting one factor at a time."""
+        for g in word:
+            # appending g keeps distinct monomials distinct, so those terms
+            # are placed before any reordered one is accumulated
+            out = {}
+            late = []
+            for m, c in terms.items():
+                if not m or m[-1] <= g:
+                    out[m + (g,)] = c
+                else:
+                    late.append((m, c))
+            for m, c in late:
+                _axpy(out, self._insert(m, g), c)
+            terms = out
+        return terms
 
     def combine(self, pieces: Iterable[Tuple[Iterable[LoopGen], Fraction]]) -> Element:
         """Normal-ordered sum of arbitrary words with coefficients."""
@@ -245,23 +298,11 @@ class LieContext:
         for word, coeff in pieces:
             if not coeff:
                 continue
-            cur: Dict[Monomial, Fraction] = {(): coeff}
-            for g in word:
-                nxt: Dict[Monomial, Fraction] = {}
-                for m, c in cur.items():
-                    for m2, c2 in self._insert(m, g).items():
-                        v = nxt.get(m2, 0) + c * c2
-                        if v:
-                            nxt[m2] = v
-                        elif m2 in nxt:
-                            del nxt[m2]
-                cur = nxt
-            for m, c in cur.items():
-                v = out.get(m, 0) + c
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+            word = tuple(word)
+            k = 1  # word[:k] is the longest normal-ordered prefix
+            while k < len(word) and word[k - 1] <= word[k]:
+                k += 1
+            _axpy(out, self._times({word[:k]: 1}, word[k:]), coeff)
         return self._element(out)
 
     def word(self, factors: Iterable[LoopGen], coeff: Fraction = 1) -> Element:
@@ -273,26 +314,25 @@ class LieContext:
         a._compat(b)
         if a.ctx.key != self.key:
             raise ValueError("operands do not belong to this context")
-        out: Dict[Monomial, Fraction] = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                cur: Dict[Monomial, Fraction] = {ma: ca * cb}
-                for g in mb:
-                    nxt: Dict[Monomial, Fraction] = {}
-                    for m, c in cur.items():
-                        for m2, c2 in self._insert(m, g).items():
-                            v = nxt.get(m2, 0) + c * c2
-                            if v:
-                                nxt[m2] = v
-                            elif m2 in nxt:
-                                del nxt[m2]
-                    cur = nxt
-                for m, c in cur.items():
-                    v = out.get(m, 0) + c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
+        # b's monomials as a trie (None marks a word's end): every letter
+        # is right-inserted into all of a's partial products at once, so
+        # monomials of b that share a prefix share its work.
+        trie: dict = {}
+        for mb, cb in b.terms.items():
+            node = trie
+            for x in mb:
+                node = node.setdefault(x, {})
+            node[None] = cb
+        out: Terms = {}
+
+        def walk(node: dict, cur: Terms) -> None:
+            for x, child in node.items():
+                if x is None:
+                    _axpy(out, cur, child)
+                else:
+                    walk(child, self._times(cur, (x,)))
+
+        walk(trie, a.terms)
         return self._element(out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
@@ -302,7 +342,29 @@ class LieContext:
         if g.depth < 0:
             raise ValueError("act needs depth >= 0; use mul for module elements")
         self.pyramid.check(g.gen)
-        return self.combine([((g,) + m, c) for m, c in v.terms.items()])
+        out: Terms = {}
+        for m, c in v.terms.items():
+            _axpy(out, self._act_word(g, m), c)
+        return self._element(out)
+
+    def _act_word(self, g: LoopGen, m: Monomial) -> Terms:
+        """X[s]*m|0> for s >= 0 and normal-ordered m: X[s] is commuted to
+        the right through m and vanishes on reaching the vacuum, so only
+        the brackets it picks up on the way survive."""
+        out: Terms = {}
+        for idx, y in enumerate(m):
+            terms, central = self.loop_bracket(g, y)
+            if not terms and not central:
+                continue
+            head, tail = m[:idx], m[idx + 1 :]
+            for z, c in terms:
+                if z.depth >= 0:
+                    _axpy(out, self._prefix(head, self._act_word(z, tail)), c)
+                else:
+                    _axpy(out, self._times({head: 1}, (z,) + tail), c)
+            if central:
+                _axpy(out, {head + tail: central}, 1)
+        return out
 
     def commutator(self, a: Element, b: Element) -> Element:
         return self.mul(a, b) - self.mul(b, a)
@@ -450,10 +512,8 @@ def element_from_obj(ctx: LieContext, obj: list) -> Element:
         m = tuple(
             LoopGen(f["depth"], f["i"], f["j"], f["r"]) for f in item["monomial"]
         )
-        c = Fraction(item["coeff"])
-        if c:
-            terms[m] = terms.get(m, 0) + c
-    return Element(ctx, {m: c for m, c in terms.items() if c})
+        _axpy(terms, {m: Fraction(item["coeff"])}, 1)
+    return Element(ctx, terms)
 
 
 def element_to_json(v: Element) -> str:

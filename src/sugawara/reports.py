@@ -56,8 +56,3 @@ class Report:
             "cases": [c.to_obj() for c in self.cases],
             "seed": self.seed,
         }
-
-
-def case_outcome(diff: Element):
-    """(ok, diff-or-None) for an expected-zero difference."""
-    return diff.is_zero(), (None if diff.is_zero() else diff)

@@ -40,7 +40,15 @@ def check_chi(p: Pyramid, chi: Chi) -> Chi:
 
 
 def chi_from_obj(p: Pyramid, obj: Dict[str, str]) -> Chi:
-    chi = {GenId.parse(k): Fraction(v) for k, v in obj.items()}
+    """Parse chi from JSON.  Values must be strings or integers: a JSON
+    float has already lost exactness (0.1 is not 1/10), so it is refused."""
+    if not isinstance(obj, dict):
+        raise ValueError("chi must be a JSON object mapping E[i,j,r] to a value")
+    chi = {}
+    for k, v in obj.items():
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
+            raise ValueError(f"chi value {v!r} for {k} must be a string or an integer")
+        chi[GenId.parse(k)] = Fraction(v)
     return check_chi(p, {g: c for g, c in chi.items() if c})
 
 

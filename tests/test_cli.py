@@ -89,6 +89,27 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [0.1, 2.0, True, None, [1]])
+def test_chi_rejects_inexact_values(capsys, tmp_path, value):
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps({"E[1,1,0]": value}))
+    code, out, err = run(
+        capsys, "--pyramid", "1,1", "--chi", str(chi_file), "--z", "2", "shift"
+    )
+    assert code == 2 and out == ""
+    assert "string or an integer" in err
+
+
+def test_chi_accepts_strings_and_ints(capsys, tmp_path):
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps({"E[1,1,0]": "0.1", "E[2,2,0]": -1}))
+    code, out, _ = run(
+        capsys, "--pyramid", "1,1", "--chi", str(chi_file), "--z", "2", "shift"
+    )
+    assert code == 0
+    assert json.loads(out)["chi"] == {"E[1,1,0]": "1/10", "E[2,2,0]": "-1"}
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["--pyramid", "1,1", "frobnicate"])

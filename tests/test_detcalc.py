@@ -12,10 +12,9 @@ from sugawara.detcalc import (
     cdet_tau,
     column_determinant,
     column_determinant_bruteforce,
-    max_weight_component,
     phi_circle,
 )
-from sugawara.pbw import LoopGen, get_context, translation_T
+from sugawara.pbw import LoopGen, get_context, translation_T, weight_component
 from sugawara.pyramid import Pyramid
 
 
@@ -219,8 +218,8 @@ def test_max_weight_component():
     v = ctx.gen(1, 2, 1, depth=-1) * ctx.gen(2, 2, 0, depth=-1) + ctx.gen(
         2, 2, 2, depth=-1
     )
-    assert max_weight_component(v, 1) == ctx.gen(1, 2, 1, depth=-1) * ctx.gen(
+    assert weight_component(v, 1) == ctx.gen(1, 2, 1, depth=-1) * ctx.gen(
         2, 2, 0, depth=-1
     )
-    assert max_weight_component(v, 2) == ctx.gen(2, 2, 2, depth=-1)
-    assert max_weight_component(v, 5).is_zero()
+    assert weight_component(v, 2) == ctx.gen(2, 2, 2, depth=-1)
+    assert weight_component(v, 5).is_zero()

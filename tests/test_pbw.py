@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.pbw import (
@@ -57,6 +58,19 @@ def naive_normal_order(ctx, word, coeff=1, step_cap=200_000):
             if s:
                 stack.append((w[:pos] + w[pos + 2 :], c * s))
     return out, steps
+
+
+def naive_sum(ctx, pieces):
+    """Naive normal form of a sum of (word, coeff) pieces."""
+    out = {}
+    for word, coeff in pieces:
+        for m, c in naive_normal_order(ctx, word, coeff)[0].items():
+            v = out.get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return out
 
 
 def random_state(ctx, rng, max_factors=3, depths=(-1, -2, -3)):
@@ -292,3 +306,93 @@ def test_gen_validation():
     actx = get_context(Pyramid((1, 2)), "affine")
     assert actx.gen(1, 1, 0, depth=0).is_zero()  # vacuum annihilation
     assert actx.gen_or_zero(1, 2, 0, depth=-1).is_zero()
+
+
+@pytest.mark.parametrize("lam", [(2, 3), (1, 1, 2), (2, 2)])
+def test_act_against_naive_rewriter(lam):
+    rng = random.Random(31)
+    p = Pyramid(lam)
+    ctx = get_context(p, "affine")
+    basis = p.basis()
+    paired = [x for x in basis if any(ctx.form(x, y) for y in basis)]
+    nonzero = central = 0
+    for trial in range(60):
+        s = trial % 4
+        v = random_element(ctx, rng, n_terms=2)
+        if s and trial % 3 == 0:
+            # put a partner Y[-s] with <X, Y> != 0 into the state, so the
+            # central term s <X, Y> is reached
+            x = rng.choice(paired)
+            y = rng.choice([y for y in basis if ctx.form(x, y)])
+            v = v + ctx.word([LoopGen(-s, *y)])
+        else:
+            x = rng.choice(basis)
+        g = LoopGen(s, *x)
+        if s and any(
+            y.depth == -s and ctx.form(x, y.gen) for m in v.terms for y in m
+        ):
+            central += 1
+        got = ctx.act(g, v)
+        want = naive_sum(ctx, [((g,) + m, c) for m, c in v.terms.items()])
+        assert got.terms == want
+        nonzero += bool(want)
+    assert nonzero >= 20
+    assert central >= 5
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_mul_against_naive_rewriter(mode):
+    rng = random.Random(17)
+    p = Pyramid((2, 3))
+    ctx = get_context(p, mode)
+    depths = (0,) if mode == "finite" else (-1, -2, -3)
+    shared = 0
+    for _ in range(20):
+        a = random_element(ctx, rng, n_terms=2, depths=depths)
+        # b's monomials share the normal-ordered prefix of one word, so the
+        # trie walk reuses partial products
+        stem = sorted(
+            LoopGen(rng.choice(depths), *rng.choice(p.basis())) for _ in range(2)
+        )
+        terms = {tuple(stem): 1, tuple(stem[:1]): Fraction(-1, 2)}
+        for _ in range(3):
+            x = LoopGen(rng.choice(depths), *rng.choice(p.basis()))
+            if x >= stem[-1]:
+                terms[tuple(stem) + (x,)] = rng.choice([1, -2, 3])
+        b = Element(ctx, terms) + random_state(ctx, rng, depths=depths)
+        shared += len(b.terms) > len({m[:1] for m in b.terms})
+        want = naive_sum(
+            ctx,
+            [
+                (ma + mb, ca * cb)
+                for ma, ca in a.terms.items()
+                for mb, cb in b.terms.items()
+            ],
+        )
+        assert ctx.mul(a, b).terms == want
+    assert shared >= 10
+
+
+_WORDS = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from((-1, -2, -3))), max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from([(2, 3), (1, 1, 2), (2, 2)]),
+    mode=st.sampled_from(["finite", "affine"]),
+    words=st.tuples(_WORDS, _WORDS, _WORDS),
+)
+def test_mul_associative_property(lam, mode, words):
+    p = Pyramid(lam)
+    ctx = get_context(p, mode)
+    basis = p.basis()
+    a, b, c = (
+        ctx.word(
+            LoopGen(0 if mode == "finite" else d, *basis[k % len(basis)])
+            for k, d in w
+        )
+        for w in words
+    )
+    assert (a * b) * c == a * (b * c)
