@@ -48,7 +48,6 @@ class Config:
     chi_path: Optional[str] = None
     z: Optional[Fraction] = None
     seed: int = 0
-    workers: int = 1
     s_max: Optional[int] = None
     automorphism_c: Optional[Fraction] = None
 
@@ -74,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--chi", help='JSON file {"E[i,j,r]": "p/q", ...}')
     ap.add_argument("--z", help="nonzero rational; evaluate the z-grading there")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--s-max", dest="s_max", type=int, default=None)
     ap.add_argument(
         "--automorphism-c",
@@ -114,8 +112,8 @@ def parse_config(args: argparse.Namespace) -> Config:
             raise UsageError(
                 f"cannot parse --automorphism-c {args.automorphism_c!r}: {exc}"
             ) from None
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
+    if args.s_max is not None and args.s_max < 0:
+        raise UsageError("--s-max must be at least 0")
     return Config(
         pyramid=pyramid,
         command=args.command,
@@ -123,7 +121,6 @@ def parse_config(args: argparse.Namespace) -> Config:
         chi_path=args.chi,
         z=z,
         seed=args.seed,
-        workers=args.workers,
         s_max=args.s_max,
         automorphism_c=c,
     )
@@ -199,11 +196,11 @@ def cmd_verify(cfg: Config) -> Tuple[dict, List[Report]]:
     table = phi_table(p)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in table.selected_entries()]
     reports = [
-        annihilation_check(p, s_max=cfg.s_max, workers=cfg.workers),
+        annihilation_check(p, s_max=cfg.s_max),
         delta_ladder(p),
         tau_cross_check(p),
-        commutativity_check(labeled, ctx, workers=cfg.workers),
-        raising_recursion_check(p, seed=cfg.seed, workers=cfg.workers),
+        commutativity_check(labeled, ctx),
+        raising_recursion_check(p, seed=cfg.seed),
     ]
     obj = {"pyramid": str(p), "reports": [r.to_obj() for r in reports]}
     return obj, reports
@@ -216,7 +213,7 @@ def cmd_center(cfg: Config) -> Tuple[dict, List[Report]]:
     if c is not None:
         gens = [(k, r, apply_automorphism(p, elem, c)) for k, r, elem in gens]
     labeled = [(f"Phi[{k},{r}]", elem) for k, r, elem in gens]
-    report = centrality_check(p, labeled, workers=cfg.workers)
+    report = centrality_check(p, labeled)
     obj = {
         "pyramid": str(p),
         "automorphism_c": None if c is None else str(c),
@@ -234,7 +231,7 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
     chi = load_chi(cfg)
     gens = a_chi_generators(p, chi)
     labeled = [(f"phi[{g.k},{g.r}]({g.m})", g.element) for g in gens]
-    report = commutativity_check(labeled, fin, workers=cfg.workers)
+    report = commutativity_check(labeled, fin)
     report.seed = cfg.seed
     point = random_point(p, cfg.seed)
     rank = jacobian_rank(p, symbols(p), point)

@@ -8,9 +8,13 @@ the shape
     delta_ij * (x + lambda_i * T) + sum_r E[i,j,r][-1] u^r,
 
 and the column determinant applies them as operators, rightmost column
-first.  The determinant is evaluated by a subset-memoized column
-recursion (2^n * n states instead of n! products); the straight
-permutation sum is kept as a test oracle.
+first.  One subset-memoized column recursion (2^n * n states instead of
+n! products), generic over how an entry acts on the determinant to its
+right, evaluates every determinant of the package: this one, the tau
+presentation below, and the center and symbol determinants of
+:mod:`sugawara.shift`.  The straight permutation sum is kept as a test
+oracle.  :func:`ux_matrix` builds the three u, x matrices and
+:class:`Sparse` carries the additive structure they share.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
@@ -20,8 +24,8 @@ right through a word costs a binomial sum of translation derivatives.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
@@ -36,33 +40,51 @@ from .pbw import (
 from .pyramid import Pyramid
 
 
-class UXElem:
-    """Polynomial in commuting u, x with algebra-valued coefficients.
+class Sparse:
+    """Sparse map key -> coefficient with zero coefficients dropped; the
+    shared additive structure of the determinant carriers.
 
-    Coefficients may be :class:`~sugawara.pbw.Element` values or any
-    ring type supporting +, -, * and scalar multiplication.
+    Coefficients may be :class:`~sugawara.pbw.Element` values, rationals
+    or other carriers; they need +, truth value and scalar ``s * c``.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Tuple[int, int], object]):
+    def __init__(self, terms: Dict[object, object]):
         self.terms = {k: c for k, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "UXElem") -> "UXElem":
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
             cur = out.get(k)
             out[k] = c if cur is None else cur + c
-        return UXElem(out)
+        return type(self)(out)
 
-    def __sub__(self, other: "UXElem") -> "UXElem":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, s) -> "UXElem":
-        return UXElem({k: s * c for k, c in self.terms.items()})
+    def scale(self, s):
+        return type(self)({k: s * c for k, c in self.terms.items()})
+
+    # s * v for a scalar s, so that carriers nest as coefficients
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+
+class UXElem(Sparse):
+    """Polynomial in commuting u, x: (u, x) exponents -> coefficient."""
+
+    __slots__ = ()
 
     def __mul__(self, other: "UXElem") -> "UXElem":
         out: Dict[Tuple[int, int], object] = {}
@@ -86,11 +108,6 @@ class UXElem:
     def x_coefficient(self, x: int) -> Dict[int, object]:
         """Map u-exponent -> coefficient of x^x u^u."""
         return {u: c for (u, xx), c in self.terms.items() if xx == x}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UXElem):
-            return NotImplemented
-        return self.terms == other.terms
 
 
 @dataclass(frozen=True)
@@ -120,29 +137,28 @@ def apply_entry(
     return out
 
 
-def column_determinant(
-    matrix: List[List[MatrixEntry]], one, translate: Optional[Callable] = None
-) -> UXElem:
+def column_determinant(matrix: List[list], unit, apply: Callable):
     """Column determinant by subset-memoized recursion.
 
     ``matrix[i][c]`` (0-based) is applied with column c+1 choosing row
-    i+1; signs come from the position of the chosen row among the rows
-    still available, which reproduces sgn of the permutation.
+    i+1: ``apply(entry, inner)`` applies one entry to the determinant of
+    the columns to its right, and ``unit`` is the empty determinant.
+    Signs come from the position of the chosen row among the rows still
+    available, which reproduces sgn of the permutation.
     """
     n = len(matrix)
-    memo: Dict[frozenset, UXElem] = {}
+    memo: Dict[frozenset, object] = {}
 
-    def rec(rows: frozenset) -> UXElem:
+    def rec(rows: frozenset):
         if not rows:
-            return UXElem({(0, 0): one})
+            return unit
         hit = memo.get(rows)
         if hit is not None:
             return hit
         col = n - len(rows)  # 0-based column index
-        total: Optional[UXElem] = None
+        total = None
         for pos, i in enumerate(sorted(rows)):
-            inner = rec(rows - {i})
-            piece = apply_entry(matrix[i][col], inner, translate)
+            piece = apply(matrix[i][col], rec(rows - {i}))
             if pos % 2:
                 piece = piece.scale(-1)
             total = piece if total is None else total + piece
@@ -152,43 +168,59 @@ def column_determinant(
     return rec(frozenset(range(n)))
 
 
-def column_determinant_bruteforce(
-    matrix: List[List[MatrixEntry]], one, translate: Optional[Callable] = None
-) -> UXElem:
+def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
     """Permutation-sum oracle: sum over sigma of sgn(sigma) times the
     composition of entries, rightmost column applied first."""
     n = len(matrix)
-    total: Optional[UXElem] = None
+    total = None
     for perm in itertools.permutations(range(n)):
         sign = 1
         for a in range(n):
             for b in range(a + 1, n):
                 if perm[a] > perm[b]:
                     sign = -sign
-        v = UXElem({(0, 0): one})
+        v = unit
         for col in reversed(range(n)):
-            v = apply_entry(matrix[perm[col]][col], v, translate)
+            v = apply(matrix[perm[col]][col], v)
         v = v.scale(sign)
         total = v if total is None else total + v
     return total
 
 
-def build_entry_matrix(p: Pyramid) -> List[List[MatrixEntry]]:
-    """Vacuum-module matrix: delta_ij (x + lambda_i T) + sum_r E[i,j,r][-1] u^r."""
-    ctx = get_context(p, "affine")
+def ux_matrix(
+    p: Pyramid,
+    symbol: Callable,
+    t_coeff: Optional[Callable] = None,
+    const: Optional[Callable] = None,
+) -> List[List[MatrixEntry]]:
+    """Entries delta_ij (x + t_coeff(i) T + const(i)) + sum_r symbol(i,j,r) u^r.
+
+    r = 0 lies in every diagonal window, so ``const`` adds onto the
+    u^0 term of the diagonal.
+    """
     matrix: List[List[MatrixEntry]] = []
     for i in range(1, p.n + 1):
         row = []
         for j in range(1, p.n + 1):
-            mult = UXElem(
-                {(r, 0): ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
-            )
-            if i == j:
-                row.append(MatrixEntry(1, p.lambdas[i - 1], mult))
-            else:
-                row.append(MatrixEntry(0, 0, mult))
+            terms = {(r, 0): symbol(i, j, r) for r in p.window(i, j)}
+            if i != j:
+                row.append(MatrixEntry(0, 0, UXElem(terms)))
+                continue
+            if const is not None:
+                terms[(0, 0)] = terms[(0, 0)] + const(i)
+            row.append(MatrixEntry(1, t_coeff(i) if t_coeff else 0, UXElem(terms)))
         matrix.append(row)
     return matrix
+
+
+def build_entry_matrix(p: Pyramid) -> List[List[MatrixEntry]]:
+    """Vacuum-module matrix: delta_ij (x + lambda_i T) + sum_r E[i,j,r][-1] u^r."""
+    ctx = get_context(p, "affine")
+    return ux_matrix(
+        p,
+        lambda i, j, r: ctx.gen(i, j, r, depth=-1),
+        t_coeff=lambda i: p.lambdas[i - 1],
+    )
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +229,11 @@ def cdet(p: Pyramid) -> UXElem:
     polynomial in x with coefficients in the vacuum module tensored with
     polynomials in u."""
     ctx = get_context(p, "affine")
-    return column_determinant(build_entry_matrix(p), ctx.one(), translation_T)
+    return column_determinant(
+        build_entry_matrix(p),
+        UXElem({(0, 0): ctx.one()}),
+        lambda entry, inner: apply_entry(entry, inner, translation_T),
+    )
 
 
 def uxelem_to_obj(v: UXElem) -> list:
@@ -217,27 +253,11 @@ def uxelem_from_obj(ctx, obj: list) -> UXElem:
 # -- the tau presentation
 
 
-class TauPoly:
+class TauPoly(Sparse):
     """Polynomial in the skew variable tau with vacuum-module coefficients,
     tau powers kept to the right."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[int, Element]):
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TauPoly") -> "TauPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return TauPoly(out)
-
-    def scale(self, s) -> "TauPoly":
-        return TauPoly({e: s * c for e, c in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "TauPoly") -> "TauPoly":
         # (A tau^a)(B tau^b): tau^a B = sum_k C(a,k) T^k(B) tau^(a-k)
@@ -265,11 +285,6 @@ class TauPoly:
     def coeff(self, e: int, zero: Element) -> Element:
         return self.terms.get(e, zero)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TauPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
 
 def build_tau_matrix(p: Pyramid) -> List[List[TauPoly]]:
     """Entries delta_ij tau^{lambda_j} + sum_m E[i,j,lambda_j-1-m][-1] tau^m."""
@@ -292,27 +307,10 @@ def cdet_tau(p: Pyramid) -> TauPoly:
     """Column determinant in the skew ring; the result is monic of
     degree N in tau and its lower coefficients are the phi-circle
     elements of the alternative presentation."""
-    n = p.n
-    matrix = build_tau_matrix(p)
-    memo: Dict[frozenset, TauPoly] = {}
-
-    def rec(rows: frozenset) -> TauPoly:
-        if not rows:
-            return TauPoly({0: get_context(p, "affine").one()})
-        hit = memo.get(rows)
-        if hit is not None:
-            return hit
-        col = n - len(rows)
-        total: Optional[TauPoly] = None
-        for pos, i in enumerate(sorted(rows)):
-            piece = matrix[i][col] * rec(rows - {i})
-            if pos % 2:
-                piece = piece.scale(-1)
-            total = piece if total is None else total + piece
-        memo[rows] = total
-        return total
-
-    return rec(frozenset(range(n)))
+    ctx = get_context(p, "affine")
+    return column_determinant(
+        build_tau_matrix(p), TauPoly({0: ctx.one()}), operator.mul
+    )
 
 
 def phi_circle(p: Pyramid, k: int) -> Element:

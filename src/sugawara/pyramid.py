@@ -153,29 +153,22 @@ class Pyramid:
 
 @dataclass
 class LieCombo:
-    """Exact linear combination of basis symbols plus a scalar part.
+    """Exact linear combination of basis symbols.
 
-    The scalar slot is unused by the pyramid bracket but the same carrier
-    serves the affine cocycle, where a bracket can produce a multiple of
-    the central element.
+    The pyramid bracket has no central term; the affine cocycle lives in
+    :meth:`sugawara.pbw.LieContext.loop_bracket`.
     """
 
     terms: Dict[GenId, Fraction] = field(default_factory=dict)
-    scalar: Fraction = 0
 
     def __post_init__(self):
         self.terms = {g: c for g, c in self.terms.items() if c}
 
     def is_zero(self) -> bool:
-        return not self.terms and not self.scalar
+        return not self.terms
 
     def items(self):
         return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieCombo):
-            return NotImplemented
-        return self.terms == other.terms and self.scalar == other.scalar
 
 
 def bracket(p: Pyramid, a: GenId, b: GenId) -> LieCombo:

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .detcalc import MatrixEntry, UXElem, column_determinant
+from .detcalc import Sparse, UXElem, apply_entry, column_determinant, ux_matrix
 from .pbw import Element, LoopGen, get_context
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
@@ -153,32 +153,15 @@ def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
 # -- center generators from the shifted determinant
 
 
-def center_matrix(p: Pyramid) -> List[List[MatrixEntry]]:
-    """Finite-mode matrix with entries
-    delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
-    fin = get_context(p, "finite")
-    matrix: List[List[MatrixEntry]] = []
-    for i in range(1, p.n + 1):
-        row = []
-        for j in range(1, p.n + 1):
-            terms = {(r, 0): fin.gen(i, j, r) for r in p.window(i, j)}
-            if i == j:
-                shift = (p.n - i) * p.lambdas[i - 1]
-                if shift:
-                    cur = terms.get((0, 0))
-                    const = fin.scalar(shift)
-                    terms[(0, 0)] = const if cur is None else cur + const
-                row.append(MatrixEntry(1, 0, UXElem(terms)))
-            else:
-                row.append(MatrixEntry(0, 0, UXElem(terms)))
-        matrix.append(row)
-    return matrix
-
-
 @lru_cache(maxsize=None)
 def center_determinant(p: Pyramid) -> UXElem:
+    """Finite-mode determinant with entries
+    delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
     fin = get_context(p, "finite")
-    return column_determinant(center_matrix(p), fin.one())
+    matrix = ux_matrix(
+        p, fin.gen, const=lambda i: fin.scalar((p.n - i) * p.lambdas[i - 1])
+    )
+    return column_determinant(matrix, UXElem({(0, 0): fin.one()}), apply_entry)
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
@@ -229,69 +212,31 @@ def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
 # -- commutative symbols and the exact-rank independence surrogate
 
 
-class SymPoly:
+class SymPoly(Sparse):
     """Sparse commutative polynomial in the basis symbols, with exact
     rational coefficients; monomials are sorted (GenId, exponent) tuples."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[tuple, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
 
     @classmethod
     def const(cls, c) -> "SymPoly":
-        return cls({(): c} if c else {})
+        return cls({(): c})
 
     @classmethod
     def var(cls, g: GenId) -> "SymPoly":
         return cls({((g, 1),): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+    def __mul__(self, other: "SymPoly") -> "SymPoly":
+        out: Dict[tuple, Fraction] = {}
+        for ma, ca in self.terms.items():
+            da = dict(ma)
+            for mb, cb in other.terms.items():
+                exps = dict(da)
+                for g, e in mb:
+                    exps[g] = exps.get(g, 0) + e
+                key = tuple(sorted(exps.items()))
+                out[key] = out.get(key, 0) + ca * cb
         return SymPoly(out)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, SymPoly):
-            out: Dict[tuple, Fraction] = {}
-            for ma, ca in self.terms.items():
-                da = dict(ma)
-                for mb, cb in other.terms.items():
-                    exps = dict(da)
-                    for g, e in mb:
-                        exps[g] = exps.get(g, 0) + e
-                    key = tuple(sorted(exps.items()))
-                    v = out.get(key, 0) + ca * cb
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-            return SymPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return SymPoly({m: other * c for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymPoly({m: other * c for m, c in self.terms.items()})
-        return NotImplemented
-
-    def scale(self, s) -> "SymPoly":
-        return SymPoly({m: s * c for m, c in self.terms.items()})
 
     def diff(self, g: GenId) -> "SymPoly":
         out: Dict[tuple, Fraction] = {}
@@ -305,11 +250,7 @@ class SymPoly:
             else:
                 exps[g] = e - 1
             key = tuple(sorted(exps.items()))
-            v = out.get(key, 0) + e * c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + e * c
         return SymPoly(out)
 
     def evaluate(self, point: Dict[GenId, Fraction]) -> Fraction:
@@ -320,11 +261,6 @@ class SymPoly:
                 val *= Fraction(point.get(g, 0)) ** e
             total += val
         return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -338,24 +274,12 @@ class SymPoly:
         return "<SymPoly " + " + ".join(bits) + ">"
 
 
-def symbol_matrix(p: Pyramid) -> List[List[MatrixEntry]]:
-    matrix: List[List[MatrixEntry]] = []
-    for i in range(1, p.n + 1):
-        row = []
-        for j in range(1, p.n + 1):
-            terms = {
-                (r, 0): SymPoly.var(GenId(i, j, r)) for r in p.window(i, j)
-            }
-            row.append(MatrixEntry(1 if i == j else 0, 0, UXElem(terms)))
-        matrix.append(row)
-    return matrix
-
-
 @lru_cache(maxsize=None)
 def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
     """All nonzero x^{n-k} u^r coefficients of the commutative
     determinant with entries in the symmetric algebra."""
-    d = column_determinant(symbol_matrix(p), SymPoly.const(1))
+    matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
+    d = column_determinant(matrix, UXElem({(0, 0): SymPoly.const(1)}), apply_entry)
     out: Dict[Tuple[int, int], SymPoly] = {}
     for k in range(1, p.n + 1):
         for r, poly in d.x_coefficient(p.n - k).items():

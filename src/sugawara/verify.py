@@ -7,33 +7,18 @@ modes: the marginal cost is low and it exercises the engine, not just
 the reduction to the family.  Modes with s above the degree of the
 target annihilate for grading reasons and are recorded as vacuous
 rather than computed.
-
-Each case is independent; ``workers`` fans cases out over a thread pool
-with order-preserving aggregation, so results do not depend on the
-worker count.
 """
 
 from __future__ import annotations
 
 import random
 from time import monotonic
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .pbw import Element, LieContext, LoopGen, delta, get_context
-from .pyramid import GenId, Pyramid
+from .pyramid import Pyramid
 from .reports import Report
 from .suga import phi_table
-
-VACUOUS = object()
-
-
-def run_cases(fn: Callable, items: Sequence, workers: int = 1) -> List:
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def generating_family(p: Pyramid, s_max: int) -> List[LoopGen]:
@@ -51,79 +36,51 @@ def generating_family(p: Pyramid, s_max: int) -> List[LoopGen]:
     return out
 
 
-def annihilation_check(
-    p: Pyramid, s_max: Optional[int] = None, workers: int = 1
-) -> Report:
+def annihilation_check(p: Pyramid, s_max: Optional[int] = None) -> Report:
     """act(X[s], phi_k^(r)) = 0 for every basis X, every selected (k, r)
     and 0 <= s <= k (beyond that the action is vacuous by grading)."""
     start = monotonic()
     ctx = get_context(p, "affine")
     table = phi_table(p)
     report = Report("annihilation", str(p))
-    items = []
     for k, r, elem in table.selected_entries():
         top = k if s_max is None else s_max
         for g in p.basis():
             for s in range(top + 1):
-                items.append((g, s, k, r, elem))
-
-    def one(item):
-        g, s, k, r, elem = item
-        if s > k:
-            return VACUOUS
-        return ctx.act(LoopGen(s, g.i, g.j, g.r), elem)
-
-    results = run_cases(one, items, workers)
-    for (g, s, k, r, _), res in zip(items, results):
-        key = {"generator": g.text(), "s": s, "k": k, "r": r}
-        if res is VACUOUS:
-            report.add_vacuous(key)
-        else:
-            report.add(key, res.is_zero(), None if res.is_zero() else res)
+                key = {"generator": g.text(), "s": s, "k": k, "r": r}
+                if s > k:
+                    report.add_vacuous(key)
+                    continue
+                res = ctx.act(LoopGen(s, g.i, g.j, g.r), elem)
+                report.add(key, res.is_zero(), res)
     report.elapsed = monotonic() - start
     return report
 
 
 def commutativity_check(
-    labeled: Sequence[Tuple[str, Element]], ctx: LieContext, workers: int = 1
+    labeled: Sequence[Tuple[str, Element]], ctx: LieContext
 ) -> Report:
     """All pairwise commutators vanish (vacuously true on singletons)."""
     start = monotonic()
     report = Report("commutativity", str(ctx.pyramid))
-    pairs = [
-        (labeled[a], labeled[b])
-        for a in range(len(labeled))
-        for b in range(a + 1, len(labeled))
-    ]
-    results = run_cases(
-        lambda pair: ctx.commutator(pair[0][1], pair[1][1]), pairs, workers
-    )
-    for ((la, _), (lb, _)), diff in zip(pairs, results):
-        report.add({"a": la, "b": lb}, diff.is_zero(), None if diff.is_zero() else diff)
+    for a, (la, va) in enumerate(labeled):
+        for lb, vb in labeled[a + 1 :]:
+            diff = ctx.commutator(va, vb)
+            report.add({"a": la, "b": lb}, diff.is_zero(), diff)
     report.elapsed = monotonic() - start
     return report
 
 
-def centrality_check(
-    p: Pyramid, labeled: Sequence[Tuple[str, Element]], workers: int = 1
-) -> Report:
+def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Report:
     """Every element commutes with every basis symbol in the enveloping
     algebra of the centralizer."""
     start = monotonic()
     fin = get_context(p, "finite")
     report = Report("centrality", str(p))
-    items = [(label, elem, g) for label, elem in labeled for g in p.basis()]
-    results = run_cases(
-        lambda it: fin.commutator(fin.gen(it[2].i, it[2].j, it[2].r), it[1]),
-        items,
-        workers,
-    )
-    for (label, _, g), diff in zip(items, results):
-        report.add(
-            {"element": label, "generator": g.text()},
-            diff.is_zero(),
-            None if diff.is_zero() else diff,
-        )
+    for label, elem in labeled:
+        for g in p.basis():
+            diff = fin.commutator(fin.gen(g.i, g.j, g.r), elem)
+            report.add({"element": label, "generator": g.text()}, diff.is_zero(), diff)
     report.elapsed = monotonic() - start
     return report
 
@@ -151,7 +108,6 @@ def raising_recursion_check(
     samples: Optional[Sequence[Tuple[str, Element]]] = None,
     seed: int = 0,
     s_values: Iterable[int] = (1, 2),
-    workers: int = 1,
 ) -> Report:
     """Operator identity s E[i,i,shift][s+1] = [Delta, E[i,i,shift][s]]
     on the vacuum module, checked against sample states."""
@@ -160,29 +116,18 @@ def raising_recursion_check(
     if samples is None:
         samples = sample_states(p, seed)
     report = Report("raising-recursion", str(p), seed=seed)
-    items = []
     for i in range(1, p.n + 1):
         for shift in range(p.lambdas[i - 1]):
             for s in s_values:
                 if s < 1:
                     raise ValueError("the identity is stated for s >= 1")
+                lower = LoopGen(s, i, i, shift)
+                upper = LoopGen(s + 1, i, i, shift)
                 for label, v in samples:
-                    items.append((i, shift, s, label, v))
-
-    def one(item):
-        i, shift, s, label, v = item
-        lower = LoopGen(s, i, i, shift)
-        upper = LoopGen(s + 1, i, i, shift)
-        lhs = s * ctx.act(upper, v)
-        rhs = delta(ctx.act(lower, v)) - ctx.act(lower, delta(v))
-        return lhs - rhs
-
-    results = run_cases(one, items, workers)
-    for (i, shift, s, label, _), diff in zip(items, results):
-        report.add(
-            {"i": i, "p": shift, "s": s, "state": label},
-            diff.is_zero(),
-            None if diff.is_zero() else diff,
-        )
+                    lhs = s * ctx.act(upper, v)
+                    rhs = delta(ctx.act(lower, v)) - ctx.act(lower, delta(v))
+                    diff = lhs - rhs
+                    key = {"i": i, "p": shift, "s": s, "state": label}
+                    report.add(key, diff.is_zero(), diff)
     report.elapsed = monotonic() - start
     return report

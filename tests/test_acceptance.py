@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 
 from sugawara.detcalc import (
+    UXElem,
+    apply_entry,
     build_entry_matrix,
     cdet,
     column_determinant,
@@ -260,8 +262,10 @@ def test_criterion_10_engine_properties():
         p = Pyramid(lam)
         ctx = get_context(p, "affine")
         matrix = build_entry_matrix(p)
-        fast = column_determinant(matrix, ctx.one(), translation_T)
-        slow = column_determinant_bruteforce(matrix, ctx.one(), translation_T)
+        unit = UXElem({(0, 0): ctx.one()})
+        apply = lambda entry, inner: apply_entry(entry, inner, translation_T)
+        fast = column_determinant(matrix, unit, apply)
+        slow = column_determinant_bruteforce(matrix, unit, apply)
         if fast != slow:
             ok = False
     # evaluation homomorphism on 50 random products

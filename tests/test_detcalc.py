@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -13,9 +14,11 @@ from sugawara.detcalc import (
     column_determinant,
     column_determinant_bruteforce,
     phi_circle,
+    ux_matrix,
 )
 from sugawara.pbw import LoopGen, get_context, translation_T, weight_component
-from sugawara.pyramid import Pyramid
+from sugawara.pyramid import GenId, Pyramid
+from sugawara.shift import SymPoly, center_determinant, symbols
 
 
 def test_entry_windows():
@@ -105,16 +108,53 @@ def test_cdet_u_degree_bound():
                 assert u <= max_selected_r
 
 
-@pytest.mark.parametrize(
-    "lam", [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 1, 2), (1, 2, 3)]
-)
-def test_cdet_matches_permutation_oracle(lam):
-    p = Pyramid(lam)
+def _determinant_setup(kind, p):
+    """(matrix, unit, apply, value the package computes) for one of the
+    four determinants built on the shared column recursion."""
     ctx = get_context(p, "affine")
-    matrix = build_entry_matrix(p)
-    fast = column_determinant(matrix, ctx.one(), translation_T)
-    slow = column_determinant_bruteforce(matrix, ctx.one(), translation_T)
+    fin = get_context(p, "finite")
+    if kind == "cdet":
+        apply = lambda entry, inner: apply_entry(entry, inner, translation_T)
+        return build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), apply, cdet(p)
+    if kind == "tau":
+        return build_tau_matrix(p), TauPoly({0: ctx.one()}), operator.mul, cdet_tau(p)
+    if kind == "center":
+        const = lambda i: fin.scalar((p.n - i) * p.lambdas[i - 1])
+        matrix = ux_matrix(p, fin.gen, const=const)
+        return matrix, UXElem({(0, 0): fin.one()}), apply_entry, center_determinant(p)
+    matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
+    sym = symbols(p)
+    value = UXElem({(r, p.n - k): poly for (k, r), poly in sym.items()})
+    value = value + UXElem({(0, p.n): SymPoly.const(1)})
+    return matrix, UXElem({(0, 0): SymPoly.const(1)}), apply_entry, value
+
+
+_ORACLE_SHAPES = [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 1, 2), (1, 2, 3)]
+_ORACLE_CASES = [
+    (kind, lam)
+    for kind in ("cdet", "tau", "center", "symbols")
+    for lam in _ORACLE_SHAPES
+]
+
+
+@pytest.mark.parametrize(
+    "kind, lam",
+    _ORACLE_CASES,
+    # the cdet cases keep their established ids lam0..lam5
+    ids=[
+        f"lam{_ORACLE_SHAPES.index(lam)}"
+        if kind == "cdet"
+        else f"{kind}-{Pyramid(lam)}"
+        for kind, lam in _ORACLE_CASES
+    ],
+)
+def test_cdet_matches_permutation_oracle(kind, lam):
+    p = Pyramid(lam)
+    matrix, unit, apply, value = _determinant_setup(kind, p)
+    fast = column_determinant(matrix, unit, apply)
+    slow = column_determinant_bruteforce(matrix, unit, apply)
     assert fast == slow
+    assert slow == value
 
 
 def test_tau_matrix_shapes():

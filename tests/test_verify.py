@@ -127,9 +127,3 @@ def test_report_json_shape_and_determinism():
     assert {"generator", "s", "k", "r", "status"} <= set(o1["cases"][0])
     assert "elapsed" not in json.dumps(o1)
 
-
-def test_workers_do_not_change_results():
-    p = Pyramid((1, 2))
-    a = annihilation_check(p, workers=1).to_obj()
-    b = annihilation_check(p, workers=3).to_obj()
-    assert json.dumps(a) == json.dumps(b)
