@@ -30,8 +30,8 @@ table = phi_table(p)
 for k, r, elem in table.selected_entries():
     series = rho_chi(elem, chi)
     print(f"rho(phi[{k},{r}]):")
-    for e in sorted(series, reverse=True):
-        print(f"   z^{e}: {element_text(series[e])}")
+    for e, elem in sorted(series.terms.items(), reverse=True):
+        print(f"   z^{e}: {element_text(elem)}")
 print()
 
 gens = a_chi_generators(p, chi)

@@ -16,10 +16,8 @@ from .pbw import (
     LoopGen,
     degree_d,
     delta,
-    element_from_json,
     element_from_obj,
     element_text,
-    element_to_json,
     element_to_obj,
     get_context,
     grade_by_degree,
@@ -39,8 +37,6 @@ from .detcalc import (
     column_determinant,
     column_determinant_bruteforce,
     phi_circle,
-    uxelem_from_obj,
-    uxelem_to_obj,
 )
 from .suga import (
     SugaTable,
@@ -64,7 +60,6 @@ from .shift import (
     rho_chi,
     symbols,
     zseries_eval,
-    zseries_mul,
 )
 from .reports import Case, Report
 from .verify import (

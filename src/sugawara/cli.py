@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .pbw import element_from_obj, element_text, element_to_obj, get_context
+from .pbw import (
+    element_from_obj,
+    element_text,
+    element_to_obj,
+    get_context,
+    signed_sum,
+)
 from .pyramid import Pyramid, bracket, form
 from .reports import Report
 from .shift import (
@@ -269,19 +275,6 @@ COMMANDS = {
 # -- text rendering
 
 
-def _combo_text(terms: List[dict]) -> str:
-    parts: List[str] = []
-    for t in terms:
-        c = Fraction(t["coeff"])
-        mag = abs(c)
-        body = t["gen"] if mag == 1 else f"{mag} {t['gen']}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
-
-
 def _render_report_text(out, robj: dict):
     counts = {"pass": 0, "fail": 0, "vacuous": 0}
     for case in robj["cases"]:
@@ -308,7 +301,8 @@ def render_text(cfg: Config, obj: dict) -> str:
         out.append("nonzero brackets:")
         for item in obj["brackets"]:
             out.append(
-                f"  [{item['a']}, {item['b']}] = {_combo_text(item['terms'])}"
+                f"  [{item['a']}, {item['b']}] = "
+                + signed_sum((t["gen"], t["coeff"]) for t in item["terms"])
             )
         out.append("nonzero form values:")
         for item in obj["form"]:

@@ -13,8 +13,11 @@ n! products), generic over how an entry acts on the determinant to its
 right, evaluates every determinant of the package: this one, the tau
 presentation below, and the center and symbol determinants of
 :mod:`sugawara.shift`.  The straight permutation sum is kept as a test
-oracle.  :func:`ux_matrix` builds the three u, x matrices and
-:class:`Sparse` carries the additive structure they share.
+oracle.  :func:`ux_matrix` builds the three u, x matrices.
+:class:`Sparse` is the base of every sparse polynomial with algebra
+coefficients; its ``+`` and its ``*``, a convolution over a per-class
+join of keys, are the one sum and the one product of those carriers
+(:class:`TauPoly` keeps its own skew product).
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
@@ -26,26 +29,27 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .pbw import (
-    Element,
-    element_from_obj,
-    element_to_obj,
-    get_context,
-    translation_T,
-)
+from .pbw import Element, get_context, translation_T
 from .pyramid import Pyramid
 
 
+def _add_into(out: dict, key, c) -> None:
+    """out[key] += c, where an absent key reads as an empty sum."""
+    cur = out.get(key)
+    out[key] = c if cur is None else cur + c
+
+
 class Sparse:
-    """Sparse map key -> coefficient with zero coefficients dropped; the
-    shared additive structure of the determinant carriers.
+    """Sparse map key -> coefficient with zero coefficients dropped.
 
     Coefficients may be :class:`~sugawara.pbw.Element` values, rationals
-    or other carriers; they need +, truth value and scalar ``s * c``.
+    or other carriers; they need +, *, truth value and scalar ``s * c``.
+    The product is the convolution over ``_join``, which a subclass sets
+    to the monoid law of its keys.
     """
 
     __slots__ = ("terms",)
@@ -62,8 +66,14 @@ class Sparse:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
+            _add_into(out, k, c)
+        return type(self)(out)
+
+    def __mul__(self, other):
+        out: dict = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                _add_into(out, self._join(ka, kb), ca * cb)
         return type(self)(out)
 
     def __sub__(self, other):
@@ -86,15 +96,9 @@ class UXElem(Sparse):
 
     __slots__ = ()
 
-    def __mul__(self, other: "UXElem") -> "UXElem":
-        out: Dict[Tuple[int, int], object] = {}
-        for (u1, x1), c1 in self.terms.items():
-            for (u2, x2), c2 in other.terms.items():
-                k = (u1 + u2, x1 + x2)
-                prod = c1 * c2
-                cur = out.get(k)
-                out[k] = prod if cur is None else cur + prod
-        return UXElem(out)
+    @staticmethod
+    def _join(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
     def shift_x(self) -> "UXElem":
         return UXElem({(u, x + 1): c for (u, x), c in self.terms.items()})
@@ -156,13 +160,11 @@ def column_determinant(matrix: List[list], unit, apply: Callable):
         if hit is not None:
             return hit
         col = n - len(rows)  # 0-based column index
-        total = None
+        pieces = []
         for pos, i in enumerate(sorted(rows)):
             piece = apply(matrix[i][col], rec(rows - {i}))
-            if pos % 2:
-                piece = piece.scale(-1)
-            total = piece if total is None else total + piece
-        memo[rows] = total
+            pieces.append(piece.scale(-1) if pos % 2 else piece)
+        total = memo[rows] = reduce(operator.add, pieces)
         return total
 
     return rec(frozenset(range(n)))
@@ -172,7 +174,7 @@ def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
     """Permutation-sum oracle: sum over sigma of sgn(sigma) times the
     composition of entries, rightmost column applied first."""
     n = len(matrix)
-    total = None
+    terms = []
     for perm in itertools.permutations(range(n)):
         sign = 1
         for a in range(n):
@@ -182,9 +184,8 @@ def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
         v = unit
         for col in reversed(range(n)):
             v = apply(matrix[perm[col]][col], v)
-        v = v.scale(sign)
-        total = v if total is None else total + v
-    return total
+        terms.append(v.scale(sign))
+    return reduce(operator.add, terms)
 
 
 def ux_matrix(
@@ -236,20 +237,6 @@ def cdet(p: Pyramid) -> UXElem:
     )
 
 
-def uxelem_to_obj(v: UXElem) -> list:
-    """JSON-ready form, sorted by (u, x); element coefficients only."""
-    return [
-        {"u": u, "x": x, "element": element_to_obj(c)}
-        for (u, x), c in sorted(v.terms.items())
-    ]
-
-
-def uxelem_from_obj(ctx, obj: list) -> UXElem:
-    return UXElem(
-        {(item["u"], item["x"]): element_from_obj(ctx, item["element"]) for item in obj}
-    )
-
-
 # -- the tau presentation
 
 
@@ -274,12 +261,7 @@ class TauPoly(Sparse):
         for ea, ca in self.terms.items():
             for eb in other.terms:
                 for k in range(ea + 1):
-                    piece = comb(ea, k) * (ca * tpow[eb][k])
-                    if piece.is_zero():
-                        continue
-                    e = ea - k + eb
-                    cur = out.get(e)
-                    out[e] = piece if cur is None else cur + piece
+                    _add_into(out, ea - k + eb, comb(ea, k) * (ca * tpow[eb][k]))
         return TauPoly(out)
 
     def coeff(self, e: int, zero: Element) -> Element:

@@ -36,7 +36,6 @@ kills are never built.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Tuple
@@ -386,43 +385,31 @@ def get_context(p: Pyramid, mode: str) -> LieContext:
 # -- derivations of the vacuum module
 
 
-def translation_T(v: Element) -> Element:
-    """Translation derivation X[r] -> -r X[r-1], T(1) = 0."""
+def _shift_depth(v: Element, step: int, name: str) -> Element:
+    """The derivation X[r] -> step * r X[r+step] of the vacuum module,
+    applied factor by factor; words it moves out of normal order, or
+    onto the vacuum, are resolved by the engine."""
     ctx = v.ctx
     if ctx.mode != "affine":
-        raise ValueError("the translation derivation lives on the vacuum module")
-    pieces = []
-    for m, c in v.terms.items():
-        for idx, g in enumerate(m):
-            pieces.append(
-                (
-                    m[:idx] + (LoopGen(g.depth - 1, g.i, g.j, g.r),) + m[idx + 1 :],
-                    -g.depth * c,
-                )
-            )
-    return ctx.combine(pieces)
+        raise ValueError(f"the {name} derivation lives on the vacuum module")
+    return ctx.combine(
+        (
+            m[:idx] + (LoopGen(g.depth + step, g.i, g.j, g.r),) + m[idx + 1 :],
+            step * g.depth * c,
+        )
+        for m, c in v.terms.items()
+        for idx, g in enumerate(m)
+    )
+
+
+def translation_T(v: Element) -> Element:
+    """Translation derivation X[r] -> -r X[r-1], T(1) = 0."""
+    return _shift_depth(v, -1, "translation")
 
 
 def delta(v: Element) -> Element:
-    """Raising derivation with [Delta, X[r]] = r X[r+1], Delta(1) = 0.
-
-    Factors promoted to depth >= 0 are resolved through the vacuum rule.
-    """
-    ctx = v.ctx
-    if ctx.mode != "affine":
-        raise ValueError("the raising derivation lives on the vacuum module")
-    pieces = []
-    for m, c in v.terms.items():
-        for idx, g in enumerate(m):
-            if g.depth == 0:
-                continue
-            pieces.append(
-                (
-                    m[:idx] + (LoopGen(g.depth + 1, g.i, g.j, g.r),) + m[idx + 1 :],
-                    g.depth * c,
-                )
-            )
-    return ctx.combine(pieces)
+    """Raising derivation with [Delta, X[r]] = r X[r+1], Delta(1) = 0."""
+    return _shift_depth(v, 1, "raising")
 
 
 def degree_d(v: Element) -> Element:
@@ -473,24 +460,26 @@ def _coeff_str(c) -> str:
     return str(Fraction(c))
 
 
+def signed_sum(terms: Iterable[Tuple[str, Fraction]]) -> str:
+    """Text of a sum of (word, coefficient) terms, such as "a - 2 b + 1/2":
+    the first sign is written only when negative, and a magnitude of 1
+    only before an empty word."""
+    parts = []
+    for word, c in terms:
+        c = Fraction(c)
+        mag = abs(c)
+        body = word if mag == 1 and word else f"{mag} {word}".rstrip()
+        if c < 0:
+            parts.append(f"- {body}")
+        else:
+            parts.append(f"+ {body}" if parts else body)
+    return " ".join(parts)
+
+
 def element_text(v: Element) -> str:
     """Readable bracketed form, factors as E[i,j,r][depth]."""
-    if not v.terms:
-        return "0"
-    parts = []
-    for m, c in v.sorted_terms():
-        frac = Fraction(c)
-        word = " ".join(g.text() for g in m) if m else "1"
-        mag = abs(frac)
-        if mag == 1 and m:
-            body = word
-        else:
-            body = f"{mag} {word}" if m else str(mag)
-        if not parts:
-            parts.append(body if frac > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if frac > 0 else f"- {body}")
-    return " ".join(parts)
+    terms = v.sorted_terms()
+    return signed_sum((" ".join(g.text() for g in m), c) for m, c in terms) or "0"
 
 
 def element_to_obj(v: Element) -> list:
@@ -514,11 +503,3 @@ def element_from_obj(ctx: LieContext, obj: list) -> Element:
         )
         _axpy(terms, {m: Fraction(item["coeff"])}, 1)
     return Element(ctx, terms)
-
-
-def element_to_json(v: Element) -> str:
-    return json.dumps(element_to_obj(v))
-
-
-def element_from_json(ctx: LieContext, text: str) -> Element:
-    return element_from_obj(ctx, json.loads(text))

@@ -18,19 +18,33 @@ independence; all linear algebra is fraction-exact, no floating point.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
-from .detcalc import Sparse, UXElem, apply_entry, column_determinant, ux_matrix
-from .pbw import Element, LoopGen, get_context
+from .detcalc import (
+    Sparse,
+    UXElem,
+    _add_into,
+    apply_entry,
+    column_determinant,
+    ux_matrix,
+)
+from .pbw import Element, LoopGen, Monomial, get_context
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
 
 Chi = Dict[GenId, Fraction]
-ZSeries = Dict[int, Element]
+
+
+class ZSeries(Sparse):
+    """Laurent polynomial in z: z-exponent -> finite-mode element."""
+
+    __slots__ = ()
+    _join = operator.add
 
 
 def check_chi(p: Pyramid, chi: Chi) -> Chi:
@@ -67,9 +81,26 @@ def random_point(p: Pyramid, seed: int, lo: int = -3, hi: int = 3) -> Dict[GenId
     return {g: Fraction(rng.randint(lo, hi)) for g in p.basis()}
 
 
+def _drop_constants(
+    m: Monomial, const: Callable[[LoopGen], Fraction]
+) -> Iterator[Tuple[Monomial, Fraction]]:
+    """Expand a word in which every letter g with const(g) nonzero either
+    stays or becomes that constant: yields (kept subword, product of the
+    dropped constants) once per subset of such letters."""
+    if not m:
+        yield (), 1
+        return
+    g = m[-1]
+    k = const(g)
+    for word, c in _drop_constants(m[:-1], const):
+        yield word + (g,), c
+        if k:
+            yield word, c * k
+
+
 def rho_chi(v: Element, chi: Chi) -> ZSeries:
     """Evaluation homomorphism into the enveloping algebra with a formal
-    z-grading: returns a map z-exponent -> finite-mode element.
+    z-grading: returns the series of finite-mode elements in z.
 
     Each depth -1 factor may either stay (contributing X z^{-1}) or be
     replaced by the constant chi(X); deeper factors only stay.
@@ -79,39 +110,16 @@ def rho_chi(v: Element, chi: Chi) -> ZSeries:
         raise ValueError("the evaluation homomorphism consumes vacuum-module states")
     check_chi(p, chi)
     fin = get_context(p, "finite")
-    out: Dict[int, Element] = {}
+    def const(g: LoopGen) -> Fraction:
+        return chi.get(g.gen) if g.depth == -1 else 0
+
+    pieces: Dict[int, list] = {}
     for m, c in v.terms.items():
-        slots = [idx for idx, g in enumerate(m) if g.depth == -1 and chi.get(g.gen)]
-        for mask in range(1 << len(slots)):
-            coeff = c
-            dropped = set()
-            for t, idx in enumerate(slots):
-                if mask >> t & 1:
-                    dropped.add(idx)
-                    coeff *= chi[m[idx].gen]
-            word = [
-                LoopGen(0, g.i, g.j, g.r)
-                for idx, g in enumerate(m)
-                if idx not in dropped
-            ]
-            zexp = sum(m[idx].depth for idx in range(len(m)) if idx not in dropped)
-            piece = fin.word(word, coeff)
-            cur = out.get(zexp)
-            out[zexp] = piece if cur is None else cur + piece
-    return {e: elem for e, elem in out.items() if not elem.is_zero()}
-
-
-def zseries_mul(a: ZSeries, b: ZSeries) -> ZSeries:
-    out: Dict[int, Element] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            piece = ca * cb
-            if piece.is_zero():
-                continue
-            e = ea + eb
-            cur = out.get(e)
-            out[e] = piece if cur is None else cur + piece
-    return {e: c for e, c in out.items() if not c.is_zero()}
+        for word, k in _drop_constants(m, const):
+            zexp = sum(g.depth for g in word)
+            word = [LoopGen(0, g.i, g.j, g.r) for g in word]
+            pieces.setdefault(zexp, []).append((word, c * k))
+    return ZSeries({e: fin.combine(words) for e, words in pieces.items()})
 
 
 def zseries_eval(p: Pyramid, series: ZSeries, z: Fraction) -> Element:
@@ -119,7 +127,7 @@ def zseries_eval(p: Pyramid, series: ZSeries, z: Fraction) -> Element:
         raise ValueError("z must be nonzero")
     fin = get_context(p, "finite")
     total = fin.zero()
-    for e, elem in series.items():
+    for e, elem in series.terms.items():
         total = total + Fraction(z) ** e * elem
     return total
 
@@ -146,7 +154,7 @@ def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
     for k, r, elem in table.selected_entries():
         series = rho_chi(elem, chi)
         for m in range(k):
-            out.append(AChiGen(k, r, m, series.get(m - k, fin.zero())))
+            out.append(AChiGen(k, r, m, series.terms.get(m - k, fin.zero())))
     return out
 
 
@@ -186,27 +194,15 @@ def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
         raise ValueError("the automorphism acts on finite-mode elements")
     if not c:
         return v
-    out: Dict[tuple, Fraction] = {}
-    for m, coeff in v.terms.items():
-        slots = [
-            idx
-            for idx, g in enumerate(m)
-            if g.i == g.j and g.r == 0
-        ]
-        for mask in range(1 << len(slots)):
-            factor = coeff
-            dropped = set()
-            for t, idx in enumerate(slots):
-                if mask >> t & 1:
-                    dropped.add(idx)
-                    factor *= c * p.lambdas[m[idx].i - 1]
-            word = tuple(g for idx, g in enumerate(m) if idx not in dropped)
-            cur = out.get(word, 0) + factor
-            if cur:
-                out[word] = cur
-            elif word in out:
-                del out[word]
-    return Element(fin, out)
+
+    def const(g: LoopGen) -> Fraction:
+        return c * p.lambdas[g.i - 1] if g.i == g.j and g.r == 0 else 0
+
+    return fin.combine(
+        (word, coeff * k)
+        for m, coeff in v.terms.items()
+        for word, k in _drop_constants(m, const)
+    )
 
 
 # -- commutative symbols and the exact-rank independence surrogate
@@ -226,31 +222,22 @@ class SymPoly(Sparse):
     def var(cls, g: GenId) -> "SymPoly":
         return cls({((g, 1),): 1})
 
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        out: Dict[tuple, Fraction] = {}
-        for ma, ca in self.terms.items():
-            da = dict(ma)
-            for mb, cb in other.terms.items():
-                exps = dict(da)
-                for g, e in mb:
-                    exps[g] = exps.get(g, 0) + e
-                key = tuple(sorted(exps.items()))
-                out[key] = out.get(key, 0) + ca * cb
-        return SymPoly(out)
+    @staticmethod
+    def _join(a: tuple, b: tuple) -> tuple:
+        exps = dict(a)
+        for g, e in b:
+            _add_into(exps, g, e)
+        return tuple(sorted(exps.items()))
 
     def diff(self, g: GenId) -> "SymPoly":
         out: Dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
             exps = dict(m)
-            e = exps.get(g, 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[g]
-            else:
-                exps[g] = e - 1
-            key = tuple(sorted(exps.items()))
-            out[key] = out.get(key, 0) + e * c
+            e = exps.pop(g, 0)
+            if e:
+                if e > 1:
+                    exps[g] = e - 1
+                _add_into(out, tuple(sorted(exps.items())), e * c)
         return SymPoly(out)
 
     def evaluate(self, point: Dict[GenId, Fraction]) -> Fraction:

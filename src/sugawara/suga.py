@@ -18,6 +18,7 @@ the tau presentation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from time import monotonic
@@ -257,7 +258,4 @@ def homogeneity_ok(table: SugaTable) -> bool:
 
 
 def per_level_counts(p: Pyramid) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for k, _ in selected_pairs(p):
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    return dict(Counter(k for k, _ in selected_pairs(p)))

@@ -16,7 +16,7 @@ from sugawara.detcalc import (
     phi_circle,
     ux_matrix,
 )
-from sugawara.pbw import LoopGen, get_context, translation_T, weight_component
+from sugawara.pbw import get_context, translation_T, weight_component
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import SymPoly, center_determinant, symbols
 
@@ -227,21 +227,6 @@ def test_tau_skew_associativity_samples():
     for _ in range(10):
         a, b, c = random_tau(), random_tau(), random_tau()
         assert (a * b) * c == a * (b * c)
-
-
-def test_uxelem_json_roundtrip():
-    import json
-
-    from sugawara.detcalc import uxelem_from_obj, uxelem_to_obj
-
-    p = Pyramid((1, 2))
-    ctx = get_context(p, "affine")
-    d = cdet(p)
-    obj = uxelem_to_obj(d)
-    text = json.dumps(obj)
-    back = uxelem_from_obj(ctx, json.loads(text))
-    assert back == d
-    assert json.dumps(uxelem_to_obj(back)) == text
 
 
 def test_term_counts_stay_bounded():

@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 
 from sugawara.pyramid import GenId, LieCombo, Pyramid, bracket, form, gln_expand
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sugawara.pbw import get_context
+from sugawara.pbw import LoopGen, get_context
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import (
     SymPoly,
@@ -18,9 +18,7 @@ from sugawara.shift import (
     rho_chi,
     symbols,
     zseries_eval,
-    zseries_mul,
 )
-from sugawara.suga import phi_table, selected_pairs
 
 
 def test_rho_single_factors():
@@ -29,9 +27,9 @@ def test_rho_single_factors():
     fin = get_context(p, "finite")
     chi = {GenId(1, 1, 0): Fraction(5, 2)}
     out = rho_chi(ctx.gen(1, 1, 0, depth=-1), chi)
-    assert out == {-1: fin.gen(1, 1, 0), 0: fin.scalar(Fraction(5, 2))}
+    assert out.terms == {-1: fin.gen(1, 1, 0), 0: fin.scalar(Fraction(5, 2))}
     out = rho_chi(ctx.gen(1, 1, 0, depth=-2), chi)
-    assert out == {-2: fin.gen(1, 1, 0)}
+    assert out.terms == {-2: fin.gen(1, 1, 0)}
 
 
 def test_rho_rejects_bad_inputs():
@@ -45,8 +43,6 @@ def test_rho_rejects_bad_inputs():
 
 
 def _random_state(ctx, rng, max_factors=3):
-    from sugawara.pbw import LoopGen
-
     basis = ctx.pyramid.basis()
     word = [
         LoopGen(rng.choice([-1, -1, -2]), *rng.choice(basis))
@@ -64,7 +60,7 @@ def test_rho_homomorphism_property(lam):
     for _ in range(12):
         a = _random_state(ctx, rng)
         b = _random_state(ctx, rng)
-        assert rho_chi(a * b, chi) == zseries_mul(rho_chi(a, chi), rho_chi(b, chi))
+        assert rho_chi(a * b, chi) == rho_chi(a, chi) * rho_chi(b, chi)
 
 
 def test_zseries_eval():
@@ -160,6 +156,27 @@ def test_automorphism_identity_and_brackets():
         assert lhs == fin.commutator(sa, sb)
 
 
+@pytest.mark.parametrize("lam", [(1, 1), (1, 2), (2, 2), (1, 1, 2)])
+def test_automorphism_is_multiplicative(lam):
+    p = Pyramid(lam)
+    fin = get_context(p, "finite")
+    rng = random.Random(17)
+    basis = p.basis()
+
+    def random_word():
+        letters = [LoopGen(0, *rng.choice(basis)) for _ in range(rng.randint(1, 3))]
+        return fin.word(letters, rng.choice([1, -2, Fraction(1, 3)]))
+
+    moved = 0
+    for _ in range(15):
+        a, b = random_word(), random_word()
+        c = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        image = apply_automorphism(p, a * b, c)
+        assert image == apply_automorphism(p, a, c) * apply_automorphism(p, b, c)
+        moved += image != a * b
+    assert moved >= 5
+
+
 def test_automorphism_gl2_example():
     p = Pyramid((1, 1))
     fin = get_context(p, "finite")
@@ -179,6 +196,15 @@ def test_symbols_gl2():
     v = lambda i, j: SymPoly.var(GenId(i, j, 0))
     assert sym[(1, 0)] == v(1, 1) + v(2, 2)
     assert sym[(2, 0)] == v(1, 1) * v(2, 2) - v(1, 2) * v(2, 1)
+
+
+def test_sympoly_product_merges_exponents():
+    g, h = GenId(1, 1, 0), GenId(2, 2, 0)
+    a, b = SymPoly.var(g), SymPoly.var(h)
+    square = (a + b) * (b + a)
+    assert square.terms == {((g, 2),): 1, ((g, 1), (h, 1)): 2, ((h, 2),): 1}
+    assert square.diff(g) == 2 * a + 2 * b
+    assert square.evaluate({g: Fraction(3), h: Fraction(-1)}) == 4
 
 
 def test_jacobian_example_gl2():

@@ -1,6 +1,6 @@
 import pytest
 
-from sugawara.pbw import delta, get_context, monomial_degree, monomial_weight
+from sugawara.pbw import delta, get_context, monomial_degree
 from sugawara.pyramid import Pyramid
 from sugawara.suga import (
     delta_ladder,
