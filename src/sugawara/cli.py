@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
             "centralizer of a nilpotent matrix given by a pyramid."
         ),
     )
+    # Read "-1/3" as a value, not an option: before Python 3.13 argparse
+    # takes only "-1" and "-1.5" for negative numbers.  This is the 3.13
+    # pattern; "-x" is still an option.
+    ap._negative_number_matcher = re.compile(r"-\.?\d")
     ap.add_argument(
         "--pyramid",
         required=True,

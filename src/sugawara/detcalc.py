@@ -13,11 +13,10 @@ n! products), generic over how an entry acts on the determinant to its
 right, evaluates every determinant of the package: this one, the tau
 presentation below, and the center and symbol determinants of
 :mod:`sugawara.shift`.  The straight permutation sum is kept as a test
-oracle.  :func:`ux_matrix` builds the three u, x matrices.
-:class:`Sparse` is the base of every sparse polynomial with algebra
-coefficients; its ``+`` and its ``*``, a convolution over a per-class
-join of keys, are the one sum and the one product of those carriers
-(:class:`TauPoly` keeps its own skew product).
+oracle.  :func:`ux_matrix` builds the three u, x matrices.  The carriers here
+are :class:`~sugawara.pbw.Sparse` subclasses, like the algebra elements
+they hold: :class:`UXElem` sets the join of its (u, x) keys and
+:class:`TauPoly` keeps its own skew product.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
@@ -33,62 +32,8 @@ from functools import lru_cache, reduce
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .pbw import Element, get_context, translation_T
+from .pbw import Element, Sparse, _add_into, get_context, translation_T
 from .pyramid import Pyramid
-
-
-def _add_into(out: dict, key, c) -> None:
-    """out[key] += c, where an absent key reads as an empty sum."""
-    cur = out.get(key)
-    out[key] = c if cur is None else cur + c
-
-
-class Sparse:
-    """Sparse map key -> coefficient with zero coefficients dropped.
-
-    Coefficients may be :class:`~sugawara.pbw.Element` values, rationals
-    or other carriers; they need +, *, truth value and scalar ``s * c``.
-    The product is the convolution over ``_join``, which a subclass sets
-    to the monoid law of its keys.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[object, object]):
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_into(out, k, c)
-        return type(self)(out)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                _add_into(out, self._join(ka, kb), ca * cb)
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        return type(self)({k: s * c for k, c in self.terms.items()})
-
-    # s * v for a scalar s, so that carriers nest as coefficients
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
 
 
 class UXElem(Sparse):
@@ -113,6 +58,10 @@ class UXElem(Sparse):
         """Map u-exponent -> coefficient of x^x u^u."""
         return {u: c for (u, xx), c in self.terms.items() if xx == x}
 
+    def coefficient_table(self, n: int) -> Dict[Tuple[int, int], object]:
+        """Map (k, r) -> coefficient of x^(n-k) u^r, for k = 1..n."""
+        return {(n - x, u): c for (u, x), c in self.terms.items() if x < n}
+
 
 @dataclass(frozen=True)
 class MatrixEntry:
@@ -123,21 +72,17 @@ class MatrixEntry:
     mult: UXElem
 
 
-def apply_entry(
-    entry: MatrixEntry, s: UXElem, translate: Optional[Callable] = None
-) -> UXElem:
+def apply_entry(entry: MatrixEntry, s: UXElem) -> UXElem:
     """Apply an entry as an operator to a UX polynomial.
 
     u and x commute with everything; the translation derivation acts on
-    the coefficients only.
+    the coefficients only (an entry carries T only over the vacuum module).
     """
     out = entry.mult * s
     if entry.x_flag:
         out = out + s.shift_x()
     if entry.t_coeff:
-        if translate is None:
-            raise ValueError("entry carries T but no translation was supplied")
-        out = out + s.map_coeffs(translate).scale(entry.t_coeff)
+        out = out + s.map_coeffs(translation_T).scale(entry.t_coeff)
     return out
 
 
@@ -231,9 +176,7 @@ def cdet(p: Pyramid) -> UXElem:
     polynomials in u."""
     ctx = get_context(p, "affine")
     return column_determinant(
-        build_entry_matrix(p),
-        UXElem({(0, 0): ctx.one()}),
-        lambda entry, inner: apply_entry(entry, inner, translation_T),
+        build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), apply_entry
     )
 
 

@@ -15,7 +15,10 @@ Two contexts share one rewriting core:
 Monomials are tuples of :class:`LoopGen` sorted by the canonical key
 (depth, i, j, r).  With that key every nonnegative-depth factor of a
 normal-ordered word sits in a trailing run, so the vacuum quotient is a
-suffix test.  Elements are sparse maps monomial -> exact rational.
+suffix test.  An :class:`Element` (monomial -> exact rational) sits on
+:class:`Sparse`, the base of every carrier of the package, and replaces
+only its product by the PBW product.  The rewriting core below works on
+raw dicts and accumulates with its own kernel, :func:`_axpy`.
 
 The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
@@ -73,25 +76,95 @@ def _axpy(out: Terms, terms: Terms, c) -> None:
             out.pop(m, None)
 
 
-class Element:
-    """Exact linear combination of normal-ordered monomials.
+def _add_into(out: dict, key, c) -> None:
+    """out[key] += c, where an absent key reads as an empty sum and a
+    zero sum removes the key."""
+    cur = out.get(key)
+    c = c if cur is None else cur + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
 
-    Immutable by convention: operations return fresh elements and never
-    mutate ``terms``.  Arithmetic requires both operands to live in the
-    same context.
+
+class Sparse:
+    """Sparse map key -> coefficient with zero coefficients dropped.
+
+    Coefficients may be :class:`Element` values, rationals or other
+    carriers; they need +, *, truth value and scalar ``s * c``.  The
+    product is the convolution over ``_join``, which a subclass sets to
+    the monoid law of its keys.  Every result is built by ``_like``, so
+    a subclass with state beyond ``terms`` carries it over.  Only the
+    constructor filters zeros: ``_like`` is never handed one, since
+    :func:`_add_into` removes a zero sum and a nonzero scalar keeps a
+    coefficient nonzero.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ctx: "LieContext", terms: Dict[Monomial, Fraction]):
-        self.ctx = ctx
-        self.terms = terms
+    def __init__(self, terms: Dict[object, object]):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def _like(self, terms: dict):
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _add_into(out, k, c)
+        return self._like(out)
+
+    def __mul__(self, other):
+        out: dict = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                _add_into(out, self._join(ka, kb), ca * cb)
+        return self._like(out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        return self._like({k: s * c for k, c in self.terms.items()} if s else {})
+
+    # s * v for a scalar s, so that carriers nest as coefficients
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+
+class Element(Sparse):
+    """Exact linear combination of normal-ordered monomials.
+
+    Immutable by convention: operations return fresh elements and never
+    mutate ``terms``.  Arithmetic requires both operands to live in the
+    same context; the product is the PBW product of that context.
+    """
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: "LieContext", terms: Dict[Monomial, Fraction]):
+        super().__init__(terms)
+        self.ctx = ctx
+
+    def _like(self, terms: Terms) -> "Element":
+        out = super()._like(terms)
+        out.ctx = self.ctx
+        return out
 
     def _compat(self, other: "Element") -> None:
         if self.ctx.key != other.ctx.key:
@@ -103,17 +176,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._compat(other)
-        out = dict(self.terms)
-        _axpy(out, other.terms, 1)
-        return Element(self.ctx, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element(self.ctx, {m: -c for m, c in self.terms.items()})
+        return super().__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -121,16 +184,6 @@ class Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "Element":
-        if not c:
-            return Element(self.ctx, {})
-        return Element(self.ctx, {m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -186,7 +239,7 @@ class LieContext:
         return Element(self, {(): 1})
 
     def scalar(self, c) -> Element:
-        return Element(self, {(): c} if c else {})
+        return Element(self, {(): c})
 
     def loop(self, i: int, j: int, r: int, depth: int) -> LoopGen:
         self.pyramid.check(GenId(i, j, r))
@@ -208,11 +261,7 @@ class LieContext:
 
     def _element(self, terms: Dict[Monomial, Fraction]) -> Element:
         if self.mode == "affine":
-            terms = {
-                m: c for m, c in terms.items() if c and not (m and m[-1].depth >= 0)
-            }
-        else:
-            terms = {m: c for m, c in terms.items() if c}
+            terms = {m: c for m, c in terms.items() if not (m and m[-1].depth >= 0)}
         return Element(self, terms)
 
     # -- the rewriting core
@@ -414,13 +463,7 @@ def delta(v: Element) -> Element:
 
 def degree_d(v: Element) -> Element:
     """Grading derivation with [d, X[r]] = r X[r]."""
-    ctx = v.ctx
-    out: Dict[Monomial, Fraction] = {}
-    for m, c in v.terms.items():
-        w = sum(g.depth for g in m)
-        if w:
-            out[m] = w * c
-    return Element(ctx, out)
+    return Element(v.ctx, {m: sum(g.depth for g in m) * c for m, c in v.terms.items()})
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -501,5 +544,5 @@ def element_from_obj(ctx: LieContext, obj: list) -> Element:
         m = tuple(
             LoopGen(f["depth"], f["i"], f["j"], f["r"]) for f in item["monomial"]
         )
-        _axpy(terms, {m: Fraction(item["coeff"])}, 1)
+        _add_into(terms, m, Fraction(item["coeff"]))
     return Element(ctx, terms)

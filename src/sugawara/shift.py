@@ -25,15 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .detcalc import (
-    Sparse,
-    UXElem,
-    _add_into,
-    apply_entry,
-    column_determinant,
-    ux_matrix,
-)
-from .pbw import Element, LoopGen, Monomial, get_context
+from .detcalc import UXElem, apply_entry, column_determinant, ux_matrix
+from .pbw import Element, LoopGen, Monomial, Sparse, _add_into, get_context
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
 
@@ -70,15 +63,14 @@ def chi_to_obj(chi: Chi) -> Dict[str, str]:
     return {g.text(): str(Fraction(c)) for g, c in sorted(chi.items())}
 
 
-def random_chi(p: Pyramid, seed: int, lo: int = -3, hi: int = 3) -> Chi:
+def random_point(p: Pyramid, seed: int) -> Dict[GenId, Fraction]:
+    """Seeded integers in -3..3 on every basis symbol."""
     rng = random.Random(seed)
-    chi = {g: Fraction(rng.randint(lo, hi)) for g in p.basis()}
-    return {g: c for g, c in chi.items() if c}
+    return {g: Fraction(rng.randint(-3, 3)) for g in p.basis()}
 
 
-def random_point(p: Pyramid, seed: int, lo: int = -3, hi: int = 3) -> Dict[GenId, Fraction]:
-    rng = random.Random(seed)
-    return {g: Fraction(rng.randint(lo, hi)) for g in p.basis()}
+def random_chi(p: Pyramid, seed: int) -> Chi:
+    return {g: c for g, c in random_point(p, seed).items() if c}
 
 
 def _drop_constants(
@@ -267,12 +259,7 @@ def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
     determinant with entries in the symmetric algebra."""
     matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
     d = column_determinant(matrix, UXElem({(0, 0): SymPoly.const(1)}), apply_entry)
-    out: Dict[Tuple[int, int], SymPoly] = {}
-    for k in range(1, p.n + 1):
-        for r, poly in d.x_coefficient(p.n - k).items():
-            if poly:
-                out[(k, r)] = poly
-    return out
+    return d.coefficient_table(p.n)
 
 
 def _rank(rows: List[List[Fraction]]) -> int:

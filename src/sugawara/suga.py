@@ -76,12 +76,7 @@ def phi_table(p: Pyramid) -> SugaTable:
     d = cdet(p)
     ctx = get_context(p, "affine")
     assert d.x_coefficient(p.n) == {0: ctx.one()}, "determinant must be monic in x"
-    entries: Dict[Tuple[int, int], Element] = {}
-    for k in range(1, p.n + 1):
-        for r, elem in d.x_coefficient(p.n - k).items():
-            if not elem.is_zero():
-                entries[(k, r)] = elem
-    return SugaTable(p, entries, selected_pairs(p))
+    return SugaTable(p, d.coefficient_table(p.n), selected_pairs(p))
 
 
 def pair_for_total(p: Pyramid, total: int) -> Tuple[int, int]:

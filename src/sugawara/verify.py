@@ -85,16 +85,16 @@ def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Repo
     return report
 
 
-def sample_states(p: Pyramid, seed: int, count: int = 6) -> List[Tuple[str, Element]]:
-    """Deterministic test states: the vacuum, single generators, and a
-    few seeded random monomials."""
+def sample_states(p: Pyramid, seed: int) -> List[Tuple[str, Element]]:
+    """Deterministic test states: the vacuum, a single generator, and
+    six seeded random monomials."""
     ctx = get_context(p, "affine")
     rng = random.Random(seed)
     basis = p.basis()
     out: List[Tuple[str, Element]] = [("1", ctx.one())]
     g = basis[0]
     out.append(("E[%d,%d,%d][-2]" % g, ctx.gen(g.i, g.j, g.r, depth=-2)))
-    for t in range(count):
+    for t in range(6):
         word = [
             LoopGen(rng.choice([-1, -2]), *rng.choice(basis))
             for _ in range(rng.randint(1, 2))
@@ -104,17 +104,13 @@ def sample_states(p: Pyramid, seed: int, count: int = 6) -> List[Tuple[str, Elem
 
 
 def raising_recursion_check(
-    p: Pyramid,
-    samples: Optional[Sequence[Tuple[str, Element]]] = None,
-    seed: int = 0,
-    s_values: Iterable[int] = (1, 2),
+    p: Pyramid, seed: int = 0, s_values: Iterable[int] = (1, 2)
 ) -> Report:
     """Operator identity s E[i,i,shift][s+1] = [Delta, E[i,i,shift][s]]
-    on the vacuum module, checked against sample states."""
+    on the vacuum module, checked against :func:`sample_states`."""
     start = monotonic()
     ctx = get_context(p, "affine")
-    if samples is None:
-        samples = sample_states(p, seed)
+    samples = sample_states(p, seed)
     report = Report("raising-recursion", str(p), seed=seed)
     for i in range(1, p.n + 1):
         for shift in range(p.lambdas[i - 1]):

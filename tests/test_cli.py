@@ -93,6 +93,28 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and out == "" and "--s-max" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, command",
+    [
+        ("--z", "-1/3", "shift"),
+        ("--z", "-.5", "shift"),
+        ("--automorphism-c", "-3/2", "center"),
+    ],
+)
+def test_negative_fraction_as_separate_argument(capsys, flag, value, command):
+    code, spaced, _ = run(capsys, "--pyramid", "1,2", flag, value, command)
+    assert code == 0
+    _, joined, _ = run(capsys, "--pyramid", "1,2", f"{flag}={value}", command)
+    assert spaced == joined
+
+
+def test_dash_letter_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--pyramid", "1,2", "--z", "-x", "shift"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [0.1, 2.0, True, None, [1]])
 def test_chi_rejects_inexact_values(capsys, tmp_path, value):
     chi_file = tmp_path / "chi.json"

@@ -16,7 +16,7 @@ from sugawara.detcalc import (
     phi_circle,
     ux_matrix,
 )
-from sugawara.pbw import get_context, translation_T, weight_component
+from sugawara.pbw import get_context, weight_component
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import SymPoly, center_determinant, symbols
 
@@ -44,7 +44,7 @@ def test_apply_entry_diagonal_to_one():
     ctx = get_context(p, "affine")
     m = build_entry_matrix(p)
     one = UXElem({(0, 0): ctx.one()})
-    out = apply_entry(m[0][0], one, translation_T)
+    out = apply_entry(m[0][0], one)
     # T kills 1, so x + E_11(u) remains
     assert out == UXElem({(0, 1): ctx.one(), (0, 0): ctx.gen(1, 1, 0, depth=-1)})
 
@@ -54,19 +54,11 @@ def test_apply_entry_translation():
     ctx = get_context(p, "affine")
     x = ctx.gen(1, 1, 0, depth=-1)
     entry_diag = build_entry_matrix(p)[0][0]
-    out = apply_entry(entry_diag, UXElem({(0, 0): x}), translation_T)
+    out = apply_entry(entry_diag, UXElem({(0, 0): x}))
     assert out.coeff(0, 1, ctx.zero()) == x
     assert out.coeff(0, 0, ctx.zero()) == ctx.gen(1, 1, 0, depth=-2) + ctx.gen(
         1, 1, 0, depth=-1
     ) * x
-
-
-def test_apply_entry_requires_translation():
-    p = Pyramid((1, 1))
-    ctx = get_context(p, "affine")
-    entry = build_entry_matrix(p)[0][0]
-    with pytest.raises(ValueError):
-        apply_entry(entry, UXElem({(0, 0): ctx.one()}))
 
 
 def test_cdet_1x1():
@@ -114,8 +106,7 @@ def _determinant_setup(kind, p):
     ctx = get_context(p, "affine")
     fin = get_context(p, "finite")
     if kind == "cdet":
-        apply = lambda entry, inner: apply_entry(entry, inner, translation_T)
-        return build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), apply, cdet(p)
+        return build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), apply_entry, cdet(p)
     if kind == "tau":
         return build_tau_matrix(p), TauPoly({0: ctx.one()}), operator.mul, cdet_tau(p)
     if kind == "center":

@@ -1,10 +1,12 @@
 import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sugawara.detcalc import UXElem
 from sugawara.pyramid import Pyramid
 from sugawara.pbw import (
     Element,
@@ -137,11 +139,12 @@ def test_commutator_antisymmetry_and_jacobi(mode):
         assert total.is_zero()
 
 
-def test_mixed_context_rejected():
+@pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
+def test_mixed_context_rejected(op):
     a = get_context(Pyramid((1, 1)), "finite").gen(1, 1, 0)
     b = get_context(Pyramid((1, 1)), "affine").gen(1, 1, 0, depth=-1)
     with pytest.raises(ValueError):
-        a * b
+        op(a, b)
 
 
 def test_act_cocycle_example():
@@ -397,3 +400,59 @@ def test_mul_associative_property(lam, mode, words):
         for w in words
     )
     assert (a * b) * c == a * (b * c)
+
+
+def _dict_axpy(a, b, c):
+    """Plain-dict oracle for a + c*b with cancelled monomials dropped."""
+    out = dict(a)
+    for m, v in b.items():
+        out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+_SCALARS = st.sampled_from([0, 1, -1, 3, Fraction(-2, 3)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(["finite", "affine"]),
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    mix=_SCALARS,
+    s=_SCALARS,
+)
+def test_element_arithmetic_against_dict_oracle(mode, seeds, mix, s):
+    p = Pyramid((1, 2))
+    ctx = get_context(p, mode)
+    depths = (0,) if mode == "finite" else (-1, -2)
+    a, b = (random_element(ctx, random.Random(k), depths=depths) for k in seeds)
+    # b shares a's monomials, so mix = -1 cancels a's part of a + b exactly
+    b = b + a.scale(mix)
+    results = {
+        "+": (a + b, _dict_axpy(a.terms, b.terms, 1)),
+        "-": (a - b, _dict_axpy(a.terms, b.terms, -1)),
+        "neg": (-a, _dict_axpy({}, a.terms, -1)),
+        "scale": (a.scale(s), _dict_axpy({}, a.terms, s)),
+        "rmul": (s * a, _dict_axpy({}, a.terms, s)),
+        "mul": (a * s, _dict_axpy({}, a.terms, s)),
+        "cancel": (a - a, {}),
+    }
+    for name, (got, want) in results.items():
+        assert isinstance(got, Element) and got.ctx is ctx, name
+        assert got.terms == want, name
+        assert got.is_zero() == (not want) == (not got), name
+        assert got == Element(ctx, want), name
+    assert (a == b) == (a.terms == b.terms)
+    other = get_context(p, "affine" if mode == "finite" else "finite")
+    assert a != Element(other, a.terms)
+
+    # UX polynomials with element coefficients scale them through s * c
+    ux = UXElem({(0, 0): a, (1, 2): b})
+    want = {k: _dict_axpy({}, c.terms, s) for k, c in ux.terms.items()}
+    for got in (ux.scale(s), s * ux):
+        assert {k: c.terms for k, c in got.terms.items()} == {
+            k: t for k, t in want.items() if t
+        }
+        assert all(c.ctx is ctx for c in got.terms.values())
+    total = ux + UXElem({(0, 0): b})
+    assert total.coeff(0, 0, ctx.zero()).terms == _dict_axpy(a.terms, b.terms, 1)
+    assert (ux - ux).is_zero() and (ux + (-ux)) == UXElem({})
