@@ -4,26 +4,23 @@ Subcommands: basis | vectors | verify | center | shift.  Output is JSON
 by default (text mode prints elements in the bracketed E[i,j,r][depth]
 form for side-by-side reading).  Exit codes: 0 when every check passes,
 1 when a mathematical check fails, 2 on usage or parse errors, so CI
-can gate on the suite.
+can gate on the suite, and 141 (128 + SIGPIPE) when the reader of
+stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .pbw import (
-    element_from_obj,
-    element_text,
-    element_to_obj,
-    get_context,
-    signed_sum,
-)
+from .jsonout import to_json
+from .pbw import element_text, get_context, signed_sum
 from .pyramid import Pyramid, bracket, form
 from .reports import Report
 from .shift import (
@@ -194,7 +191,7 @@ def cmd_vectors(cfg: Config) -> Tuple[dict, List[Report]]:
             "k": k,
             "r": r,
             "selected": (k, r) in chosen,
-            "element": element_to_obj(elem),
+            "element": elem,
         }
         for (k, r), elem in sorted(table.entries.items())
     ]
@@ -229,7 +226,7 @@ def cmd_center(cfg: Config) -> Tuple[dict, List[Report]]:
         "pyramid": str(p),
         "automorphism_c": None if c is None else str(c),
         "generators": [
-            {"k": k, "r": r, "element": element_to_obj(elem)} for k, r, elem in gens
+            {"k": k, "r": r, "element": elem} for k, r, elem in gens
         ],
         "centrality": report.to_obj(),
     }
@@ -251,7 +248,7 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
         "seed": cfg.seed,
         "chi": chi_to_obj(chi),
         "generators": [
-            {"k": g.k, "r": g.r, "m": g.m, "element": element_to_obj(g.element)}
+            {"k": g.k, "r": g.r, "m": g.m, "element": g.element}
             for g in gens
         ],
         "commutativity": report.to_obj(),
@@ -263,7 +260,7 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
         evaluated = []
         for k, r, elem in table.selected_entries():
             value = zseries_eval(p, rho_chi(elem, chi), cfg.z)
-            evaluated.append({"k": k, "r": r, "element": element_to_obj(value)})
+            evaluated.append({"k": k, "r": r, "element": value})
         obj["evaluated"] = evaluated
     return obj, [report]
 
@@ -296,9 +293,6 @@ def _render_report_text(out, robj: dict):
 
 
 def render_text(cfg: Config, obj: dict) -> str:
-    p = cfg.pyramid
-    ctx = get_context(p, "affine")
-    fin = get_context(p, "finite")
     out: List[str] = [f"pyramid {obj['pyramid']}"]
     if cfg.command == "basis":
         out.append(f"dimension {obj['dimension']}")
@@ -315,8 +309,9 @@ def render_text(cfg: Config, obj: dict) -> str:
     elif cfg.command == "vectors":
         for vec in obj["vectors"]:
             tag = "selected" if vec["selected"] else "extra"
-            elem = element_from_obj(ctx, vec["element"])
-            out.append(f"phi[k={vec['k']},r={vec['r']}] ({tag}): {element_text(elem)}")
+            out.append(
+                f"phi[k={vec['k']},r={vec['r']}] ({tag}): {element_text(vec['element'])}"
+            )
     elif cfg.command == "verify":
         for robj in obj["reports"]:
             _render_report_text(out, robj)
@@ -324,8 +319,9 @@ def render_text(cfg: Config, obj: dict) -> str:
         if obj["automorphism_c"] is not None:
             out.append(f"automorphism c = {obj['automorphism_c']}")
         for item in obj["generators"]:
-            elem = element_from_obj(fin, item["element"])
-            out.append(f"Phi[k={item['k']},r={item['r']}]: {element_text(elem)}")
+            out.append(
+                f"Phi[k={item['k']},r={item['r']}]: {element_text(item['element'])}"
+            )
         _render_report_text(out, obj["centrality"])
     elif cfg.command == "shift":
         out.append(f"seed {obj['seed']}")
@@ -336,20 +332,37 @@ def render_text(cfg: Config, obj: dict) -> str:
         else:
             out.append("chi: 0")
         for item in obj["generators"]:
-            elem = element_from_obj(fin, item["element"])
             out.append(
-                f"phi[k={item['k']},r={item['r']}]({item['m']}): {element_text(elem)}"
+                f"phi[k={item['k']},r={item['r']}]({item['m']}): "
+                + element_text(item["element"])
             )
         _render_report_text(out, obj["commutativity"])
         out.append(f"jacobian rank {obj['jacobian_rank']}")
         if obj.get("evaluated") is not None:
             out.append(f"evaluated at z = {obj['z']}:")
             for item in obj["evaluated"]:
-                elem = element_from_obj(fin, item["element"])
                 out.append(
-                    f"  phi[k={item['k']},r={item['r']}]: {element_text(elem)}"
+                    f"  phi[k={item['k']},r={item['r']}]: "
+                    + element_text(item["element"])
                 )
     return "\n".join(out)
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout in full or raise.
+
+    Goes through the binary layer, whose ``write`` reports how much went
+    out: with an unbuffered stdout (``python -u``) the text layer counts
+    a partial write to a pipe as complete, so a reader that quits early
+    would go unnoticed."""
+    sys.stdout.flush()
+    out = sys.stdout.buffer
+    step = 1 << 16
+    for start in range(0, len(text), step):
+        data = memoryview(text[start : start + step].encode())
+        while data:
+            data = data[out.write(data) :]
+    out.flush()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -361,10 +374,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.fmt == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        print(render_text(cfg, obj))
+    text = to_json(obj) if cfg.fmt == "json" else render_text(cfg, obj) + "\n"
+    try:
+        _write_stdout(text)
+    except BrokenPipeError:
+        # The reader went away (``| head``): point stdout at devnull so the
+        # flush at exit does not raise again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the shell's status for a death by SIGPIPE
     return 0 if all(r.passed() for r in reports) else 1
 
 

@@ -1,0 +1,92 @@
+"""The CLI's JSON writer.
+
+:func:`to_json` gives the bytes that ``json.dumps`` writes with an
+indent of 2, plus a newline, and takes :class:`~sugawara.pbw.Element`
+values in place of their :func:`~sugawara.pbw.element_to_obj` lists.
+With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which
+for wide elements costs more than computing them; here an element is
+formatted straight from its sorted terms, through fixed per-indent
+templates.
+
+The writer is a module of its own, not a part of ``pbw``: without a
+bytecode cache each CLI run compiles what it imports, and compiling a
+``pbw`` that held the writer raised the peak RSS of ``verify 2,2,2,2``
+by 0.4 MB.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _quote
+from typing import List
+
+from .pbw import Element, _coeff_str
+
+
+def to_json(obj) -> str:
+    """The text ``json.dumps`` gives ``obj`` with an indent of 2, plus a
+    newline, where an :class:`Element` stands for its ``element_to_obj``
+    list.
+
+    Other values may be dicts with str keys, lists, str, int, bool and
+    None, written inline; any other type, a float included, raises
+    ``TypeError``.
+    """
+    out: List[str] = []
+    _write_json(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, level: int, out: List[str]) -> None:
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Element):
+        out.append(_element_json(obj, level))
+    elif isinstance(obj, (dict, list)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        sep = "\n" + "  " * (level + 1)
+        for n, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(("," if n else "{") + sep + _quote(key) + ": ")
+            _write_json(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(obj, list):
+        sep = "\n" + "  " * (level + 1)
+        for n, value in enumerate(obj):
+            out.append(("," if n else "[") + sep)
+            _write_json(value, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _element_json(v: Element, level: int) -> str:
+    """``element_to_obj(v)`` as ``json.dumps`` with an indent of 2 writes
+    it at nesting ``level``: each factor object from one ``%`` template."""
+    terms = v.sorted_terms()
+    if not terms:
+        return "[]"
+    i0, i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(5))
+    head = i1 + "{" + i2 + '"coeff": %s,' + i2 + '"monomial": '
+    factor = (
+        i3 + "{" + i4 + '"i": %d,' + i4 + '"j": %d,' + i4 + '"r": %d,'
+        + i4 + '"depth": %d' + i3 + "}"
+    )
+    tail = i2 + "]" + i1 + "}"
+    parts = []
+    for m, c in terms:
+        coeff = head % _quote(_coeff_str(c))
+        if m:
+            body = ",".join([factor % (g.i, g.j, g.r, g.depth) for g in m])
+            parts.append(coeff + "[" + body + tail)
+        else:
+            parts.append(coeff + "[]" + i1 + "}")
+    return "[" + ",".join(parts) + i0 + "]"

@@ -6,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from sugawara.cli import main
-from sugawara.pbw import element_from_obj, get_context
+from sugawara.cli import COMMANDS, build_parser, main, parse_config
+from sugawara.pbw import Element, element_from_obj, get_context
 from sugawara.pyramid import Pyramid
+
+from test_acceptance import ALL_PYRAMIDS
+from test_jsonout import assert_writes_like_json_dumps
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -155,6 +160,36 @@ def test_json_roundtrip_fixed_point(capsys):
         assert json.dumps(obj, indent=2) + "\n" == out
 
 
+def _elements(obj):
+    if isinstance(obj, Element):
+        return 1
+    if isinstance(obj, dict):
+        return sum(map(_elements, obj.values()))
+    if isinstance(obj, list):
+        return sum(map(_elements, obj))
+    return 0
+
+
+def test_writer_matches_json_dumps_on_every_command(tmp_path):
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps({"E[1,1,0]": "1/2", "E[2,1,0]": -3}))
+    runs = [(lam, [command]) for lam in ALL_PYRAMIDS for command in COMMANDS] + [
+        ((1, 2), ["--z=-1/3", "shift"]),
+        ((1, 2), ["--chi", str(chi_file), "--z=2", "shift"]),
+        ((1, 2, 3), ["--chi", str(chi_file), "shift"]),
+        ((1, 1), ["--automorphism-c=-3/2", "center"]),
+        ((2, 3), ["--automorphism-c=2", "center"]),
+    ]
+    elements = 0
+    for lam, argv in runs:
+        pyramid = ",".join(map(str, lam))
+        cfg = parse_config(build_parser().parse_args(["--pyramid", pyramid] + argv))
+        obj, _ = COMMANDS[cfg.command](cfg)
+        assert_writes_like_json_dumps(obj)
+        elements += _elements(obj)
+    assert elements > 150
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "--pyramid", "1,1", "--format", "text", "vectors")
     assert code == 0
@@ -168,14 +203,37 @@ def test_text_format(capsys):
     assert "[PASS] annihilation" in out
 
 
-def test_benchmark_tracer_runs_the_cli(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_exits_141_without_traceback(fmt):
+    # the output is far larger than a pipe buffer, so the CLI is still
+    # writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sugawara.cli", "--pyramid", "1,1,1,1,1,1"]
+        + ["--format", fmt, "vectors"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    assert first.strip() in (b"{", b"pyramid 1,1,1,1,1,1")
+    assert code == 141
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "vectors"])
+def test_benchmark_tracer_runs_the_cli(capsys, tmp_path, command):
     # perfbench/child.py rebinds the traced functions by name; a refactor
     # that drops one of them must fail here, not only in the benchmark.
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     spans_file = tmp_path / "spans.json"
-    args = ["--pyramid", "1,2", "verify"]
-    child = root / "perfbench" / "child.py"
+    args = ["--pyramid", "1,2", command]
+    child = ROOT / "perfbench" / "child.py"
     traced = subprocess.run(
         [sys.executable, str(child), "trace", str(spans_file), "--"] + args,
         capture_output=True,
