@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .jsonout import to_json
-from .pbw import element_text, get_context, signed_sum
+from .pbw import _coeff_str, element_text, exact, get_context, signed_sum
 from .pyramid import Pyramid, bracket, form
 from .reports import Report
 from .shift import (
@@ -107,16 +107,16 @@ def parse_config(args: argparse.Namespace) -> Config:
     z = None
     if args.z is not None:
         try:
-            z = Fraction(args.z)
-        except (ValueError, ZeroDivisionError) as exc:
+            z = exact(args.z)
+        except ValueError as exc:
             raise UsageError(f"cannot parse --z {args.z!r}: {exc}") from None
         if z == 0:
             raise UsageError("--z must be nonzero")
     c = None
     if args.automorphism_c is not None:
         try:
-            c = Fraction(args.automorphism_c)
-        except (ValueError, ZeroDivisionError) as exc:
+            c = exact(args.automorphism_c)
+        except ValueError as exc:
             raise UsageError(
                 f"cannot parse --automorphism-c {args.automorphism_c!r}: {exc}"
             ) from None
@@ -162,7 +162,7 @@ def cmd_basis(cfg: Config) -> Tuple[dict, List[Report]]:
                     "a": a.text(),
                     "b": b.text(),
                     "terms": [
-                        {"gen": g.text(), "coeff": str(Fraction(c))}
+                        {"gen": g.text(), "coeff": _coeff_str(c)}
                         for g, c in combo.items()
                     ],
                 }
@@ -301,7 +301,7 @@ def render_text(cfg: Config, obj: dict) -> str:
         for item in obj["brackets"]:
             out.append(
                 f"  [{item['a']}, {item['b']}] = "
-                + signed_sum((t["gen"], t["coeff"]) for t in item["terms"])
+                + signed_sum((t["gen"], exact(t["coeff"])) for t in item["terms"])
             )
         out.append("nonzero form values:")
         for item in obj["form"]:

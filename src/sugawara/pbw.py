@@ -499,8 +499,22 @@ def weight_component(v: Element, w: int) -> Element:
 # -- text and JSON forms
 
 
+def exact(v):
+    """Exact value of a str or int input: an int when it is integral, else
+    a Fraction.  A float or bool is refused: 0.1 is not 1/10."""
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise ValueError(f"{v!r} must be a string or an integer")
+    try:
+        q = Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"{v!r} has a zero denominator") from None
+    return q.numerator if q.denominator == 1 else q
+
+
 def _coeff_str(c) -> str:
-    return str(Fraction(c))
+    if type(c) is int or isinstance(c, Fraction):
+        return str(c)
+    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
 def signed_sum(terms: Iterable[Tuple[str, Fraction]]) -> str:
@@ -509,10 +523,10 @@ def signed_sum(terms: Iterable[Tuple[str, Fraction]]) -> str:
     only before an empty word."""
     parts = []
     for word, c in terms:
-        c = Fraction(c)
-        mag = abs(c)
-        body = word if mag == 1 and word else f"{mag} {word}".rstrip()
-        if c < 0:
+        text = _coeff_str(c)
+        mag = text.lstrip("-")
+        body = word if mag == "1" and word else f"{mag} {word}".rstrip()
+        if text[0] == "-":
             parts.append(f"- {body}")
         else:
             parts.append(f"+ {body}" if parts else body)
@@ -544,5 +558,5 @@ def element_from_obj(ctx: LieContext, obj: list) -> Element:
         m = tuple(
             LoopGen(f["depth"], f["i"], f["j"], f["r"]) for f in item["monomial"]
         )
-        _add_into(terms, m, Fraction(item["coeff"]))
+        _add_into(terms, m, exact(item["coeff"]))
     return Element(ctx, terms)

@@ -35,7 +35,7 @@ class Report:
     pyramid: str
     cases: List[Case] = field(default_factory=list)
     seed: Optional[int] = None
-    elapsed: float = 0.0
+    elapsed: float = 0  # wall seconds, never serialized
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.cases)

@@ -27,6 +27,7 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 from .detcalc import UXElem, apply_entry, column_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, Sparse, _add_into, get_context
+from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
 
@@ -47,26 +48,28 @@ def check_chi(p: Pyramid, chi: Chi) -> Chi:
 
 
 def chi_from_obj(p: Pyramid, obj: Dict[str, str]) -> Chi:
-    """Parse chi from JSON.  Values must be strings or integers: a JSON
-    float has already lost exactness (0.1 is not 1/10), so it is refused."""
+    """Parse chi from JSON through :func:`~sugawara.pbw.exact`: values are
+    strings or integers, and integral ones are kept as int."""
     if not isinstance(obj, dict):
         raise ValueError("chi must be a JSON object mapping E[i,j,r] to a value")
     chi = {}
     for k, v in obj.items():
-        if isinstance(v, bool) or not isinstance(v, (str, int)):
-            raise ValueError(f"chi value {v!r} for {k} must be a string or an integer")
-        chi[GenId.parse(k)] = Fraction(v)
+        g = GenId.parse(k)
+        try:
+            chi[g] = exact(v)
+        except ValueError as exc:
+            raise ValueError(f"chi value for {k}: {exc}") from None
     return check_chi(p, {g: c for g, c in chi.items() if c})
 
 
 def chi_to_obj(chi: Chi) -> Dict[str, str]:
-    return {g.text(): str(Fraction(c)) for g, c in sorted(chi.items())}
+    return {g.text(): _coeff_str(c) for g, c in sorted(chi.items())}
 
 
-def random_point(p: Pyramid, seed: int) -> Dict[GenId, Fraction]:
+def random_point(p: Pyramid, seed: int) -> Dict[GenId, int]:
     """Seeded integers in -3..3 on every basis symbol."""
     rng = random.Random(seed)
-    return {g: Fraction(rng.randint(-3, 3)) for g in p.basis()}
+    return {g: rng.randint(-3, 3) for g in p.basis()}
 
 
 def random_chi(p: Pyramid, seed: int) -> Chi:
@@ -276,7 +279,7 @@ def _rank(rows: List[List[Fraction]]) -> int:
         lead = rows[rank][col]
         for t in range(rank + 1, len(rows)):
             if rows[t][col]:
-                scale = rows[t][col] / lead
+                scale = Fraction(rows[t][col], lead)
                 rows[t] = [a - scale * b for a, b in zip(rows[t], rows[rank])]
         rank += 1
         col += 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sugawara.cli import COMMANDS, build_parser, main, parse_config
+from sugawara.cli import COMMANDS, build_parser, cmd_center, main, parse_config
 from sugawara.pbw import Element, element_from_obj, get_context
 from sugawara.pyramid import Pyramid
 
@@ -129,6 +129,36 @@ def test_chi_rejects_inexact_values(capsys, tmp_path, value):
     )
     assert code == 2 and out == ""
     assert "string or an integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--chi", "CHI", "shift"],
+        ["--z", "1/0", "shift"],
+        ["--automorphism-c", "1/0", "center"],
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, tmp_path, argv):
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps({"E[1,1,0]": "1/0"}))
+    argv = [str(chi_file) if a == "CHI" else a for a in argv]
+    code, out, err = run(capsys, "--pyramid", "1,1", *argv)
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("lam", ["1,1", "1,2", "2,2", "1,1,2", "1,2,3"])
+def test_integral_automorphism_keeps_int_coefficients(lam):
+    args = build_parser().parse_args(
+        ["--pyramid", lam, "--automorphism-c", "2", "center"]
+    )
+    cfg = parse_config(args)
+    assert type(cfg.automorphism_c) is int
+    obj, _ = cmd_center(cfg)
+    coeffs = [c for g in obj["generators"] for c in g["element"].terms.values()]
+    assert len(coeffs) > 2
+    assert all(type(c) is int for c in coeffs)
 
 
 def test_chi_accepts_strings_and_ints(capsys, tmp_path):

@@ -1,8 +1,11 @@
-"""Every import in the sources, tests and demos is used.
+"""Lint-style checks made with stdlib ``ast`` scans.
 
-A stdlib ``ast`` scan stands in for a linter: a name bound by an import
-statement must be read somewhere in the same module.  Package
+Every import in the sources, tests and demos is used: a name bound by an
+import statement must be read somewhere in the same module.  Package
 ``__init__.py`` files are skipped, since their imports are re-exports.
+
+The sources stay exact: no float literal, and no true division unless
+one operand is a ``Fraction(...)`` call, since ``int / int`` is a float.
 """
 
 import ast
@@ -45,3 +48,58 @@ def test_scan_sees_an_unused_import(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("import os\nfrom json import dumps, loads\nprint(loads)\n")
     assert unused_imports(path) == [(1, "os"), (2, "dumps")]
+
+
+def _is_fraction_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+    )
+
+
+def inexact_sites(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if not (_is_fraction_call(node.left) or _is_fraction_call(node.right)):
+                found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            if not _is_fraction_call(node.value):
+                found.append((node.lineno, "true division"))
+    return sorted(found)
+
+
+def test_sources_are_float_free():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert len(files) > 5
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in files
+        for line, what in inexact_sites(path)
+    ]
+    assert not found, "inexact arithmetic:\n" + "\n".join(found)
+
+
+def test_scan_sees_inexact_sites(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "a = 0.5\n"
+        "b = a / 2\n"
+        "c = Fraction(a) / 2\n"
+        "d = 2 / Fraction(3)\n"
+        "e = a // 2\n"
+        "a /= 3\n"
+        "a /= Fraction(3)\n"
+        "f = 1e3 + 2j\n"
+    )
+    assert inexact_sites(path) == [
+        (1, "float literal"),
+        (2, "true division"),
+        (6, "true division"),
+        (8, "float literal"),
+        (8, "float literal"),
+    ]

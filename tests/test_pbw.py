@@ -1,3 +1,4 @@
+import itertools
 import json
 import operator
 import random
@@ -7,21 +8,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sugawara.detcalc import UXElem
-from sugawara.pyramid import Pyramid
+from sugawara.jsonout import to_json
+from sugawara.pyramid import Pyramid, bracket
 from sugawara.pbw import (
     Element,
     LoopGen,
+    _add_into,
+    _coeff_str,
     degree_d,
     delta,
     element_from_obj,
     element_text,
     element_to_obj,
+    exact,
     get_context,
     grade_by_degree,
     grade_by_weight,
     monomial_degree,
+    signed_sum,
     translation_T,
 )
+
+from test_acceptance import ALL_PYRAMIDS
 
 
 def naive_normal_order(ctx, word, coeff=1, step_cap=200_000):
@@ -456,3 +464,118 @@ def test_element_arithmetic_against_dict_oracle(mode, seeds, mix, s):
     total = ux + UXElem({(0, 0): b})
     assert total.coeff(0, 0, ctx.zero()).terms == _dict_axpy(a.terms, b.terms, 1)
     assert (ux - ux).is_zero() and (ux + (-ux)) == UXElem({})
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        ("2", 2),
+        (2, 2),
+        ("4/2", 2),
+        ("-6/3", -2),
+        ("2.0", 2),
+        (" 7 ", 7),
+        ("0", 0),
+        ("1/3", Fraction(1, 3)),
+        ("-.5", Fraction(-1, 2)),
+        (-3, -3),
+    ],
+)
+def test_exact_keeps_integral_values_int(value, want):
+    got = exact(value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, None, [1], Fraction(1, 2)])
+def test_exact_refuses_inexact_and_non_text_values(value):
+    with pytest.raises(ValueError, match="string or an integer"):
+        exact(value)
+
+
+@pytest.mark.parametrize("value", ["x", "1/0", "", "1//2"])
+def test_exact_refuses_unparsable_text(value):
+    with pytest.raises(ValueError):
+        exact(value)
+
+
+def test_coefficient_text_of_int_and_fraction():
+    assert [_coeff_str(c) for c in (3, -3, 0, Fraction(-3, 2), Fraction(4, 2))] == [
+        "3", "-3", "0", "-3/2", "2",
+    ]
+    terms = [("a", 1), ("b", -2), ("", Fraction(1, 2)), ("c", Fraction(-1)), ("", -1)]
+    assert signed_sum(terms) == "a - 2 b + 1/2 - c - 1"
+    assert signed_sum([("a", Fraction(-5, 3)), ("", 4)]) == "- 5/3 a + 4"
+
+
+@pytest.mark.parametrize("c", [0.1, 2.0, True, "1"])
+def test_coefficient_text_refuses_other_types(c):
+    # str(Fraction(0.1)) would print 3602879701896397/36028797018963968
+    ctx = get_context(Pyramid((1, 2)), "finite")
+    v = Element(ctx, {(): c})
+    for write in (_coeff_str, lambda c: signed_sum([("a", c)])):
+        with pytest.raises(TypeError):
+            write(c)
+    for write in (element_text, element_to_obj, to_json):
+        with pytest.raises(TypeError):
+            write(v)
+
+
+def _jacobi_defect(br, a, b, c):
+    """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] for a bracket br(x, y) that
+    returns (((letter, coeff), ...), central scalar): the letter part and
+    the central part.  The central part of an inner bracket is a scalar
+    and drops out of the outer one."""
+    letters, central = {}, 0
+    for x, y, w in ((a, b, c), (b, c, a), (c, a, b)):
+        inner, _ = br(y, w)
+        for z, k in inner:
+            outer, scalar = br(x, z)
+            central += k * scalar
+            for u, l in outer:
+                _add_into(letters, u, k * l)
+    return letters, central
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from(ALL_PYRAMIDS),
+    picks=st.tuples(*[st.integers(0, 10**6)] * 3),
+    depths=st.tuples(st.integers(-3, 2), st.integers(-3, 2), st.integers(-1, 1)),
+)
+def test_jacobi_identity_on_basis_letters(lam, picks, depths):
+    p = Pyramid(lam)
+    basis = p.basis()
+    a, b, c = (basis[k % len(basis)] for k in picks)
+    # c's depth balances a's and b's up to the offset, so that the
+    # affine central term (nonzero only at total depth 0) is exercised
+    da, db, offset = depths
+    dc = offset - da - db
+
+    def lie(x, y):
+        return bracket(p, x, y).items(), 0
+
+    assert _jacobi_defect(lie, a, b, c) == ({}, 0)
+    finite = get_context(p, "finite")
+    letters = [LoopGen(0, *g) for g in (a, b, c)]
+    assert _jacobi_defect(finite.loop_bracket, *letters) == ({}, 0)
+    affine = get_context(p, "affine")
+    letters = [LoopGen(d, *g) for d, g in zip((da, db, dc), (a, b, c))]
+    assert _jacobi_defect(affine.loop_bracket, *letters) == ({}, 0)
+
+
+def test_jacobi_identity_central_term():
+    # the cocycle is nonzero only on shift-0 letters whose depths sum to
+    # 0, which random triples rarely meet: take every such triple
+    seen = 0
+    for lam in ALL_PYRAMIDS:
+        p = Pyramid(lam)
+        ctx = get_context(p, "affine")
+        flat = [g for g in p.basis() if g.r == 0]
+        for depths in ((1, -1, 0), (2, -3, 1), (-1, -1, 2)):
+            for a, b, c in itertools.product(flat, repeat=3):
+                x, y, w = (LoopGen(d, *g) for d, g in zip(depths, (a, b, c)))
+                assert _jacobi_defect(ctx.loop_bracket, x, y, w) == ({}, 0)
+                inner, _ = ctx.loop_bracket(y, w)
+                seen += any(ctx.loop_bracket(x, z)[1] for z, _ in inner)
+    # pyramids with repeated row lengths meet it; the others cannot
+    assert seen > 100

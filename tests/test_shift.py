@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sugawara.pbw import LoopGen, get_context
+from sugawara.jsonout import to_json
+from sugawara.pbw import LoopGen, exact, get_context
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import (
     SymPoly,
+    _rank,
     a_chi_generators,
     apply_automorphism,
     center_generators,
@@ -19,6 +22,9 @@ from sugawara.shift import (
     symbols,
     zseries_eval,
 )
+from sugawara.suga import phi_table
+
+from test_acceptance import ALL_PYRAMIDS
 
 
 def test_rho_single_factors():
@@ -235,3 +241,74 @@ def test_chi_obj_roundtrip():
     assert chi_from_obj(p, obj) == chi
     with pytest.raises(ValueError):
         chi_from_obj(p, {"E[1,2,0]": "1"})
+
+
+def test_rank_is_exact_on_integer_rows():
+    # row 1 = row 2 + 5 row 3; eliminating with float quotients such as
+    # 6/41 leaves a nonzero remainder and reads rank 3
+    assert _rank([[41, 23, 39], [6, 8, 4], [7, 3, 7]]) == 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    mix=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+)
+def test_rank_of_int_rows_equals_rank_of_fraction_rows(rows, mix):
+    # one dependent row: an integer combination of the others
+    rows = rows + [[sum(k * r[c] for k, r in zip(mix, rows)) for c in range(3)]]
+    as_fractions = [[Fraction(x) for x in r] for r in rows]
+    rank = _rank(rows)
+    assert rank == _rank(as_fractions)
+    assert rank < len(rows)
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 2, 3)])
+@pytest.mark.parametrize(
+    "spell", [int, str, lambda n: f"{2 * n}/2"], ids=["int", "str", "halves"]
+)
+def test_integral_chi_keeps_int_coefficients(lam, spell):
+    p = Pyramid(lam)
+    rng = random.Random(str(lam))
+    obj = {g.text(): spell(rng.choice((-3, -2, -1, 1, 2, 3))) for g in p.basis()}
+    chi = chi_from_obj(p, obj)
+    assert all(type(c) is int for c in chi.values())
+    coeffs = [c for g in a_chi_generators(p, chi) for c in g.element.terms.values()]
+    assert len(coeffs) > 5
+    assert all(type(c) is int for c in coeffs)
+
+
+_RATIONALS = st.tuples(st.integers(-7, 7), st.integers(1, 7))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from([lam for lam in ALL_PYRAMIDS if sum(lam) <= 4]),
+    values=st.lists(_RATIONALS, min_size=16, max_size=16),
+)
+def test_exact_chi_gives_the_fraction_chi_results(lam, values):
+    p = Pyramid(lam)
+    obj = {g.text(): f"{n}/{q}" for g, (n, q) in zip(p.basis(), values)}
+    via_exact = chi_from_obj(p, obj)
+    via_fraction = {GenId.parse(k): Fraction(v) for k, v in obj.items()}
+    via_fraction = {g: c for g, c in via_fraction.items() if c}
+    assert via_exact == via_fraction
+    assert chi_to_obj(via_exact) == chi_to_obj(via_fraction)
+    gens = [a_chi_generators(p, chi) for chi in (via_exact, via_fraction)]
+    assert [(g.k, g.r, g.m, g.element) for g in gens[0]] == [
+        (g.k, g.r, g.m, g.element) for g in gens[1]
+    ]
+    assert to_json([g.element for g in gens[0]]) == to_json(
+        [g.element for g in gens[1]]
+    )
+    for z in ("2", "-1/3"):
+        for _, _, elem in phi_table(p).selected_entries():
+            got = zseries_eval(p, rho_chi(elem, via_exact), exact(z))
+            want = zseries_eval(p, rho_chi(elem, via_fraction), Fraction(z))
+            assert got == want and to_json(got) == to_json(want)
