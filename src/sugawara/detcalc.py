@@ -28,11 +28,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .pbw import Element, Sparse, _add_into, get_context, translation_T
+from .pbw import Element, Sparse, _axpy, get_context, translation_T
 from .pyramid import Pyramid
 
 
@@ -105,11 +105,11 @@ def column_determinant(matrix: List[list], unit, apply: Callable):
         if hit is not None:
             return hit
         col = n - len(rows)  # 0-based column index
-        pieces = []
+        out: dict = {}
         for pos, i in enumerate(sorted(rows)):
             piece = apply(matrix[i][col], rec(rows - {i}))
-            pieces.append(piece.scale(-1) if pos % 2 else piece)
-        total = memo[rows] = reduce(operator.add, pieces)
+            _axpy(out, piece.terms, -1 if pos % 2 else 1)
+        total = memo[rows] = unit._like(out)
         return total
 
     return rec(frozenset(range(n)))
@@ -119,7 +119,7 @@ def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
     """Permutation-sum oracle: sum over sigma of sgn(sigma) times the
     composition of entries, rightmost column applied first."""
     n = len(matrix)
-    terms = []
+    out: dict = {}
     for perm in itertools.permutations(range(n)):
         sign = 1
         for a in range(n):
@@ -129,8 +129,8 @@ def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
         v = unit
         for col in reversed(range(n)):
             v = apply(matrix[perm[col]][col], v)
-        terms.append(v.scale(sign))
-    return reduce(operator.add, terms)
+        _axpy(out, v.terms, sign)
+    return unit._like(out)
 
 
 def ux_matrix(
@@ -169,7 +169,6 @@ def build_entry_matrix(p: Pyramid) -> List[List[MatrixEntry]]:
     )
 
 
-@lru_cache(maxsize=None)
 def cdet(p: Pyramid) -> UXElem:
     """The column determinant of the pyramid's operator matrix, as a
     polynomial in x with coefficients in the vacuum module tensored with
@@ -204,7 +203,7 @@ class TauPoly(Sparse):
         for ea, ca in self.terms.items():
             for eb in other.terms:
                 for k in range(ea + 1):
-                    _add_into(out, ea - k + eb, comb(ea, k) * (ca * tpow[eb][k]))
+                    _axpy(out, {ea - k + eb: ca * tpow[eb][k]}, comb(ea, k))
         return TauPoly(out)
 
     def coeff(self, e: int, zero: Element) -> Element:

@@ -18,7 +18,7 @@ normal-ordered word sits in a trailing run, so the vacuum quotient is a
 suffix test.  An :class:`Element` (monomial -> exact rational) sits on
 :class:`Sparse`, the base of every carrier of the package, and replaces
 only its product by the PBW product.  The rewriting core below works on
-raw dicts and accumulates with its own kernel, :func:`_axpy`.
+raw dicts; it and every carrier sum through one kernel, :func:`_axpy`.
 
 The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
@@ -76,27 +76,18 @@ def _axpy(out: Terms, terms: Terms, c) -> None:
             out.pop(m, None)
 
 
-def _add_into(out: dict, key, c) -> None:
-    """out[key] += c, where an absent key reads as an empty sum and a
-    zero sum removes the key."""
-    cur = out.get(key)
-    c = c if cur is None else cur + c
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
-
-
 class Sparse:
     """Sparse map key -> coefficient with zero coefficients dropped.
 
     Coefficients may be :class:`Element` values, rationals or other
-    carriers; they need +, *, truth value and scalar ``s * c``.  The
-    product is the convolution over ``_join``, which a subclass sets to
-    the monoid law of its keys.  Every result is built by ``_like``, so
-    a subclass with state beyond ``terms`` carries it over.  Only the
+    carriers; they need +, *, truth value and scalar ``s * c``.  Every
+    sum goes through :func:`_axpy`, which starts an absent key from the
+    empty sum ``0``, so a carrier coefficient takes ``0 + v`` as ``v``.
+    The product is the convolution over ``_join``, which a subclass sets
+    to the monoid law of its keys.  Every result is built by ``_like``,
+    so a subclass with state beyond ``terms`` carries it over.  Only the
     constructor filters zeros: ``_like`` is never handed one, since
-    :func:`_add_into` removes a zero sum and a nonzero scalar keeps a
+    :func:`_axpy` removes a zero sum and a nonzero scalar keeps a
     coefficient nonzero.
     """
 
@@ -118,15 +109,20 @@ class Sparse:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_into(out, k, c)
+        _axpy(out, other.terms, 1)
         return self._like(out)
 
+    def __radd__(self, other):
+        # 0 + v, the empty sum an absent key starts from in _axpy
+        return self if other == 0 else NotImplemented
+
     def __mul__(self, other):
+        """Convolution over ``_join``.  Each left term adds one shifted
+        copy of ``other``, which needs ``_join`` to be cancellative: for
+        a fixed ka, distinct kb give distinct keys."""
         out: dict = {}
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                _add_into(out, self._join(ka, kb), ca * cb)
+            _axpy(out, {self._join(ka, kb): cb for kb, cb in other.terms.items()}, ca)
         return self._like(out)
 
     def __neg__(self):
@@ -136,6 +132,9 @@ class Sparse:
         return self + (-other)
 
     def scale(self, s):
+        # terms are never mutated, so scaling by 1 can share them
+        if s == 1:
+            return self
         return self._like({k: s * c for k, c in self.terms.items()} if s else {})
 
     # s * v for a scalar s, so that carriers nest as coefficients
@@ -558,5 +557,5 @@ def element_from_obj(ctx: LieContext, obj: list) -> Element:
         m = tuple(
             LoopGen(f["depth"], f["i"], f["j"], f["r"]) for f in item["monomial"]
         )
-        _add_into(terms, m, exact(item["coeff"]))
+        _axpy(terms, {m: exact(item["coeff"])}, 1)
     return Element(ctx, terms)

@@ -43,7 +43,9 @@ class Report:
     def failures(self) -> List[Case]:
         return [c for c in self.cases if c.status == "fail"]
 
-    def add(self, key: Dict[str, object], ok: bool, diff: Optional[Element] = None):
+    def add(self, key: Dict[str, object], diff: Optional[Element] = None):
+        """Record a case that passes exactly when ``diff`` is zero or None."""
+        ok = diff is None or diff.is_zero()
         self.cases.append(Case(key, "pass" if ok else "fail", None if ok else diff))
 
     def add_vacuous(self, key: Dict[str, object]):

@@ -22,11 +22,10 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .detcalc import UXElem, apply_entry, column_determinant, ux_matrix
-from .pbw import Element, LoopGen, Monomial, Sparse, _add_into, get_context
+from .pbw import Element, LoopGen, Monomial, Sparse, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
@@ -120,11 +119,10 @@ def rho_chi(v: Element, chi: Chi) -> ZSeries:
 def zseries_eval(p: Pyramid, series: ZSeries, z: Fraction) -> Element:
     if not z:
         raise ValueError("z must be nonzero")
-    fin = get_context(p, "finite")
-    total = fin.zero()
+    out: dict = {}
     for e, elem in series.terms.items():
-        total = total + Fraction(z) ** e * elem
-    return total
+        _axpy(out, elem.terms, Fraction(z) ** e)
+    return Element(get_context(p, "finite"), out)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,6 @@ def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
 # -- center generators from the shifted determinant
 
 
-@lru_cache(maxsize=None)
 def center_determinant(p: Pyramid) -> UXElem:
     """Finite-mode determinant with entries
     delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
@@ -220,11 +217,11 @@ class SymPoly(Sparse):
     @staticmethod
     def _join(a: tuple, b: tuple) -> tuple:
         exps = dict(a)
-        for g, e in b:
-            _add_into(exps, g, e)
+        _axpy(exps, dict(b), 1)
         return tuple(sorted(exps.items()))
 
     def diff(self, g: GenId) -> "SymPoly":
+        # lowering the exponent of g keeps distinct monomials distinct
         out: Dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
             exps = dict(m)
@@ -232,7 +229,7 @@ class SymPoly(Sparse):
             if e:
                 if e > 1:
                     exps[g] = e - 1
-                _add_into(out, tuple(sorted(exps.items())), e * c)
+                out[tuple(sorted(exps.items()))] = e * c
         return SymPoly(out)
 
     def evaluate(self, point: Dict[GenId, Fraction]) -> Fraction:
@@ -256,7 +253,6 @@ class SymPoly(Sparse):
         return "<SymPoly " + " + ".join(bits) + ">"
 
 
-@lru_cache(maxsize=None)
 def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
     """All nonzero x^{n-k} u^r coefficients of the commutative
     determinant with entries in the symmetric algebra."""

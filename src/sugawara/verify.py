@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from time import monotonic
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .pbw import Element, LieContext, LoopGen, delta, get_context
 from .pyramid import Pyramid
@@ -52,7 +52,7 @@ def annihilation_check(p: Pyramid, s_max: Optional[int] = None) -> Report:
                     report.add_vacuous(key)
                     continue
                 res = ctx.act(LoopGen(s, g.i, g.j, g.r), elem)
-                report.add(key, res.is_zero(), res)
+                report.add(key, res)
     report.elapsed = monotonic() - start
     return report
 
@@ -66,7 +66,7 @@ def commutativity_check(
     for a, (la, va) in enumerate(labeled):
         for lb, vb in labeled[a + 1 :]:
             diff = ctx.commutator(va, vb)
-            report.add({"a": la, "b": lb}, diff.is_zero(), diff)
+            report.add({"a": la, "b": lb}, diff)
     report.elapsed = monotonic() - start
     return report
 
@@ -80,7 +80,7 @@ def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Repo
     for label, elem in labeled:
         for g in p.basis():
             diff = fin.commutator(fin.gen(g.i, g.j, g.r), elem)
-            report.add({"element": label, "generator": g.text()}, diff.is_zero(), diff)
+            report.add({"element": label, "generator": g.text()}, diff)
     report.elapsed = monotonic() - start
     return report
 
@@ -103,20 +103,17 @@ def sample_states(p: Pyramid, seed: int) -> List[Tuple[str, Element]]:
     return out
 
 
-def raising_recursion_check(
-    p: Pyramid, seed: int = 0, s_values: Iterable[int] = (1, 2)
-) -> Report:
+def raising_recursion_check(p: Pyramid, seed: int = 0) -> Report:
     """Operator identity s E[i,i,shift][s+1] = [Delta, E[i,i,shift][s]]
-    on the vacuum module, checked against :func:`sample_states`."""
+    on the vacuum module for s = 1, 2, checked against
+    :func:`sample_states`."""
     start = monotonic()
     ctx = get_context(p, "affine")
     samples = sample_states(p, seed)
     report = Report("raising-recursion", str(p), seed=seed)
     for i in range(1, p.n + 1):
         for shift in range(p.lambdas[i - 1]):
-            for s in s_values:
-                if s < 1:
-                    raise ValueError("the identity is stated for s >= 1")
+            for s in (1, 2):
                 lower = LoopGen(s, i, i, shift)
                 upper = LoopGen(s + 1, i, i, shift)
                 for label, v in samples:
@@ -124,6 +121,6 @@ def raising_recursion_check(
                     rhs = delta(ctx.act(lower, v)) - ctx.act(lower, delta(v))
                     diff = lhs - rhs
                     key = {"i": i, "p": shift, "s": s, "state": label}
-                    report.add(key, diff.is_zero(), diff)
+                    report.add(key, diff)
     report.elapsed = monotonic() - start
     return report

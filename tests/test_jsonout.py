@@ -38,8 +38,8 @@ def test_to_json_matches_json_dumps_on_hand_built_objects():
     constant = fin.scalar(Fraction(-3, 2)) + fin.gen(2, 1, 0)
     assert () in constant.terms and any(len(m) == 3 for m in wide.terms)
     failing = Report("commutativity", "1,2")
-    failing.add({"a": "x", "b": "y"}, True)
-    failing.add({"a": "x", "b": "z"}, False, wide)
+    failing.add({"a": "x", "b": "y"})
+    failing.add({"a": "x", "b": "z"}, wide)
     objects = [
         wide,
         ctx.zero(),

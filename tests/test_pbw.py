@@ -5,15 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sugawara.detcalc import UXElem
+from sugawara.detcalc import TauPoly, UXElem
 from sugawara.jsonout import to_json
 from sugawara.pyramid import Pyramid, bracket
 from sugawara.pbw import (
     Element,
     LoopGen,
-    _add_into,
+    Sparse,
+    _axpy,
     _coeff_str,
     degree_d,
     delta,
@@ -28,6 +29,7 @@ from sugawara.pbw import (
     signed_sum,
     translation_T,
 )
+from sugawara.shift import SymPoly, ZSeries, zseries_eval
 
 from test_acceptance import ALL_PYRAMIDS
 
@@ -466,6 +468,114 @@ def test_element_arithmetic_against_dict_oracle(mode, seeds, mix, s):
     assert (ux - ux).is_zero() and (ux + (-ux)) == UXElem({})
 
 
+def _convolution_oracle(a, b, join):
+    """Per-pair product of two carriers: every (ka, kb) pair adds ca * cb
+    at join(ka, kb), and keys whose sum cancels are dropped at the end."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            k = join(ka, kb)
+            out[k] = out[k] + ca * cb if k in out else ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _merge_exponents(a, b):
+    exps = dict(a)
+    for g, e in b:
+        exps[g] = exps.get(g, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+_UX_KEYS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+_Z_KEYS = st.lists(st.integers(-3, 1), min_size=1, max_size=3, unique=True)
+# words over basis indices; repeated letters raise the exponent
+_SYM_WORDS = st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seeds=st.lists(st.integers(0, 2**16), min_size=4, max_size=4),
+    ux_keys=st.tuples(_UX_KEYS, _UX_KEYS),
+    z_keys=st.tuples(_Z_KEYS, _Z_KEYS),
+    sym_words=st.tuples(_SYM_WORDS, _SYM_WORDS),
+    z=st.sampled_from([2, Fraction(-1, 3), 1, -1]),
+)
+def test_carrier_sums_and_products_against_pair_oracle(
+    seeds, ux_keys, z_keys, sym_words, z
+):
+    p = Pyramid((1, 2))
+    fin = get_context(p, "finite")
+    basis = p.basis()
+    coeffs = [random_element(fin, random.Random(k), depths=(0,)) for k in seeds]
+    assume(not any(c.is_zero() for c in coeffs))
+    e, f, g, h = coeffs
+
+    def carrier(cls, keys, shift):
+        return cls({k: coeffs[(i + shift) % 4] for i, k in enumerate(keys)})
+
+    def sym(words, shift):
+        terms = {}
+        for i, word in enumerate(words):
+            m = ()
+            for b in word:
+                m = _merge_exponents(m, ((basis[b], 1),))
+            terms[m] = terms.get(m, 0) + Fraction(seeds[(i + shift) % 4] % 7 - 3, 2)
+        return SymPoly(terms)
+
+    # (1 + t) c0 times (t - 1) c1: the two t terms cancel exactly
+    def cancelling(cls, unit, t, c0, c1):
+        return cls({unit: c0, t: c0}), cls({unit: -c1, t: c1})
+
+    cases = [
+        (carrier(UXElem, ux_keys[0], 0), carrier(UXElem, ux_keys[1], 1), UXElem._join),
+        (carrier(ZSeries, z_keys[0], 2), carrier(ZSeries, z_keys[1], 3), operator.add),
+        (sym(sym_words[0], 0), sym(sym_words[1], 1), _merge_exponents),
+    ]
+    x0 = ((basis[0], 1),)
+    cases += [
+        (*cancelling(UXElem, (0, 0), (1, 0), e, g), UXElem._join),
+        (*cancelling(ZSeries, 0, -1, f, h), operator.add),
+        (*cancelling(SymPoly, (), x0, 3, Fraction(-1, 2)), _merge_exponents),
+    ]
+    for a, b, join in cases:
+        total = dict(a.terms)
+        for k, c in b.terms.items():
+            total[k] = total[k] + c if k in total else c
+        assert (a + b).terms == {k: c for k, c in total.items() if c}
+        assert (a * b).terms == _convolution_oracle(a, b, join)
+        assert ((a + b) * (a - b)).terms == _convolution_oracle(a + b, a - b, join)
+        assert (a * b + a.scale(-1) * b).is_zero()
+    for a, b, _ in cases[3:]:
+        assert len((a * b).terms) == 2 and not (a * b).is_zero()
+
+    # TauPoly's skew product sums through the same kernel; with constant
+    # coefficients no translation term survives, so it is the convolution
+    one = get_context(p, "affine").one()
+    tau_a, tau_b = TauPoly({0: one, 1: one}), TauPoly({0: -one, 1: one})
+    assert (tau_a * tau_b).terms == {0: -one, 2: one}
+
+    # zseries_eval is the repeated-+ sum of its z-scaled components
+    (za, zb, _), (zc, zd, _) = cases[1], cases[4]
+    for series in (za, za * zb, zc, zd):
+        total = fin.zero()
+        for k, elem in series.terms.items():
+            total = total + Fraction(z) ** k * elem
+        assert zseries_eval(p, series, z) == total
+    ones = ZSeries({0: e, 1: e.scale(-1)})
+    assert zseries_eval(p, ones, 1).is_zero()
+
+    # the empty sum _axpy starts an absent key from, and the unit scale,
+    # hand back the carrier itself
+    for v in [e, one, *(c for a, b, _ in cases for c in (a, b)), tau_a]:
+        assert isinstance(v, Sparse)
+        assert 0 + v is v and v.scale(1) is v and 1 * v is v
+
+
 @pytest.mark.parametrize(
     "value, want",
     [
@@ -532,7 +642,7 @@ def _jacobi_defect(br, a, b, c):
             outer, scalar = br(x, z)
             central += k * scalar
             for u, l in outer:
-                _add_into(letters, u, k * l)
+                _axpy(letters, {u: l}, k)
     return letters, central
 
 

@@ -107,13 +107,8 @@ def test_centrality_casimir():
 
 def test_raising_recursion_check():
     for lam in [(1, 1), (1, 2)]:
-        report = raising_recursion_check(Pyramid(lam), s_values=(1, 2))
+        report = raising_recursion_check(Pyramid(lam))
         assert report.passed(), [c.key for c in report.failures()]
-
-
-def test_raising_recursion_rejects_s_zero():
-    with pytest.raises(ValueError):
-        raising_recursion_check(Pyramid((1, 1)), s_values=(0,))
 
 
 def test_report_json_shape_and_determinism():
