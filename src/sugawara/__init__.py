@@ -20,8 +20,6 @@ from .pbw import (
     element_text,
     element_to_obj,
     get_context,
-    grade_by_degree,
-    grade_by_weight,
     translation_T,
     weight_component,
 )
@@ -36,7 +34,6 @@ from .detcalc import (
     cdet_tau,
     column_determinant,
     column_determinant_bruteforce,
-    phi_circle,
 )
 from .suga import (
     SugaTable,
@@ -66,7 +63,6 @@ from .verify import (
     annihilation_check,
     centrality_check,
     commutativity_check,
-    generating_family,
     raising_recursion_check,
 )
 

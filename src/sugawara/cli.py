@@ -52,7 +52,6 @@ class Config:
     chi_path: Optional[str] = None
     z: Optional[Fraction] = None
     seed: int = 0
-    s_max: Optional[int] = None
     automorphism_c: Optional[Fraction] = None
 
 
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--chi", help='JSON file {"E[i,j,r]": "p/q", ...}')
     ap.add_argument("--z", help="nonzero rational; evaluate the z-grading there")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--s-max", dest="s_max", type=int, default=None)
     ap.add_argument(
         "--automorphism-c",
         dest="automorphism_c",
@@ -120,8 +118,6 @@ def parse_config(args: argparse.Namespace) -> Config:
             raise UsageError(
                 f"cannot parse --automorphism-c {args.automorphism_c!r}: {exc}"
             ) from None
-    if args.s_max is not None and args.s_max < 0:
-        raise UsageError("--s-max must be at least 0")
     return Config(
         pyramid=pyramid,
         command=args.command,
@@ -129,7 +125,6 @@ def parse_config(args: argparse.Namespace) -> Config:
         chi_path=args.chi,
         z=z,
         seed=args.seed,
-        s_max=args.s_max,
         automorphism_c=c,
     )
 
@@ -204,7 +199,7 @@ def cmd_verify(cfg: Config) -> Tuple[dict, List[Report]]:
     table = phi_table(p)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in table.selected_entries()]
     reports = [
-        annihilation_check(p, s_max=cfg.s_max),
+        annihilation_check(p),
         delta_ladder(p),
         tau_cross_check(p),
         commutativity_check(labeled, ctx),

@@ -8,8 +8,8 @@ the shape
     delta_ij * (x + lambda_i * T) + sum_r E[i,j,r][-1] u^r,
 
 and the column determinant applies them as operators, rightmost column
-first.  One subset-memoized column recursion (2^n * n states instead of
-n! products), generic over how an entry acts on the determinant to its
+first.  One column recursion over row subsets (2^n * n states instead
+of n! products), generic over how an entry acts on the determinant to its
 right, evaluates every determinant of the package: this one, the tau
 presentation below, and the center and symbol determinants of
 :mod:`sugawara.shift`.  The straight permutation sum is kept as a test
@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -87,32 +86,30 @@ def apply_entry(entry: MatrixEntry, s: UXElem) -> UXElem:
 
 
 def column_determinant(matrix: List[list], unit, apply: Callable):
-    """Column determinant by subset-memoized recursion.
+    """Column determinant by a column recursion over row subsets.
 
     ``matrix[i][c]`` (0-based) is applied with column c+1 choosing row
     i+1: ``apply(entry, inner)`` applies one entry to the determinant of
     the columns to its right, and ``unit`` is the empty determinant.
-    Signs come from the position of the chosen row among the rows still
-    available, which reproduces sgn of the permutation.
+    Columns are taken from the right; the determinants of the last s
+    columns, one per subset of s rows, are built from those of the last
+    s-1 columns and then replace them.  Signs come from the position of
+    the chosen row among the rows still available, which reproduces sgn
+    of the permutation.
     """
     n = len(matrix)
-    memo: Dict[frozenset, object] = {}
-
-    def rec(rows: frozenset):
-        if not rows:
-            return unit
-        hit = memo.get(rows)
-        if hit is not None:
-            return hit
-        col = n - len(rows)  # 0-based column index
-        out: dict = {}
-        for pos, i in enumerate(sorted(rows)):
-            piece = apply(matrix[i][col], rec(rows - {i}))
-            _axpy(out, piece.terms, -1 if pos % 2 else 1)
-        total = memo[rows] = unit._like(out)
-        return total
-
-    return rec(frozenset(range(n)))
+    level = {(): unit}
+    for size in range(1, n + 1):
+        col = n - size
+        nxt = {}
+        for rows in itertools.combinations(range(n), size):
+            out: dict = {}
+            for pos, i in enumerate(rows):
+                piece = apply(matrix[i][col], level[rows[:pos] + rows[pos + 1 :]])
+                _axpy(out, piece.terms, -1 if pos % 2 else 1)
+            nxt[rows] = unit._like(out)
+        level = nxt
+    return level[tuple(range(n))]
 
 
 def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
@@ -226,7 +223,6 @@ def build_tau_matrix(p: Pyramid) -> List[List[TauPoly]]:
     return matrix
 
 
-@lru_cache(maxsize=None)
 def cdet_tau(p: Pyramid) -> TauPoly:
     """Column determinant in the skew ring; the result is monic of
     degree N in tau and its lower coefficients are the phi-circle
@@ -235,9 +231,3 @@ def cdet_tau(p: Pyramid) -> TauPoly:
     return column_determinant(
         build_tau_matrix(p), TauPoly({0: ctx.one()}), operator.mul
     )
-
-
-def phi_circle(p: Pyramid, k: int) -> Element:
-    """Coefficient of tau^(N-k) in the tau column determinant."""
-    ctx = get_context(p, "affine")
-    return cdet_tau(p).coeff(p.big_n - k, ctx.zero())

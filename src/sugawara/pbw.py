@@ -371,16 +371,16 @@ class LieContext:
                 node = node.setdefault(x, {})
             node[None] = cb
         out: Terms = {}
-
-        def walk(node: dict, cur: Terms) -> None:
-            for x, child in node.items():
-                if x is None:
-                    _axpy(out, cur, child)
-                else:
-                    walk(child, self._times(cur, (x,)))
-
-        walk(trie, a.terms)
+        self._walk(trie, a.terms, out)
         return self._element(out)
+
+    def _walk(self, node: dict, cur: Terms, out: Terms) -> None:
+        """out += cur * (the words of the trie below node)."""
+        for x, child in node.items():
+            if x is None:
+                _axpy(out, cur, child)
+            else:
+                self._walk(child, self._times(cur, (x,)), out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
         """Left action of X[s] with s >= 0 on a vacuum-module state."""
@@ -471,22 +471,6 @@ def monomial_degree(m: Monomial) -> int:
 
 def monomial_weight(m: Monomial) -> int:
     return sum(g.r for g in m)
-
-
-def grade_by_degree(v: Element) -> Dict[int, Element]:
-    """Split by total degree (deg X[r] = -r); components sum back to v."""
-    buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-    for m, c in v.terms.items():
-        buckets.setdefault(monomial_degree(m), {})[m] = c
-    return {d: Element(v.ctx, t) for d, t in sorted(buckets.items())}
-
-
-def grade_by_weight(v: Element) -> Dict[int, Element]:
-    """Split by total weight (the shift superscript, summed over factors)."""
-    buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-    for m, c in v.terms.items():
-        buckets.setdefault(monomial_weight(m), {})[m] = c
-    return {w: Element(v.ctx, t) for w, t in sorted(buckets.items())}
 
 
 def weight_component(v: Element, w: int) -> Element:

@@ -1,10 +1,9 @@
 """Structured pass/fail reports for the verification batteries.
 
 A report is a list of cases, each carrying its identifying keys, a
-status (pass, fail, or vacuous) and, on failure, the offending
-difference element for offline inspection.  Timing is kept on the
-in-memory object but never serialized, so emitted JSON is reproducible
-byte for byte.
+status (pass or fail) and, on failure, the offending difference element
+for offline inspection.  Timing is kept on the in-memory object but
+never serialized, so emitted JSON is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -12,20 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .pbw import Element, element_to_obj
+from .pbw import Element
 
 
 @dataclass
 class Case:
     key: Dict[str, object]
-    status: str  # "pass" | "fail" | "vacuous"
+    status: str  # "pass" | "fail"
     diff: Optional[Element] = None
 
     def to_obj(self) -> dict:
         obj = dict(self.key)
         obj["status"] = self.status
-        if self.status == "fail" and self.diff is not None:
-            obj["diff"] = element_to_obj(self.diff)
+        if self.diff is not None:
+            obj["diff"] = self.diff
         return obj
 
 
@@ -47,9 +46,6 @@ class Report:
         """Record a case that passes exactly when ``diff`` is zero or None."""
         ok = diff is None or diff.is_zero()
         self.cases.append(Case(key, "pass" if ok else "fail", None if ok else diff))
-
-    def add_vacuous(self, key: Dict[str, object]):
-        self.cases.append(Case(key, "vacuous"))
 
     def to_obj(self) -> dict:
         return {

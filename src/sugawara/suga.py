@@ -24,7 +24,7 @@ from functools import lru_cache
 from time import monotonic
 from typing import Dict, List, Tuple
 
-from .detcalc import cdet, phi_circle
+from .detcalc import cdet, cdet_tau
 from .pbw import (
     Element,
     delta,
@@ -212,14 +212,16 @@ def gln_delta_tower(n: int) -> Tuple[List[Element], Report]:
 
 
 def tau_cross_check(p: Pyramid) -> Report:
-    """For each selected (k, r): the weight-r component of the tau
-    coefficient phi-circle_{r+k} equals phi_k^(r), and no component of
-    higher weight survives."""
+    """For each selected (k, r): the weight-r component of phi-circle_{r+k},
+    the coefficient of tau^(N-r-k) in the tau determinant, equals
+    phi_k^(r), and no component of higher weight survives."""
     start = monotonic()
     table = phi_table(p)
+    tau = cdet_tau(p)
+    zero = get_context(p, "affine").zero()
     report = Report("tau-cross-check", str(p))
     for k, r, elem in table.selected_entries():
-        circ = phi_circle(p, r + k)
+        circ = tau.coeff(p.big_n - r - k, zero)
         diff = weight_component(circ, r) - elem
         top = max(map(monomial_weight, circ.terms), default=0)
         if diff.is_zero() and top > r:

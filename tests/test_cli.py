@@ -94,8 +94,9 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "nonzero" in err
     code, _, err = run(capsys, "--pyramid", "1,1", "--chi", "/no/such/file", "shift")
     assert code == 2
-    code, out, err = run(capsys, "--pyramid", "1,1", "--s-max", "-1", "verify")
-    assert code == 2 and out == "" and "--s-max" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--pyramid", "1,1", "--s-max", "1", "verify"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

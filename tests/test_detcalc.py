@@ -1,3 +1,4 @@
+import gc
 import operator
 import random
 
@@ -13,7 +14,6 @@ from sugawara.detcalc import (
     cdet_tau,
     column_determinant,
     column_determinant_bruteforce,
-    phi_circle,
     ux_matrix,
 )
 from sugawara.pbw import get_context, weight_component
@@ -168,7 +168,7 @@ def test_cdet_tau_small():
     p = Pyramid((1,))
     ctx = get_context(p, "affine")
     assert cdet_tau(p) == TauPoly({1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)})
-    assert phi_circle(p, 1) == ctx.gen(1, 1, 0, depth=-1)
+    assert cdet_tau(p).coeff(p.big_n - 1, ctx.zero()) == ctx.gen(1, 1, 0, depth=-1)
 
     q = Pyramid((2,))
     qctx = get_context(q, "affine")
@@ -239,3 +239,29 @@ def test_max_weight_component():
     )
     assert weight_component(v, 2) == ctx.gen(2, 2, 2, depth=-1)
     assert weight_component(v, 5).is_zero()
+
+
+def test_determinants_and_products_leave_no_reference_cycles():
+    # a cycle would keep subset determinants or product dicts alive until
+    # the cyclic collector happens to run
+    p = Pyramid((1, 2, 3))
+    ctx = get_context(p, "affine")
+    e = lambda i, j, r, d: ctx.gen(i, j, r, depth=d)
+    a = e(1, 3, 2, -1) * e(2, 2, 1, -1) + e(3, 3, 0, -2)
+    b = e(3, 1, 0, -1) * e(3, 3, 1, -1) + e(3, 1, 0, -1) * e(2, 3, 1, -2)
+
+    def work():
+        cdet(p)
+        center_determinant(p)
+        symbols(p)
+        cdet_tau(p)
+        ctx.mul(a, b)
+
+    work()  # fills the engine's memo and caches
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -23,8 +23,6 @@ from sugawara.pbw import (
     element_to_obj,
     exact,
     get_context,
-    grade_by_degree,
-    grade_by_weight,
     monomial_degree,
     signed_sum,
     translation_T,
@@ -239,23 +237,6 @@ def test_operator_identities_on_random_states():
         assert lhs == 2 * degree_d(v)
         lhs = degree_d(translation_T(v)) - translation_T(degree_d(v))
         assert lhs == -translation_T(v)
-
-
-def test_gradings():
-    ctx = get_context(Pyramid((2, 3)), "affine")
-    v = ctx.gen(1, 1, 0, depth=-1) * ctx.gen(2, 2, 1, depth=-2)
-    by_deg = grade_by_degree(v)
-    assert set(by_deg) == {3}
-    w = ctx.gen(1, 2, 1, depth=-1) * ctx.gen(2, 2, 0, depth=-1)
-    by_w = grade_by_weight(w)
-    assert set(by_w) == {1}
-    assert grade_by_degree(ctx.zero()) == {}
-    mixed = v + ctx.gen(1, 1, 0, depth=-1)
-    parts = grade_by_degree(mixed)
-    total = ctx.zero()
-    for part in parts.values():
-        total = total + part
-    assert total == mixed
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])

@@ -2,77 +2,25 @@ import json
 
 import pytest
 
-from sugawara.pbw import LoopGen, get_context
+from sugawara.pbw import get_context
 from sugawara.pyramid import Pyramid
-from sugawara.suga import phi_table
+from sugawara.suga import phi_table, selected_pairs
 from sugawara.verify import (
     annihilation_check,
     centrality_check,
     commutativity_check,
-    generating_family,
     raising_recursion_check,
 )
 
 
-def test_generating_family_gl2():
-    p = Pyramid((1, 1))
-    fam = set(generating_family(p, s_max=1))
-    expected = {
-        LoopGen(0, 2, 1, 0),
-        LoopGen(0, 1, 2, 0),
-        LoopGen(0, 1, 1, 0),
-        LoopGen(0, 2, 2, 0),
-        LoopGen(1, 1, 1, 0),
-        LoopGen(1, 2, 2, 0),
-    }
-    assert fam == expected
-
-
-def test_generating_family_unequal_rows():
-    p = Pyramid((1, 2))
-    fam = generating_family(p, s_max=0)
-    assert LoopGen(0, 1, 2, 1) in fam  # lambda_2 - lambda_1 = 1
-    assert LoopGen(0, 2, 1, 0) in fam
-
-
-def test_generating_family_single_row():
-    p = Pyramid((2,))
-    fam = generating_family(p, s_max=1)
-    assert fam == [
-        LoopGen(0, 1, 1, 0),
-        LoopGen(1, 1, 1, 0),
-        LoopGen(0, 1, 1, 1),
-        LoopGen(1, 1, 1, 1),
-    ]
-
-
-@pytest.mark.parametrize("lam", [(3,), (1, 1), (1, 2)])
+@pytest.mark.parametrize("lam", [(3,), (1, 1), (1, 2), (2, 2)])
 def test_annihilation_small(lam):
-    report = annihilation_check(Pyramid(lam))
+    # every basis mode X[s] with 0 <= s <= k, for every selected (k, r)
+    p = Pyramid(lam)
+    report = annihilation_check(p)
     assert report.passed(), [c.key for c in report.failures()]
+    assert len(report.cases) == sum((k + 1) * p.dim() for k, _ in selected_pairs(p))
     assert all(c.status == "pass" for c in report.cases)
-
-
-def test_annihilation_vacuous_cases():
-    report = annihilation_check(Pyramid((1, 1)), s_max=4)
-    statuses = {c.key["s"]: c.status for c in report.cases if c.key["k"] == 1}
-    assert statuses[0] == statuses[1] == "pass"
-    assert statuses[2] == statuses[3] == statuses[4] == "vacuous"
-    assert report.passed()
-
-
-def test_family_agrees_with_full_battery():
-    # if the family annihilates but some basis mode does not, something
-    # is broken; spot-check that family cases reproduce the full result
-    p = Pyramid((1, 2))
-    ctx = get_context(p, "affine")
-    table = phi_table(p)
-    full = annihilation_check(p)
-    assert full.passed()
-    for g in generating_family(p, s_max=2):
-        for k, r, elem in table.selected_entries():
-            if g.depth <= k:
-                assert ctx.act(g, elem).is_zero()
 
 
 def test_commutativity_singleton_vacuous():
