@@ -19,7 +19,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List
 
-from .pbw import Element, _coeff_str
+from .pbw import Element, _coeff_str, _letter_forms
 
 
 def to_json(obj) -> str:
@@ -70,7 +70,8 @@ def _write_json(obj, level: int, out: List[str]) -> None:
 
 def _element_json(v: Element, level: int) -> str:
     """``element_to_obj(v)`` as ``json.dumps`` with an indent of 2 writes
-    it at nesting ``level``: each factor object from one ``%`` template."""
+    it at nesting ``level``: each distinct letter's factor object from one
+    ``%`` template, once per element."""
     terms = v.sorted_terms()
     if not terms:
         return "[]"
@@ -81,11 +82,12 @@ def _element_json(v: Element, level: int) -> str:
         + i4 + '"depth": %d' + i3 + "}"
     )
     tail = i2 + "]" + i1 + "}"
+    letters = _letter_forms(terms, lambda g: factor % (g.i, g.j, g.r, g.depth))
     parts = []
     for m, c in terms:
         coeff = head % _quote(_coeff_str(c))
         if m:
-            body = ",".join([factor % (g.i, g.j, g.r, g.depth) for g in m])
+            body = ",".join([letters[g] for g in m])
             parts.append(coeff + "[" + body + tail)
         else:
             parts.append(coeff + "[]" + i1 + "}")

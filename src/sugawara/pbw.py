@@ -12,13 +12,15 @@ Two contexts share one rewriting core:
   the scalar 1, and any normal-ordered monomial whose rightmost factor
   has depth >= 0 is annihilated.
 
-Monomials are tuples of :class:`LoopGen` sorted by the canonical key
-(depth, i, j, r).  With that key every nonnegative-depth factor of a
+Monomials are tuples of :class:`LoopGen` letters, each an ``int`` whose
+order is the canonical key (depth, i, j, r), so the core hashes and
+compares plain ints.  With that key every nonnegative-depth factor of a
 normal-ordered word sits in a trailing run, so the vacuum quotient is a
-suffix test.  An :class:`Element` (monomial -> exact rational) sits on
-:class:`Sparse`, the base of every carrier of the package, and replaces
-only its product by the PBW product.  The rewriting core below works on
-raw dicts; it and every carrier sum through one kernel, :func:`_axpy`.
+suffix test, the sign of the last letter.  An :class:`Element`
+(monomial -> exact rational) sits on :class:`Sparse`, the base of every
+carrier of the package, and replaces only its product by the PBW
+product.  The rewriting core below works on raw dicts; it and every
+carrier sum through one kernel, :func:`_axpy`.
 
 The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
@@ -41,18 +43,49 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Tuple
 
 from .pyramid import GenId, Pyramid, bracket as lie_bracket, form as lie_form
 
 
-class LoopGen(NamedTuple):
-    """Loop generator X[depth] with X = E[i,j,r]; sorts by (depth, i, j, r)."""
+class LoopGen(int):
+    """Loop generator X[depth] with X = E[i,j,r], packed into one int.
 
-    depth: int
-    i: int
-    j: int
-    r: int
+    The value is ``(depth << 32) | (i << 24) | (j << 16) | r``, so the
+    order of the ints is the (depth, i, j, r) order, negative depths
+    included, and ``g >= 0`` exactly when ``depth >= 0``.  A depth shift
+    by ``step`` is the addition of ``step << 32``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, depth: int, i: int, j: int, r: int) -> "LoopGen":
+        if not (0 <= i < 256 and 0 <= j < 256 and 0 <= r < 65536):
+            raise ValueError(
+                f"E[{i},{j},{r}] is outside 0 <= i, j < 256, 0 <= r < 65536"
+            )
+        return int.__new__(cls, (depth << 32) | (i << 24) | (j << 16) | r)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a letter from its fields, not its value
+        return self.depth, self.i, self.j, self.r
+
+    @property
+    def depth(self) -> int:
+        return self >> 32
+
+    @property
+    def i(self) -> int:
+        return (self >> 24) & 255
+
+    @property
+    def j(self) -> int:
+        return (self >> 16) & 255
+
+    @property
+    def r(self) -> int:
+        return self & 65535
 
     @property
     def gen(self) -> GenId:
@@ -60,6 +93,9 @@ class LoopGen(NamedTuple):
 
     def text(self) -> str:
         return f"E[{self.i},{self.j},{self.r}][{self.depth}]"
+
+    def __repr__(self) -> str:
+        return f"LoopGen(depth={self.depth}, i={self.i}, j={self.j}, r={self.r})"
 
 
 Monomial = Tuple[LoopGen, ...]
@@ -260,7 +296,7 @@ class LieContext:
 
     def _element(self, terms: Dict[Monomial, Fraction]) -> Element:
         if self.mode == "affine":
-            terms = {m: c for m, c in terms.items() if not (m and m[-1].depth >= 0)}
+            terms = {m: c for m, c in terms.items() if not (m and m[-1] >= 0)}
         return Element(self, terms)
 
     # -- the rewriting core
@@ -405,7 +441,7 @@ class LieContext:
                 continue
             head, tail = m[:idx], m[idx + 1 :]
             for z, c in terms:
-                if z.depth >= 0:
+                if z >= 0:
                     _axpy(out, self._prefix(head, self._act_word(z, tail)), c)
                 else:
                     _axpy(out, self._times({head: 1}, (z,) + tail), c)
@@ -440,10 +476,13 @@ def _shift_depth(v: Element, step: int, name: str) -> Element:
     ctx = v.ctx
     if ctx.mode != "affine":
         raise ValueError(f"the {name} derivation lives on the vacuum module")
+    # g + stride is a bare int with the fields of the shifted letter;
+    # int.__new__ makes it a LoopGen again without re-checking them
+    stride = step << 32
     return ctx.combine(
         (
-            m[:idx] + (LoopGen(g.depth + step, g.i, g.j, g.r),) + m[idx + 1 :],
-            step * g.depth * c,
+            m[:idx] + (int.__new__(LoopGen, g + stride),) + m[idx + 1 :],
+            step * (g >> 32) * c,
         )
         for m, c in v.terms.items()
         for idx, g in enumerate(m)
@@ -516,10 +555,18 @@ def signed_sum(terms: Iterable[Tuple[str, Fraction]]) -> str:
     return " ".join(parts)
 
 
+def _letter_forms(terms: List[Tuple[Monomial, Fraction]], form) -> Dict[LoopGen, str]:
+    """form(g) for each distinct letter g of the terms' monomials, so a
+    writer reads a letter's fields once, not once per factor."""
+    letters = dict.fromkeys(chain.from_iterable(m for m, _ in terms))
+    return {g: form(g) for g in letters}
+
+
 def element_text(v: Element) -> str:
     """Readable bracketed form, factors as E[i,j,r][depth]."""
     terms = v.sorted_terms()
-    return signed_sum((" ".join(g.text() for g in m), c) for m, c in terms) or "0"
+    text = _letter_forms(terms, LoopGen.text)
+    return signed_sum((" ".join([text[g] for g in m]), c) for m, c in terms) or "0"
 
 
 def element_to_obj(v: Element) -> list:

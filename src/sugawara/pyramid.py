@@ -45,7 +45,9 @@ class Pyramid:
     """Left-justified pyramid given by its non-decreasing row lengths.
 
     Any other row order is rejected rather than sorted silently, since
-    sorting would remap the (i, j) labels of the basis.
+    sorting would remap the (i, j) labels of the basis.  At most 255 rows
+    of at most 65536 boxes are accepted: the engine packs a row label
+    into 8 bits and a shift r < lambda_j into 16.
     """
 
     lambdas: Tuple[int, ...]
@@ -58,6 +60,10 @@ class Pyramid:
             raise ValueError(f"row lengths must be positive: {lam}")
         if any(a > b for a, b in zip(lam, lam[1:])):
             raise ValueError(f"row lengths must be non-decreasing: {lam}")
+        if len(lam) > 255:
+            raise ValueError(f"a pyramid has at most 255 rows, not {len(lam)}")
+        if lam[-1] > 65536:
+            raise ValueError(f"a row has at most 65536 boxes, not {lam[-1]}")
         object.__setattr__(self, "lambdas", lam)
 
     @classmethod

@@ -94,6 +94,12 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and "nonzero" in err
     code, _, err = run(capsys, "--pyramid", "1,1", "--chi", "/no/such/file", "shift")
     assert code == 2
+    for rows, message in (
+        (",".join(["1"] * 256), "at most 255 rows"),
+        ("2,65537", "at most 65536 boxes"),
+    ):
+        code, out, err = run(capsys, "--pyramid", rows, "vectors")
+        assert code == 2 and out == "" and message in err and "Traceback" not in err
     with pytest.raises(SystemExit) as exc:
         main(["--pyramid", "1,1", "--s-max", "1", "verify"])
     assert exc.value.code == 2 and capsys.readouterr().out == ""

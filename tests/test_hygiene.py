@@ -6,6 +6,9 @@ import statement must be read somewhere in the same module.  Package
 
 The sources stay exact: no float literal, and no true division unless
 one operand is a ``Fraction(...)`` call, since ``int / int`` is a float.
+
+The rewriting hot path reads letters as ints: it calls none of the
+``LoopGen`` field properties, each of which is a Python-level call.
 """
 
 import ast
@@ -103,3 +106,46 @@ def test_scan_sees_inexact_sites(tmp_path):
         (8, "float literal"),
         (8, "float literal"),
     ]
+
+
+HOT_PATH = ("_insert", "_suffix", "_prefix", "_times", "_walk", "_act_word", "_shift_depth")
+LETTER_FIELDS = {"depth", "i", "j", "r"}
+
+
+def letter_field_reads(path: Path, names):
+    """The functions named ``names`` found in ``path``, and every
+    (function, line, attribute) read of a letter field inside them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    seen, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            seen.add(node.name)
+            found += [
+                (node.name, sub.lineno, sub.attr)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and sub.attr in LETTER_FIELDS
+            ]
+    return seen, sorted(found)
+
+
+def test_hot_path_reads_no_letter_fields():
+    seen, found = letter_field_reads(ROOT / "src" / "sugawara" / "pbw.py", HOT_PATH)
+    assert seen == set(HOT_PATH)
+    assert not found, "letter field reads on the hot path:\n" + "\n".join(
+        f"{name}:{line}: .{attr}" for name, line, attr in found
+    )
+
+
+def test_scan_sees_letter_field_reads(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def _times(g, m):\n"
+        "    return g.depth + m.r\n"
+        "\n"
+        "def other(g):\n"
+        "    return g.i\n"
+    )
+    assert letter_field_reads(path, ("_times", "_walk")) == (
+        {"_times"},
+        [("_times", 2, "depth"), ("_times", 2, "r")],
+    )

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import operator
@@ -27,7 +28,15 @@ from sugawara.pbw import (
     signed_sum,
     translation_T,
 )
-from sugawara.shift import SymPoly, ZSeries, zseries_eval
+from sugawara.shift import (
+    SymPoly,
+    ZSeries,
+    a_chi_generators,
+    center_generators,
+    random_chi,
+    zseries_eval,
+)
+from sugawara.suga import phi_table
 
 from test_acceptance import ALL_PYRAMIDS
 
@@ -670,3 +679,64 @@ def test_jacobi_identity_central_term():
                 seen += any(ctx.loop_bracket(x, z)[1] for z, _ in inner)
     # pyramids with repeated row lengths meet it; the others cannot
     assert seen > 100
+
+
+LETTER_FIELDS = st.tuples(
+    st.integers(-80, 80), st.integers(0, 255), st.integers(0, 255), st.integers(0, 65535)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=LETTER_FIELDS, b=LETTER_FIELDS, step=st.integers(-80, 80))
+def test_letter_encoding_agrees_with_field_tuples(a, b, step):
+    """A LoopGen is one int; its order, equality and hashing are those of
+    its (depth, i, j, r) tuple, and a depth shift is a fixed stride."""
+    ga, gb = LoopGen(*a), LoopGen(*b)
+    assert type(ga) is LoopGen and isinstance(ga, int)
+    assert (ga.depth, ga.i, ga.j, ga.r) == a
+    assert ga.gen == a[1:] and ga.text() == f"E[{a[1]},{a[2]},{a[3]}][{a[0]}]"
+    assert (ga < gb, ga <= gb, ga == gb) == (a < b, a <= b, a == b)
+    assert ((ga, gb) < (gb, ga)) == ((a, b) < (b, a))
+    assert len({ga, gb, LoopGen(*a)}) == len({a, b})
+    assert hash(ga) == hash(LoopGen(*a))
+    assert (ga >= 0) == (a[0] >= 0)
+    shifted = int.__new__(LoopGen, ga + (step << 32))
+    assert shifted == LoopGen(a[0] + step, *a[1:])
+    assert (shifted.depth, shifted.i, shifted.j, shifted.r) == (a[0] + step,) + a[1:]
+    assert ga >> 32 == a[0]
+    for twin in (copy.deepcopy(ga), eval(repr(ga))):
+        assert type(twin) is LoopGen and twin == ga
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    fields=LETTER_FIELDS,
+    slot=st.integers(1, 3),
+    bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=256)),
+)
+def test_letter_fields_out_of_range_are_refused(fields, slot, bad):
+    if slot == 3 and 0 <= bad < 65536:
+        bad += 65536
+    fields = fields[:slot] + (bad,) + fields[slot + 1 :]
+    with pytest.raises(ValueError):
+        LoopGen(*fields)
+
+
+def test_engine_hands_out_only_loopgen_letters():
+    """A bare int with a letter's value would hash and sort like one but
+    lose its fields: none may reach a monomial the engine returns."""
+
+    def letter_types(elements):
+        return {type(g) for v in elements for m in v.terms for g in m}
+
+    for lam in ALL_PYRAMIDS:
+        p = Pyramid(lam)
+        vectors = list(phi_table(p).entries.values())
+        found = (
+            letter_types(vectors)
+            | letter_types(map(translation_T, vectors))
+            | letter_types(map(delta, vectors))
+            | letter_types(v for _, _, v in center_generators(p))
+            | letter_types(a.element for a in a_chi_generators(p, random_chi(p, 0)))
+        )
+        assert found == {LoopGen}, (lam, found)

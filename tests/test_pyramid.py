@@ -48,6 +48,13 @@ def test_pyramid_validation():
     with pytest.raises(ValueError):
         Pyramid.parse("2,x")
     assert str(Pyramid.parse("2,3,4")) == "2,3,4"
+    # the engine packs row labels into 8 bits and shifts into 16
+    assert Pyramid((1,) * 255).n == 255
+    assert Pyramid((65536,)).lambdas == (65536,)
+    with pytest.raises(ValueError, match="at most 255 rows"):
+        Pyramid((1,) * 256)
+    with pytest.raises(ValueError, match="at most 65536 boxes"):
+        Pyramid((1, 65537))
 
 
 def test_genid_text_roundtrip():
