@@ -33,14 +33,11 @@ from .detcalc import (
     cdet,
     cdet_tau,
     column_determinant,
-    column_determinant_bruteforce,
 )
 from .suga import (
     SugaTable,
     delta_ladder,
     gln_delta_tower,
-    minimal_nilpotent_check,
-    phi_2_formula_check,
     phi_table,
     selected_pairs,
     tau_cross_check,

@@ -12,11 +12,11 @@ first.  One column recursion over row subsets (2^n * n states instead
 of n! products), generic over how an entry acts on the determinant to its
 right, evaluates every determinant of the package: this one, the tau
 presentation below, and the center and symbol determinants of
-:mod:`sugawara.shift`.  The straight permutation sum is kept as a test
-oracle.  :func:`ux_matrix` builds the three u, x matrices.  The carriers here
-are :class:`~sugawara.pbw.Sparse` subclasses, like the algebra elements
-they hold: :class:`UXElem` sets the join of its (u, x) keys and
-:class:`TauPoly` keeps its own skew product.
+:mod:`sugawara.shift`.  :func:`ux_matrix` builds the three u, x
+matrices.  The carriers here are :class:`~sugawara.pbw.Sparse`
+subclasses, like the algebra elements they hold: :class:`UXElem` sets
+the join of its (u, x) keys and :class:`TauPoly` keeps its own skew
+product.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
@@ -110,24 +110,6 @@ def column_determinant(matrix: List[list], unit, apply: Callable):
             nxt[rows] = unit._like(out)
         level = nxt
     return level[tuple(range(n))]
-
-
-def column_determinant_bruteforce(matrix: List[list], unit, apply: Callable):
-    """Permutation-sum oracle: sum over sigma of sgn(sigma) times the
-    composition of entries, rightmost column applied first."""
-    n = len(matrix)
-    out: dict = {}
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        v = unit
-        for col in reversed(range(n)):
-            v = apply(matrix[perm[col]][col], v)
-        _axpy(out, v.terms, sign)
-    return unit._like(out)
 
 
 def ux_matrix(

@@ -288,12 +288,6 @@ class LieContext:
         g = self.loop(i, j, r, depth)
         return self._element({(g,): 1})
 
-    def gen_or_zero(self, i: int, j: int, r: int, depth: int = 0) -> Element:
-        """Like :meth:`gen` but with out-of-window shifts read as zero."""
-        if not self.pyramid.contains(GenId(i, j, r)):
-            return self.zero()
-        return self.gen(i, j, r, depth)
-
     def _element(self, terms: Dict[Monomial, Fraction]) -> Element:
         if self.mode == "affine":
             terms = {m: c for m, c in terms.items() if not (m and m[-1] >= 0)}
@@ -502,10 +496,6 @@ def delta(v: Element) -> Element:
 def degree_d(v: Element) -> Element:
     """Grading derivation with [d, X[r]] = r X[r]."""
     return Element(v.ctx, {m: sum(g.depth for g in m) * c for m, c in v.terms.items()})
-
-
-def monomial_degree(m: Monomial) -> int:
-    return -sum(g.depth for g in m)
 
 
 def monomial_weight(m: Monomial) -> int:

@@ -11,14 +11,12 @@ and the coefficients phi_k^(r) whose indices satisfy
 form a complete set of Segal-Sugawara vectors: N of them, with exactly
 lambda_{n-k+1} admitted shifts for each k.  This module builds the full
 coefficient table (entries outside the selected window are needed by the
-ladder identities), the closed-form cross-checks for small shapes, the
-raising-operator ladder, the all-ones tower, and the comparison against
-the tau presentation.
+ladder identities), the raising-operator ladder, the all-ones tower,
+and the comparison against the tau presentation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from time import monotonic
@@ -29,7 +27,6 @@ from .pbw import (
     Element,
     delta,
     get_context,
-    monomial_degree,
     monomial_weight,
     weight_component,
 )
@@ -78,85 +75,7 @@ def phi_table(p: Pyramid) -> SugaTable:
     return SugaTable(p, d.coefficient_table(p.n), selected_pairs(p))
 
 
-def pair_for_total(p: Pyramid, total: int) -> Tuple[int, int]:
-    """The unique selected (k, r) with r + k = total; totals 1..N
-    partition into the per-k windows."""
-    for k in range(1, p.n + 1):
-        lo, hi = selection_bounds(p, k)
-        if lo + k <= total <= hi + k:
-            return k, total - k
-    raise ValueError(f"total degree {total} outside 1..{p.big_n}")
-
-
-# -- closed-form cross-checks for small shapes
-
-
-def phi_2_formula_check(p: Pyramid) -> bool:
-    """Two-row pyramids: the table must match the closed forms
-
-    phi_1^(r) = E[1,1,r][-1] + E[2,2,r][-1]
-    phi_2^(r) = sum_{a+b=r} (E[1,1,a][-1] E[2,2,b][-1] - E[2,1,a][-1] E[1,2,b][-1])
-                + lambda_1 E[2,2,r][-2]
-
-    with out-of-window symbols read as zero.
-    """
-    if p.n != 2:
-        raise ValueError("closed form is for two-row pyramids")
-    ctx = get_context(p, "affine")
-    table = phi_table(p)
-    l1, l2 = p.lambdas
-    ok = True
-    for r in range(0, l2):
-        expected = ctx.gen_or_zero(1, 1, r, depth=-1) + ctx.gen_or_zero(
-            2, 2, r, depth=-1
-        )
-        ok = ok and table.entry(1, r) == expected
-    for r in range(l2 - 1, l1 + l2 - 1):
-        expected = l1 * ctx.gen_or_zero(2, 2, r, depth=-2)
-        for a in range(0, r + 1):
-            b = r - a
-            expected = expected + (
-                ctx.gen_or_zero(1, 1, a, depth=-1) * ctx.gen_or_zero(2, 2, b, depth=-1)
-                - ctx.gen_or_zero(2, 1, a, depth=-1)
-                * ctx.gen_or_zero(1, 2, b, depth=-1)
-            )
-        ok = ok and table.entry(2, r) == expected
-    return ok
-
-
-def minimal_nilpotent_check(n: int) -> bool:
-    """Rows (1, ..., 1, 2): check phi_1^(0), phi_1^(1) and
-
-    phi_2^(1) = sum_{i<n} (E[i,i,0][-1] E[n,n,1][-1] - E[n,i,0][-1] E[i,n,1][-1])
-                + (n-1) E[n,n,1][-2].
-    """
-    if n < 2:
-        raise ValueError("minimal nilpotent shape needs at least two rows")
-    p = Pyramid((1,) * (n - 1) + (2,))
-    ctx = get_context(p, "affine")
-    table = phi_table(p)
-    trace = ctx.zero()
-    for i in range(1, n + 1):
-        trace = trace + ctx.gen(i, i, 0, depth=-1)
-    ok = table.entry(1, 0) == trace
-    ok = ok and table.entry(1, 1) == ctx.gen(n, n, 1, depth=-1)
-    expected = (n - 1) * ctx.gen(n, n, 1, depth=-2)
-    for i in range(1, n):
-        expected = expected + (
-            ctx.gen(i, i, 0, depth=-1) * ctx.gen(n, n, 1, depth=-1)
-            - ctx.gen(n, i, 0, depth=-1) * ctx.gen(i, n, 1, depth=-1)
-        )
-    ok = ok and table.entry(2, 1) == expected
-    return ok
-
-
 # -- the raising-operator ladder
-
-
-def ladder_boundary(p: Pyramid, k: int) -> int:
-    """Below this shift the ladder makes no claim; at it, Delta maps
-    phi_k^(r) onto a known multiple of phi_{k-1}^(r); above it, to zero."""
-    return sum(p.lambdas[p.n - k + 1 :]) - k + 1
 
 
 def ladder_coefficient(p: Pyramid, k: int) -> int:
@@ -168,7 +87,10 @@ def delta_ladder(p: Pyramid) -> Report:
     table = phi_table(p)
     report = Report("delta-ladder", str(p))
     for (k, r), elem in sorted(table.entries.items()):
-        boundary = ladder_boundary(p, k)
+        # below the window's lower end the ladder makes no claim; at it,
+        # Delta maps phi_k^(r) onto a known multiple of phi_{k-1}^(r);
+        # above it, to zero
+        boundary = selection_bounds(p, k)[0]
         if r < boundary:
             continue
         image = delta(elem)
@@ -229,19 +151,3 @@ def tau_cross_check(p: Pyramid) -> Report:
         report.add({"k": k, "r": r}, diff)
     report.elapsed = monotonic() - start
     return report
-
-
-# -- structural facts used by several callers
-
-
-def homogeneity_ok(table: SugaTable) -> bool:
-    """Every selected vector is homogeneous of degree k and weight r."""
-    for k, r, elem in table.selected_entries():
-        for m in elem.terms:
-            if monomial_degree(m) != k or monomial_weight(m) != r:
-                return False
-    return True
-
-
-def per_level_counts(p: Pyramid) -> Dict[int, int]:
-    return dict(Counter(k for k, _ in selected_pairs(p)))

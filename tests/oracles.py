@@ -1,0 +1,248 @@
+"""Test-side oracles: reference implementations, closed forms and the
+paper's corollaries.
+
+Nothing in the package calls these.  Each computes its answer another
+way than the code it checks: the column determinant as a straight
+permutation sum, the small shapes from their closed forms, and the
+top-letter parts of the generators from the commutative symbols.
+
+The corollaries are read on top-letter parts.  A degree-k vector of the
+vacuum module has no word longer than k letters, and the words with
+exactly k letters, each letter read as a commuting variable, form the
+symbol of the vector.  The images in the enveloping algebra are read
+the same way.  In both cases distinct normal-ordered top words read to
+distinct monomials, so two elements have the same top part exactly when
+their difference has only shorter words.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+from math import factorial
+
+from sugawara.pbw import _axpy, get_context, monomial_weight
+from sugawara.pyramid import GenId, LieCombo, Pyramid, bracket, gln_expand
+from sugawara.shift import SymPoly, a_chi_generators, center_generators, symbols
+from sugawara.suga import phi_table, selected_pairs, selection_bounds
+
+
+# -- small helpers shared by several test modules
+
+
+def gen_or_zero(ctx, i, j, r, depth=0):
+    """``ctx.gen(i, j, r, depth)``, with out-of-window shifts read as zero."""
+    if not ctx.pyramid.contains(GenId(i, j, r)):
+        return ctx.zero()
+    return ctx.gen(i, j, r, depth)
+
+
+def monomial_degree(m):
+    return -sum(g.depth for g in m)
+
+
+def gl_commutator(x, y):
+    # [e_ab, e_cd] = delta_cb e_ad - delta_ad e_cb, extended bilinearly
+    out = {}
+    for (a, b), cx in x.items():
+        for (c, d), cy in y.items():
+            if c == b:
+                out[(a, d)] = out.get((a, d), 0) + cx * cy
+            if a == d:
+                out[(c, b)] = out.get((c, b), 0) - cx * cy
+    return {k: v for k, v in out.items() if v}
+
+
+def expand_combo(p, combo):
+    """A combination of basis symbols as a gl_N matrix {(a, b): coeff}."""
+    out = {}
+    for g, c in combo.terms.items():
+        for k, v in gln_expand(p, g).items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def combo_add(x, y, s=1):
+    out = dict(x.terms)
+    for g, c in y.terms.items():
+        out[g] = out.get(g, 0) + s * c
+    return LieCombo(out)
+
+
+def bracket_combo(p, combo, b):
+    out = LieCombo({})
+    for g, c in combo.terms.items():
+        out = combo_add(out, bracket(p, g, b), c)
+    return out
+
+
+# -- the column determinant as a permutation sum
+
+
+def column_determinant_bruteforce(matrix, unit, apply):
+    """Sum over sigma of sgn(sigma) times the composition of entries,
+    rightmost column applied first."""
+    n = len(matrix)
+    out: dict = {}
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for a in range(n):
+            for b in range(a + 1, n):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        v = unit
+        for col in reversed(range(n)):
+            v = apply(matrix[perm[col]][col], v)
+        _axpy(out, v.terms, sign)
+    return unit._like(out)
+
+
+# -- selection bookkeeping
+
+
+def pair_for_total(p, total):
+    """The unique selected (k, r) with r + k = total; totals 1..N
+    partition into the per-k windows."""
+    for k in range(1, p.n + 1):
+        lo, hi = selection_bounds(p, k)
+        if lo + k <= total <= hi + k:
+            return k, total - k
+    raise ValueError(f"total degree {total} outside 1..{p.big_n}")
+
+
+def per_level_counts(p):
+    return dict(Counter(k for k, _ in selected_pairs(p)))
+
+
+def homogeneity_ok(table):
+    """Every selected vector is homogeneous of degree k and weight r."""
+    for k, r, elem in table.selected_entries():
+        for m in elem.terms:
+            if monomial_degree(m) != k or monomial_weight(m) != r:
+                return False
+    return True
+
+
+# -- closed forms for small shapes
+
+
+def phi_2_formula_check(p):
+    """Two-row pyramids: the table must match the closed forms
+
+    phi_1^(r) = E[1,1,r][-1] + E[2,2,r][-1]
+    phi_2^(r) = sum_{a+b=r} (E[1,1,a][-1] E[2,2,b][-1] - E[2,1,a][-1] E[1,2,b][-1])
+                + lambda_1 E[2,2,r][-2]
+
+    with out-of-window symbols read as zero.
+    """
+    if p.n != 2:
+        raise ValueError("closed form is for two-row pyramids")
+    ctx = get_context(p, "affine")
+    table = phi_table(p)
+    l1, l2 = p.lambdas
+
+    def e(i, j, r, depth=-1):
+        return gen_or_zero(ctx, i, j, r, depth)
+
+    ok = True
+    for r in range(0, l2):
+        ok = ok and table.entry(1, r) == e(1, 1, r) + e(2, 2, r)
+    for r in range(l2 - 1, l1 + l2 - 1):
+        expected = l1 * e(2, 2, r, depth=-2)
+        for a in range(0, r + 1):
+            b = r - a
+            expected = expected + (
+                e(1, 1, a) * e(2, 2, b) - e(2, 1, a) * e(1, 2, b)
+            )
+        ok = ok and table.entry(2, r) == expected
+    return ok
+
+
+def minimal_nilpotent_check(n):
+    """Rows (1, ..., 1, 2): check phi_1^(0), phi_1^(1) and
+
+    phi_2^(1) = sum_{i<n} (E[i,i,0][-1] E[n,n,1][-1] - E[n,i,0][-1] E[i,n,1][-1])
+                + (n-1) E[n,n,1][-2].
+    """
+    if n < 2:
+        raise ValueError("minimal nilpotent shape needs at least two rows")
+    p = Pyramid((1,) * (n - 1) + (2,))
+    ctx = get_context(p, "affine")
+    table = phi_table(p)
+    trace = ctx.zero()
+    for i in range(1, n + 1):
+        trace = trace + ctx.gen(i, i, 0, depth=-1)
+    ok = table.entry(1, 0) == trace
+    ok = ok and table.entry(1, 1) == ctx.gen(n, n, 1, depth=-1)
+    expected = (n - 1) * ctx.gen(n, n, 1, depth=-2)
+    for i in range(1, n):
+        expected = expected + (
+            ctx.gen(i, i, 0, depth=-1) * ctx.gen(n, n, 1, depth=-1)
+            - ctx.gen(n, i, 0, depth=-1) * ctx.gen(i, n, 1, depth=-1)
+        )
+    ok = ok and table.entry(2, 1) == expected
+    return ok
+
+
+# -- the paper's corollaries, read on top-letter parts
+
+
+def top_part(elem, length):
+    """The words of ``elem`` with ``length`` letters, each letter read as
+    the commuting symbol of its basis element; None when a longer word
+    is present."""
+    if any(len(m) > length for m in elem.terms):
+        return None
+    out: dict = {}
+    for m, c in elem.terms.items():
+        if len(m) == length:
+            key = tuple(sorted(Counter(g.gen for g in m).items()))
+            _axpy(out, {key: c}, 1)
+    return SymPoly(out)
+
+
+def symbol_cases(p):
+    """Oracle (a): the top part of phi_k^(r) and of the center generator
+    Phi_k^(r) is the symbol of (k, r).  Maps each case to (want, got)."""
+    sym = symbols(p)
+    table = phi_table(p)
+    cases = {}
+    for k, r, elem in table.selected_entries():
+        cases[("phi", k, r)] = (sym[(k, r)], top_part(elem, k))
+    for k, r, elem in center_generators(p):
+        cases[("Phi", k, r)] = (sym[(k, r)], top_part(elem, k))
+    return cases
+
+
+def brown_brundan_cases(p):
+    """Oracle (b): at chi = 0 the m = 0 image of phi_k^(r) commutes with
+    every basis generator, and it differs from Phi_k^(r) only in words of
+    fewer than k letters.  Maps each (k, r) to whether both hold."""
+    fin = get_context(p, "finite")
+    basis = [fin.gen(*g) for g in p.basis()]
+    center = {(k, r): elem for k, r, elem in center_generators(p)}
+    cases = {}
+    for g in a_chi_generators(p, {}):
+        if g.m:
+            continue
+        central = all(fin.commutator(x, g.element).is_zero() for x in basis)
+        rest = g.element - center[(g.k, g.r)]
+        cases[(g.k, g.r)] = central and all(len(m) < g.k for m in rest.terms)
+    return cases
+
+
+def shift_limit_cases(p, chi):
+    """Oracle (c), the Mishchenko-Fomenko limit: the (k-m)-letter part of
+    the m-th shift-of-argument generator of (k, r) is
+    (1/m!) (sum_g chi(g) d/dg)^m applied to the symbol of (k, r), and no
+    longer word appears.  Maps each (k, r, m) to (want, got)."""
+    sym = symbols(p)
+    cases = {}
+    for g in a_chi_generators(p, chi):
+        want = sym[(g.k, g.r)]
+        for _ in range(g.m):
+            want = sum((c * want.diff(x) for x, c in chi.items()), SymPoly({}))
+        want = want.scale(Fraction(1, factorial(g.m)))
+        cases[(g.k, g.r, g.m)] = (want, top_part(g.element, g.k - g.m))
+    return cases

@@ -14,7 +14,6 @@ from sugawara.detcalc import (
     apply_entry,
     build_entry_matrix,
     column_determinant,
-    column_determinant_bruteforce,
 )
 from sugawara.pbw import (
     LoopGen,
@@ -23,7 +22,7 @@ from sugawara.pbw import (
     get_context,
     translation_T,
 )
-from sugawara.pyramid import LieCombo, Pyramid, bracket, form, gln_expand
+from sugawara.pyramid import Pyramid, bracket, form, gln_expand
 from sugawara.shift import (
     a_chi_generators,
     apply_automorphism,
@@ -37,14 +36,22 @@ from sugawara.shift import (
 from sugawara.suga import (
     delta_ladder,
     gln_delta_tower,
-    minimal_nilpotent_check,
-    per_level_counts,
-    phi_2_formula_check,
     phi_table,
     selected_pairs,
     tau_cross_check,
 )
 from sugawara.verify import annihilation_check, centrality_check, commutativity_check
+
+from oracles import (
+    bracket_combo,
+    column_determinant_bruteforce,
+    combo_add,
+    expand_combo,
+    gl_commutator,
+    minimal_nilpotent_check,
+    per_level_counts,
+    phi_2_formula_check,
+)
 
 ALL_PYRAMIDS = [
     (1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3),
@@ -173,33 +180,6 @@ def test_criterion_9_jacobian_rank():
     _finish(9, ok, "symbol Jacobian has full rank N at random points, 3 seeds")
 
 
-def _gl_commutator(x, y):
-    out = {}
-    for (a, b), cx in x.items():
-        for (c, d), cy in y.items():
-            if c == b:
-                out[(a, d)] = out.get((a, d), 0) + cx * cy
-            if a == d:
-                out[(c, b)] = out.get((c, b), 0) - cx * cy
-    return {k: v for k, v in out.items() if v}
-
-
-def _expand(p, combo):
-    out = {}
-    for g, c in combo.terms.items():
-        for k, v in gln_expand(p, g).items():
-            out[k] = out.get(k, 0) + c * v
-    return {k: v for k, v in out.items() if v}
-
-
-def _bracket_combo(p, combo, b):
-    total = {}
-    for g, c in combo.terms.items():
-        for h, v in bracket(p, g, b).terms.items():
-            total[h] = total.get(h, 0) + c * v
-    return LieCombo(total)
-
-
 def test_criterion_10_engine_properties():
     ok = True
     # bracket oracle against the gl_N embedding, N <= 9
@@ -209,8 +189,8 @@ def test_criterion_10_engine_properties():
         expand = {g: gln_expand(p, g) for g in basis}
         for a in basis:
             for b in basis:
-                got = _expand(p, bracket(p, a, b))
-                if got != _gl_commutator(expand[a], expand[b]):
+                got = expand_combo(p, bracket(p, a, b))
+                if got != gl_commutator(expand[a], expand[b]):
                     ok = False
     # Jacobi and form invariance, N <= 7
     for lam in ALL_PYRAMIDS:
@@ -222,14 +202,10 @@ def test_criterion_10_engine_properties():
             for b in basis:
                 ab = bracket(p, a, b)
                 for c in basis:
-                    j1 = _bracket_combo(p, ab, c)
-                    j2 = _bracket_combo(p, bracket(p, b, c), a)
-                    j3 = _bracket_combo(p, bracket(p, c, a), b)
-                    total = {}
-                    for combo in (j1, j2, j3):
-                        for g, v in combo.terms.items():
-                            total[g] = total.get(g, 0) + v
-                    if any(total.values()):
+                    j1 = bracket_combo(p, ab, c)
+                    j2 = bracket_combo(p, bracket(p, b, c), a)
+                    j3 = bracket_combo(p, bracket(p, c, a), b)
+                    if not combo_add(combo_add(j1, j2), j3).is_zero():
                         ok = False
                     inv = sum(v * form(p, g, c) for g, v in ab.terms.items())
                     inv += sum(

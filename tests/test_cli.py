@@ -258,6 +258,7 @@ def test_closed_pipe_exits_141_without_traceback(fmt):
         code = proc.wait(timeout=120)
     finally:
         proc.kill()
+        proc.stderr.close()
     assert first.strip() in (b"{", b"pyramid 1,1,1,1,1,1")
     assert code == 141
     assert "Traceback" not in err

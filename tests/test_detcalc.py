@@ -13,12 +13,13 @@ from sugawara.detcalc import (
     cdet,
     cdet_tau,
     column_determinant,
-    column_determinant_bruteforce,
     ux_matrix,
 )
 from sugawara.pbw import get_context, weight_component
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import SymPoly, center_determinant, symbols
+
+from oracles import column_determinant_bruteforce
 
 
 def test_entry_windows():

@@ -2,6 +2,8 @@ import pytest
 
 from sugawara.pyramid import GenId, LieCombo, Pyramid, bracket, form, gln_expand
 
+from oracles import bracket_combo, combo_add, expand_combo, gl_commutator
+
 
 PYRAMIDS = [
     (1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3),
@@ -99,26 +101,6 @@ def test_bracket_examples():
         assert bracket(p, g, g).is_zero()
 
 
-def _gl_commutator(x, y):
-    # [e_ab, e_cd] = delta_cb e_ad - delta_ad e_cb, extended bilinearly
-    out = {}
-    for (a, b), cx in x.items():
-        for (c, d), cy in y.items():
-            if c == b:
-                out[(a, d)] = out.get((a, d), 0) + cx * cy
-            if a == d:
-                out[(c, b)] = out.get((c, b), 0) - cx * cy
-    return {k: v for k, v in out.items() if v}
-
-
-def _expand_combo(p, combo):
-    out = {}
-    for g, c in combo.terms.items():
-        for k, v in gln_expand(p, g).items():
-            out[k] = out.get(k, 0) + c * v
-    return {k: v for k, v in out.items() if v}
-
-
 @pytest.mark.parametrize("lam", PYRAMIDS)
 def test_bracket_against_gln_embedding(lam):
     p = Pyramid(lam)
@@ -126,23 +108,8 @@ def test_bracket_against_gln_embedding(lam):
     expand = {g: gln_expand(p, g) for g in basis}
     for a in basis:
         for b in basis:
-            got = _expand_combo(p, bracket(p, a, b))
-            assert got == _gl_commutator(expand[a], expand[b])
-
-
-def _combo_add(x, y, s=1):
-    out = dict(x.terms)
-    for g, c in y.terms.items():
-        out[g] = out.get(g, 0) + s * c
-    return LieCombo(out)
-
-
-def _bracket_combo(p, combo, b):
-    out = LieCombo({})
-    for g, c in combo.terms.items():
-        inner = bracket(p, g, b)
-        out = _combo_add(out, inner, c)
-    return out
+            got = expand_combo(p, bracket(p, a, b))
+            assert got == gl_commutator(expand[a], expand[b])
 
 
 @pytest.mark.parametrize("lam", [l for l in PYRAMIDS if sum(l) <= 7])
@@ -153,15 +120,15 @@ def test_antisymmetry_and_jacobi(lam):
         for b in basis:
             ab = bracket(p, a, b)
             ba = bracket(p, b, a)
-            assert _combo_add(ab, ba) == LieCombo({})
+            assert combo_add(ab, ba) == LieCombo({})
     for a in basis:
         for b in basis:
             ab = bracket(p, a, b)
             for c in basis:
                 # [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
-                total = _bracket_combo(p, ab, c)
-                total = _combo_add(total, _bracket_combo(p, bracket(p, b, c), a))
-                total = _combo_add(total, _bracket_combo(p, bracket(p, c, a), b))
+                total = bracket_combo(p, ab, c)
+                total = combo_add(total, bracket_combo(p, bracket(p, b, c), a))
+                total = combo_add(total, bracket_combo(p, bracket(p, c, a), b))
                 assert total == LieCombo({})
 
 

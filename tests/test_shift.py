@@ -24,7 +24,19 @@ from sugawara.shift import (
 )
 from sugawara.suga import phi_table
 
+from oracles import (
+    brown_brundan_cases,
+    gen_or_zero,
+    shift_limit_cases,
+    symbol_cases,
+)
 from test_acceptance import ALL_PYRAMIDS
+
+# the acceptance pyramids with N <= 6, and two with four rows
+ORACLE_PYRAMIDS = [lam for lam in ALL_PYRAMIDS if sum(lam) <= 6] + [
+    (1, 1, 1, 1),
+    (1, 1, 1, 2),
+]
 
 
 def test_rho_single_factors():
@@ -87,7 +99,7 @@ def test_a_chi_trace_components():
     gens = a_chi_generators(p, {})
     got = {(g.k, g.r, g.m): g.element for g in gens}
     for r in range(3):
-        expected = fin.gen_or_zero(1, 1, r) + fin.gen_or_zero(2, 2, r)
+        expected = gen_or_zero(fin, 1, 1, r) + gen_or_zero(fin, 2, 2, r)
         assert got[(1, r, 0)] == expected
 
 
@@ -312,3 +324,35 @@ def test_exact_chi_gives_the_fraction_chi_results(lam, values):
             got = zseries_eval(p, rho_chi(elem, via_exact), exact(z))
             want = zseries_eval(p, rho_chi(elem, via_fraction), Fraction(z))
             assert got == want and to_json(got) == to_json(want)
+
+
+# -- the paper's corollaries (tests/oracles.py), on top-letter parts
+
+
+def _agree(cases):
+    assert cases
+    bad = [key for key, (want, got) in cases.items() if want != got]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("lam", ORACLE_PYRAMIDS)
+def test_top_letters_of_the_generators_are_the_symbols(lam):
+    _agree(symbol_cases(Pyramid(lam)))
+
+
+@pytest.mark.parametrize("lam", ORACLE_PYRAMIDS)
+def test_images_at_chi_zero_are_brown_brundan_generators(lam):
+    cases = brown_brundan_cases(Pyramid(lam))
+    assert len(cases) == sum(lam)
+    assert all(cases.values()), [key for key, ok in cases.items() if not ok]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("lam", ORACLE_PYRAMIDS)
+def test_shift_generators_tend_to_mishchenko_fomenko(lam, seed):
+    p = Pyramid(lam)
+    cases = shift_limit_cases(p, random_chi(p, seed))
+    _agree(cases)
+    if p.n > 1:
+        # a chi-dependent expectation is checked, not only m = 0
+        assert any(m and want for (k, r, m), (want, _) in cases.items())
