@@ -37,6 +37,13 @@ trie, so monomials that share a prefix share its work.  The action of a
 mode X[s], s >= 0, on a vacuum-module state commutes X[s] rightwards
 through each monomial until it meets the vacuum, so the terms the vacuum
 kills are never built.
+
+The commutator walks the trie of its right operand by the Leibniz rule
+[a, P*y] = [a, P]*y + P*[a, y], where each node carries its prefix P, a
+normal-ordered word, and [a, P].  The brackets [a, y] with the letters
+of b are computed once per call.  Every term the walk builds already
+has a bracket in it, so the top-length terms that a*b and b*a share,
+and that cancel in their difference, are never built.
 """
 
 from __future__ import annotations
@@ -387,21 +394,26 @@ class LieContext:
 
     # -- products and the module action
 
-    def mul(self, a: Element, b: Element) -> Element:
+    def _trie(self, a: Element, b: Element) -> dict:
+        """b's monomials as a trie (None marks a word's end), once a and b
+        are checked to live in this context."""
         a._compat(b)
         if a.ctx.key != self.key:
             raise ValueError("operands do not belong to this context")
-        # b's monomials as a trie (None marks a word's end): every letter
-        # is right-inserted into all of a's partial products at once, so
-        # monomials of b that share a prefix share its work.
         trie: dict = {}
         for mb, cb in b.terms.items():
             node = trie
             for x in mb:
                 node = node.setdefault(x, {})
             node[None] = cb
+        return trie
+
+    def mul(self, a: Element, b: Element) -> Element:
+        # every letter of b is right-inserted into all of a's partial
+        # products at once, so monomials of b that share a prefix share
+        # its work
         out: Terms = {}
-        self._walk(trie, a.terms, out)
+        self._walk(self._trie(a, b), a.terms, out)
         return self._element(out)
 
     def _walk(self, node: dict, cur: Terms, out: Terms) -> None:
@@ -444,7 +456,33 @@ class LieContext:
         return out
 
     def commutator(self, a: Element, b: Element) -> Element:
-        return self.mul(a, b) - self.mul(b, a)
+        """[a, b] by the Leibniz walk over b's trie (see the module
+        docstring)."""
+        trie = self._trie(a, b)
+        ad: Dict[LoopGen, Terms] = {}
+        for y in dict.fromkeys(chain.from_iterable(b.terms)):
+            # [a, y] = a*y - y*a
+            d = self._times(a.terms, (y,))
+            for m, c in a.terms.items():
+                _axpy(d, self._times({(y,): 1}, m), -c)
+            ad[y] = d
+        out: Terms = {}
+        self._leibniz(trie, (), {}, ad, out)
+        return self._element(out)
+
+    def _leibniz(
+        self, node: dict, head: Monomial, cur: Terms, ad: Dict[LoopGen, Terms], out: Terms
+    ) -> None:
+        """out += [a, head*w] for the words w of the trie below node, where
+        cur = [a, head] and ad[y] = [a, y]: the next letter y gives
+        [a, head*y] = [a, head]*y + head*[a, y]."""
+        for y, child in node.items():
+            if y is None:
+                _axpy(out, cur, child)
+            else:
+                nxt = self._times(cur, (y,))
+                _axpy(nxt, self._prefix(head, ad[y]), 1)
+                self._leibniz(child, head + (y,), nxt, ad, out)
 
 
 _CONTEXTS: Dict[Tuple[Tuple[int, ...], str], LieContext] = {}

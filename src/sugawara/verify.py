@@ -55,10 +55,11 @@ def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Repo
     start = monotonic()
     fin = get_context(p, "finite")
     report = Report("centrality", str(p))
+    gens = [(g.text(), fin.gen(g.i, g.j, g.r)) for g in p.basis()]
     for label, elem in labeled:
-        for g in p.basis():
-            diff = fin.commutator(fin.gen(g.i, g.j, g.r), elem)
-            report.add({"element": label, "generator": g.text()}, diff)
+        for text, x in gens:
+            diff = fin.commutator(x, elem)
+            report.add({"element": label, "generator": text}, diff)
     report.elapsed = monotonic() - start
     return report
 

@@ -3,8 +3,9 @@ paper's corollaries.
 
 Nothing in the package calls these.  Each computes its answer another
 way than the code it checks: the column determinant as a straight
-permutation sum, the small shapes from their closed forms, and the
-top-letter parts of the generators from the commutative symbols.
+permutation sum, the commutator as two full products, the small shapes
+from their closed forms, and the top-letter parts of the generators
+from the commutative symbols.
 
 The corollaries are read on top-letter parts.  A degree-k vector of the
 vacuum module has no word longer than k letters, and the words with
@@ -96,6 +97,14 @@ def column_determinant_bruteforce(matrix, unit, apply):
             v = apply(matrix[perm[col]][col], v)
         _axpy(out, v.terms, sign)
     return unit._like(out)
+
+
+# -- the commutator as two full products
+
+
+def two_product_commutator(ctx, a, b):
+    """[a, b] = a*b - b*a, with both products built in full."""
+    return ctx.mul(a, b) - ctx.mul(b, a)
 
 
 # -- selection bookkeeping

@@ -247,6 +247,7 @@ def test_determinants_and_products_leave_no_reference_cycles():
     # the cyclic collector happens to run
     p = Pyramid((1, 2, 3))
     ctx = get_context(p, "affine")
+    fin = get_context(p, "finite")
     e = lambda i, j, r, d: ctx.gen(i, j, r, depth=d)
     a = e(1, 3, 2, -1) * e(2, 2, 1, -1) + e(3, 3, 0, -2)
     b = e(3, 1, 0, -1) * e(3, 3, 1, -1) + e(3, 1, 0, -1) * e(2, 3, 1, -2)
@@ -257,6 +258,8 @@ def test_determinants_and_products_leave_no_reference_cycles():
         symbols(p)
         cdet_tau(p)
         ctx.mul(a, b)
+        ctx.commutator(a, b)
+        fin.commutator(fin.gen(1, 3, 2), fin.gen(3, 1, 0) * fin.gen(2, 3, 1))
 
     work()  # fills the engine's memo and caches
     gc.collect()

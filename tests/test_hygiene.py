@@ -108,7 +108,9 @@ def test_scan_sees_inexact_sites(tmp_path):
     ]
 
 
-HOT_PATH = ("_insert", "_suffix", "_prefix", "_times", "_walk", "_act_word", "_shift_depth")
+HOT_PATH = (
+    "_insert", "_suffix", "_prefix", "_times", "_walk", "_leibniz", "_act_word", "_shift_depth"
+)
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 
 

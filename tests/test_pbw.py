@@ -37,7 +37,7 @@ from sugawara.shift import (
 )
 from sugawara.suga import phi_table
 
-from oracles import gen_or_zero, monomial_degree
+from oracles import gen_or_zero, monomial_degree, two_product_commutator
 from test_acceptance import ALL_PYRAMIDS
 
 
@@ -156,7 +156,37 @@ def test_commutator_antisymmetry_and_jacobi(mode):
         assert total.is_zero()
 
 
-@pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+@pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2), (2, 3)])
+def test_commutator_matches_two_products(lam, mode):
+    rng = random.Random(17)
+    ctx = get_context(Pyramid(lam), mode)
+    depths = (0,) if mode == "finite" else (-1, -2)
+    basis = ctx.pyramid.basis()
+    g = basis[0]
+    h = next(h for h in basis if ctx.bracket_terms(g, h))  # [g, h] != 0
+    x, y = LoopGen(depths[-1], *g), LoopGen(depths[-1], *h)
+    elems = [
+        ctx.zero(),
+        ctx.scalar(Fraction(3, 2)),
+        ctx.word([x]),
+        ctx.word([y], -2),
+        ctx.word([x, x, y]) + ctx.word([y, x, y]),  # repeated letters
+        random_element(ctx, rng, n_terms=3, depths=depths) + ctx.scalar(2),
+        random_element(ctx, rng, n_terms=3, depths=depths),
+    ]
+    nonzero = 0
+    for a in elems:  # every ordered pair, a == b included
+        for b in elems:
+            got = ctx.commutator(a, b)
+            assert got == two_product_commutator(ctx, a, b)
+            nonzero += bool(got)
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize(
+    "op", [operator.mul, operator.add, operator.sub, lambda a, b: a.ctx.commutator(a, b)]
+)
 def test_mixed_context_rejected(op):
     a = get_context(Pyramid((1, 1)), "finite").gen(1, 1, 0)
     b = get_context(Pyramid((1, 1)), "affine").gen(1, 1, 0, depth=-1)
