@@ -20,6 +20,6 @@ for lam in [(1, 1), (1, 2), (2, 3)]:
 # the defining property: every nonnegative mode kills a selected vector
 p = Pyramid((2, 3))
 report = annihilation_check(p)
-passing = sum(1 for c in report.cases if c.status == "pass")
+passing = sum(1 for c in report.cases if c["status"] == "pass")
 print(f"annihilation on {p}: {passing}/{len(report.cases)} cases pass "
       f"-> report passed = {report.passed()}")

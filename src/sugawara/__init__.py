@@ -9,7 +9,7 @@ commutativity, the skew-variable cross-check, shift-of-argument
 subalgebras and the center of the enveloping algebra.
 """
 
-from .pyramid import GenId, LieCombo, Pyramid, bracket, form, gln_expand
+from .pyramid import GenId, Pyramid, bracket, form, gln_expand
 from .pbw import (
     Element,
     LieContext,
@@ -55,7 +55,7 @@ from .shift import (
     symbols,
     zseries_eval,
 )
-from .reports import Case, Report
+from .reports import Report
 from .verify import (
     annihilation_check,
     centrality_check,

@@ -149,8 +149,8 @@ def cmd_basis(cfg: Config) -> Tuple[dict, List[Report]]:
     brackets = []
     for a in basis:
         for b in basis:
-            combo = bracket(p, a, b)
-            if combo.is_zero():
+            terms = bracket(p, a, b)
+            if not terms:
                 continue
             brackets.append(
                 {
@@ -158,7 +158,7 @@ def cmd_basis(cfg: Config) -> Tuple[dict, List[Report]]:
                     "b": b.text(),
                     "terms": [
                         {"gen": g.text(), "coeff": _coeff_str(c)}
-                        for g, c in combo.items()
+                        for g, c in terms.items()
                     ],
                 }
             )
@@ -273,18 +273,15 @@ COMMANDS = {
 
 
 def _render_report_text(out, robj: dict):
-    counts = {"pass": 0, "fail": 0, "vacuous": 0}
-    for case in robj["cases"]:
-        counts[case["status"]] += 1
-    status = "PASS" if counts["fail"] == 0 else "FAIL"
+    cases = robj["cases"]
+    failed = [c for c in cases if c["status"] == "fail"]
     out.append(
-        f"[{status}] {robj['check']}: {counts['pass']} pass, "
-        f"{counts['fail']} fail, {counts['vacuous']} vacuous"
+        f"[{'FAIL' if failed else 'PASS'}] {robj['check']}: "
+        f"{len(cases) - len(failed)} pass, {len(failed)} fail, 0 vacuous"
     )
-    for case in robj["cases"]:
-        if case["status"] == "fail":
-            key = {k: v for k, v in case.items() if k not in ("status", "diff")}
-            out.append(f"    FAIL {key}")
+    for case in failed:
+        key = {k: v for k, v in case.items() if k not in ("status", "diff")}
+        out.append(f"    FAIL {key}")
 
 
 def render_text(cfg: Config, obj: dict) -> str:

@@ -248,29 +248,9 @@ class LieContext:
         self.pyramid = pyramid
         self.mode = mode
         self.key = (pyramid.lambdas, mode)
-        self._bracket_cache: Dict[Tuple[GenId, GenId], Tuple[Tuple[GenId, int], ...]] = {}
-        self._form_cache: Dict[Tuple[GenId, GenId], int] = {}
+        self._bracket_cache: Dict[Tuple[GenId, GenId], Dict[GenId, int]] = {}
         self._loop_bracket_cache: Dict[Tuple[LoopGen, LoopGen], tuple] = {}
         self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
-
-    # -- structure data
-
-    def bracket_terms(self, a: GenId, b: GenId) -> Tuple[Tuple[GenId, int], ...]:
-        key = (a, b)
-        hit = self._bracket_cache.get(key)
-        if hit is None:
-            combo = lie_bracket(self.pyramid, a, b)
-            hit = tuple(sorted(combo.terms.items()))
-            self._bracket_cache[key] = hit
-        return hit
-
-    def form(self, a: GenId, b: GenId) -> int:
-        key = (a, b)
-        hit = self._form_cache.get(key)
-        if hit is None:
-            hit = lie_form(self.pyramid, a, b)
-            self._form_cache[key] = hit
-        return hit
 
     # -- element constructors
 
@@ -309,10 +289,13 @@ class LieContext:
         if hit is None:
             d = h.depth + g.depth
             a, b = h.gen, g.gen
-            terms = tuple(
-                (LoopGen(d, z.i, z.j, z.r), c) for z, c in self.bracket_terms(a, b)
-            )
-            hit = (terms, h.depth * self.form(a, b) if d == 0 and h.depth else 0)
+            # letter pairs that differ only in depth share one symbol bracket
+            sym = self._bracket_cache.get((a, b))
+            if sym is None:
+                sym = self._bracket_cache[a, b] = lie_bracket(self.pyramid, a, b)
+            terms = tuple((LoopGen(d, z.i, z.j, z.r), c) for z, c in sym.items())
+            central = h.depth * lie_form(self.pyramid, a, b) if d == 0 and h.depth else 0
+            hit = (terms, central)
             self._loop_bracket_cache[key] = hit
         return hit
 

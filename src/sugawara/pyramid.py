@@ -8,17 +8,17 @@ rows (i, j) and every shift r in the window
 
     lambda_j - min(lambda_i, lambda_j) <= r < lambda_j.
 
-This module provides that basis, its bracket (with out-of-window terms
-truncated to zero), the invariant symmetric bilinear form in the
-critical-level normalization, and the expansion of a basis symbol into
-elementary matrices e_ab of gl_N.
+This module provides that basis, its bracket as a plain {symbol:
+coefficient} dict (with out-of-window terms truncated to zero), the
+invariant symmetric bilinear form in the critical-level normalization,
+and the expansion of a basis symbol into elementary matrices e_ab of
+gl_N.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 
@@ -157,41 +157,25 @@ class Pyramid:
         return sum(min(lam, li) for lam in self.lambdas)
 
 
-@dataclass
-class LieCombo:
-    """Exact linear combination of basis symbols.
+def bracket(p: Pyramid, a: GenId, b: GenId) -> Dict[GenId, int]:
+    """[E[i,j,r], E[k,l,s]] with out-of-window terms truncated to zero,
+    as {symbol: coefficient} in canonical order with no zero coefficient.
 
     The pyramid bracket has no central term; the affine cocycle lives in
     :meth:`sugawara.pbw.LieContext.loop_bracket`.
     """
-
-    terms: Dict[GenId, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {g: c for g, c in self.terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
-
-
-def bracket(p: Pyramid, a: GenId, b: GenId) -> LieCombo:
-    """[E[i,j,r], E[k,l,s]] with out-of-window terms truncated to zero."""
     p.check(a)
     p.check(b)
-    terms: Dict[GenId, Fraction] = {}
+    terms: Dict[GenId, int] = {}
     rs = a.r + b.r
     # delta_{kj} E[i,l,r+s]
     if b.i == a.j and rs < p.lambdas[b.j - 1]:
-        g = GenId(a.i, b.j, rs)
-        terms[g] = terms.get(g, 0) + 1
+        terms[GenId(a.i, b.j, rs)] = 1
     # - delta_{il} E[k,j,r+s]
     if a.i == b.j and rs < p.lambdas[a.j - 1]:
         g = GenId(b.i, a.j, rs)
         terms[g] = terms.get(g, 0) - 1
-    return LieCombo(terms)
+    return {g: c for g, c in sorted(terms.items()) if c}
 
 
 def form(p: Pyramid, a: GenId, b: GenId) -> int:

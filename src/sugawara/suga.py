@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from time import monotonic
 from typing import Dict, List, Tuple
 
 from .detcalc import cdet, cdet_tau
@@ -83,7 +82,6 @@ def ladder_coefficient(p: Pyramid, k: int) -> int:
 
 
 def delta_ladder(p: Pyramid) -> Report:
-    start = monotonic()
     table = phi_table(p)
     report = Report("delta-ladder", str(p))
     for (k, r), elem in sorted(table.entries.items()):
@@ -101,7 +99,6 @@ def delta_ladder(p: Pyramid) -> Report:
             diff = image - ladder_coefficient(p, k) * table.entry(k - 1, r)
             kind = "boundary"
         report.add({"k": k, "r": r, "kind": kind}, diff)
-    report.elapsed = monotonic() - start
     return report
 
 
@@ -137,7 +134,6 @@ def tau_cross_check(p: Pyramid) -> Report:
     """For each selected (k, r): the weight-r component of phi-circle_{r+k},
     the coefficient of tau^(N-r-k) in the tau determinant, equals
     phi_k^(r), and no component of higher weight survives."""
-    start = monotonic()
     table = phi_table(p)
     tau = cdet_tau(p)
     zero = get_context(p, "affine").zero()
@@ -149,5 +145,4 @@ def tau_cross_check(p: Pyramid) -> Report:
         if diff.is_zero() and top > r:
             diff = weight_component(circ, top)
         report.add({"k": k, "r": r}, diff)
-    report.elapsed = monotonic() - start
     return report

@@ -9,7 +9,6 @@ s = 0..k is the complete check.
 from __future__ import annotations
 
 import random
-from time import monotonic
 from typing import List, Sequence, Tuple
 
 from .pbw import Element, LieContext, LoopGen, delta, get_context
@@ -21,7 +20,6 @@ from .suga import phi_table
 def annihilation_check(p: Pyramid) -> Report:
     """act(X[s], phi_k^(r)) = 0 for every basis X, every selected (k, r)
     and 0 <= s <= k (beyond that it holds by grading)."""
-    start = monotonic()
     ctx = get_context(p, "affine")
     table = phi_table(p)
     report = Report("annihilation", str(p))
@@ -31,7 +29,6 @@ def annihilation_check(p: Pyramid) -> Report:
                 key = {"generator": g.text(), "s": s, "k": k, "r": r}
                 res = ctx.act(LoopGen(s, g.i, g.j, g.r), elem)
                 report.add(key, res)
-    report.elapsed = monotonic() - start
     return report
 
 
@@ -39,20 +36,17 @@ def commutativity_check(
     labeled: Sequence[Tuple[str, Element]], ctx: LieContext
 ) -> Report:
     """All pairwise commutators vanish (vacuously true on singletons)."""
-    start = monotonic()
     report = Report("commutativity", str(ctx.pyramid))
     for a, (la, va) in enumerate(labeled):
         for lb, vb in labeled[a + 1 :]:
             diff = ctx.commutator(va, vb)
             report.add({"a": la, "b": lb}, diff)
-    report.elapsed = monotonic() - start
     return report
 
 
 def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Report:
     """Every element commutes with every basis symbol in the enveloping
     algebra of the centralizer."""
-    start = monotonic()
     fin = get_context(p, "finite")
     report = Report("centrality", str(p))
     gens = [(g.text(), fin.gen(g.i, g.j, g.r)) for g in p.basis()]
@@ -60,7 +54,6 @@ def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Repo
         for text, x in gens:
             diff = fin.commutator(x, elem)
             report.add({"element": label, "generator": text}, diff)
-    report.elapsed = monotonic() - start
     return report
 
 
@@ -86,7 +79,6 @@ def raising_recursion_check(p: Pyramid, seed: int = 0) -> Report:
     """Operator identity s E[i,i,shift][s+1] = [Delta, E[i,i,shift][s]]
     on the vacuum module for s = 1, 2, checked against
     :func:`sample_states`."""
-    start = monotonic()
     ctx = get_context(p, "affine")
     samples = sample_states(p, seed)
     report = Report("raising-recursion", str(p), seed=seed)
@@ -101,5 +93,4 @@ def raising_recursion_check(p: Pyramid, seed: int = 0) -> Report:
                     diff = lhs - rhs
                     key = {"i": i, "p": shift, "s": s, "state": label}
                     report.add(key, diff)
-    report.elapsed = monotonic() - start
     return report

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from sugawara.pbw import _axpy, get_context, monomial_weight
-from sugawara.pyramid import GenId, LieCombo, Pyramid, bracket, gln_expand
+from sugawara.pyramid import GenId, Pyramid, bracket, gln_expand
 from sugawara.shift import SymPoly, a_chi_generators, center_generators, symbols
 from sugawara.suga import phi_table, selected_pairs, selection_bounds
 
@@ -58,22 +58,22 @@ def gl_commutator(x, y):
 def expand_combo(p, combo):
     """A combination of basis symbols as a gl_N matrix {(a, b): coeff}."""
     out = {}
-    for g, c in combo.terms.items():
+    for g, c in combo.items():
         for k, v in gln_expand(p, g).items():
             out[k] = out.get(k, 0) + c * v
     return {k: v for k, v in out.items() if v}
 
 
 def combo_add(x, y, s=1):
-    out = dict(x.terms)
-    for g, c in y.terms.items():
+    out = dict(x)
+    for g, c in y.items():
         out[g] = out.get(g, 0) + s * c
-    return LieCombo(out)
+    return {g: c for g, c in out.items() if c}
 
 
 def bracket_combo(p, combo, b):
-    out = LieCombo({})
-    for g, c in combo.terms.items():
+    out = {}
+    for g, c in combo.items():
         out = combo_add(out, bracket(p, g, b), c)
     return out
 

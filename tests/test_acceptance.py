@@ -205,12 +205,12 @@ def test_criterion_10_engine_properties():
                     j1 = bracket_combo(p, ab, c)
                     j2 = bracket_combo(p, bracket(p, b, c), a)
                     j3 = bracket_combo(p, bracket(p, c, a), b)
-                    if not combo_add(combo_add(j1, j2), j3).is_zero():
+                    if combo_add(combo_add(j1, j2), j3):
                         ok = False
-                    inv = sum(v * form(p, g, c) for g, v in ab.terms.items())
+                    inv = sum(v * form(p, g, c) for g, v in ab.items())
                     inv += sum(
                         v * form(p, g, b)
-                        for g, v in bracket(p, a, c).terms.items()
+                        for g, v in bracket(p, a, c).items()
                     )
                     if inv != 0:
                         ok = False

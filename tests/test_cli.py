@@ -63,6 +63,27 @@ def test_center_casimir_output(capsys):
     assert elem == e(1, 1) * e(2, 2) - e(2, 1) * e(1, 2) + e(2, 2)
 
 
+def test_failing_report_exits_1(capsys, monkeypatch):
+    # E[1,1,0] is not central: it fails against E[1,2,0] and E[2,1,0]
+    fin = get_context(Pyramid((1, 1)), "finite")
+    monkeypatch.setattr(
+        "sugawara.cli.center_generators", lambda p: [(1, 0, fin.gen(1, 1, 0))]
+    )
+    code, out, _ = run(capsys, "--pyramid", "1,1", "center")
+    assert code == 1
+    cases = json.loads(out)["centrality"]["cases"]
+    failed = [c for c in cases if c["status"] == "fail"]
+    assert [c["generator"] for c in failed] == ["E[1,2,0]", "E[2,1,0]"]
+    for case in failed:
+        assert list(case) == ["element", "generator", "status", "diff"]
+    code, out, _ = run(capsys, "--pyramid", "1,1", "--format", "text", "center")
+    assert code == 1
+    lines = out.splitlines()
+    assert "[FAIL] centrality: 2 pass, 2 fail, 0 vacuous" in lines
+    assert "    FAIL {'element': 'Phi[1,0]', 'generator': 'E[1,2,0]'}" in lines
+    assert "    FAIL {'element': 'Phi[1,0]', 'generator': 'E[2,1,0]'}" in lines
+
+
 def test_center_with_automorphism(capsys):
     code, out, _ = run(
         capsys, "--pyramid", "1,1", "--automorphism-c", "-1", "center"

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sugawara.detcalc import TauPoly, UXElem
 from sugawara.jsonout import to_json
-from sugawara.pyramid import Pyramid, bracket
+from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.pbw import (
     Element,
     LoopGen,
@@ -71,10 +71,10 @@ def naive_normal_order(ctx, word, coeff=1, step_cap=200_000):
         h, g = w[pos], w[pos + 1]
         stack.append((w[:pos] + (g, h) + w[pos + 2 :], c))
         d = h.depth + g.depth
-        for z, cz in ctx.bracket_terms(h.gen, g.gen):
+        for z, cz in bracket(ctx.pyramid, h.gen, g.gen).items():
             stack.append((w[:pos] + (LoopGen(d, z.i, z.j, z.r),) + w[pos + 2 :], c * cz))
         if d == 0 and h.depth:
-            s = h.depth * ctx.form(h.gen, g.gen)
+            s = h.depth * form(ctx.pyramid, h.gen, g.gen)
             if s:
                 stack.append((w[:pos] + w[pos + 2 :], c * s))
     return out, steps
@@ -164,7 +164,7 @@ def test_commutator_matches_two_products(lam, mode):
     depths = (0,) if mode == "finite" else (-1, -2)
     basis = ctx.pyramid.basis()
     g = basis[0]
-    h = next(h for h in basis if ctx.bracket_terms(g, h))  # [g, h] != 0
+    h = next(h for h in basis if bracket(ctx.pyramid, g, h))  # [g, h] != 0
     x, y = LoopGen(depths[-1], *g), LoopGen(depths[-1], *h)
     elems = [
         ctx.zero(),
@@ -348,7 +348,7 @@ def test_act_against_naive_rewriter(lam):
     p = Pyramid(lam)
     ctx = get_context(p, "affine")
     basis = p.basis()
-    paired = [x for x in basis if any(ctx.form(x, y) for y in basis)]
+    paired = [x for x in basis if any(form(p, x, y) for y in basis)]
     nonzero = central = 0
     for trial in range(60):
         s = trial % 4
@@ -357,13 +357,13 @@ def test_act_against_naive_rewriter(lam):
             # put a partner Y[-s] with <X, Y> != 0 into the state, so the
             # central term s <X, Y> is reached
             x = rng.choice(paired)
-            y = rng.choice([y for y in basis if ctx.form(x, y)])
+            y = rng.choice([y for y in basis if form(p, x, y)])
             v = v + ctx.word([LoopGen(-s, *y)])
         else:
             x = rng.choice(basis)
         g = LoopGen(s, *x)
         if s and any(
-            y.depth == -s and ctx.form(x, y.gen) for m in v.terms for y in m
+            y.depth == -s and form(p, x, y.gen) for m in v.terms for y in m
         ):
             central += 1
         got = ctx.act(g, v)
