@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .jsonout import to_json
+from .jsonout import write_json
 from .pbw import _coeff_str, element_text, exact, get_context, signed_sum
 from .pyramid import Pyramid, bracket, form
 from .reports import Report
@@ -366,9 +366,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = to_json(obj) if cfg.fmt == "json" else render_text(cfg, obj) + "\n"
     try:
-        _write_stdout(text)
+        if cfg.fmt == "json":
+            write_json(obj, _write_stdout)
+        else:
+            _write_stdout(render_text(cfg, obj) + "\n")
     except BrokenPipeError:
         # The reader went away (``| head``): point stdout at devnull so the
         # flush at exit does not raise again, and exit as SIGPIPE would.

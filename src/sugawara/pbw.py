@@ -26,7 +26,9 @@ The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
 at most ``g`` and every factor of ``b`` above it.  Only ``b * g`` is
 memoized, so words that differ below ``g`` share one entry; it is
-computed from ``b[:-1] * g`` and the bracket of the displaced pair.  A
+computed from ``b[:-1] * g`` and the bracket of the displaced pair.  The
+memo keeps ``b * g`` only for a ``b`` of at most ``MEMO_LETTERS``
+letters; a longer ``b`` is recomputed from its memoized prefix.  A
 term of ``b * g`` that starts at or above the last factor of ``a`` is
 joined to ``a`` by concatenation, any other is inserted into ``a``
 factor by factor.  This terminates by the usual filtration argument:
@@ -107,6 +109,10 @@ class LoopGen(int):
 
 Monomial = Tuple[LoopGen, ...]
 Terms = Dict[Monomial, Fraction]
+
+# Longest b whose b*g the insert memo keeps.  Short suffixes take most of
+# the hits; the long ones filled most of the memory.
+MEMO_LETTERS = 2
 
 
 def _axpy(out: Terms, terms: Terms, c) -> None:
@@ -248,7 +254,7 @@ class LieContext:
         self.pyramid = pyramid
         self.mode = mode
         self.key = (pyramid.lambdas, mode)
-        self._bracket_cache: Dict[Tuple[GenId, GenId], Dict[GenId, int]] = {}
+        self._bracket_cache: Dict[Tuple[GenId, GenId], Tuple[Tuple[GenId, int], ...]] = {}
         self._loop_bracket_cache: Dict[Tuple[LoopGen, LoopGen], tuple] = {}
         self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
 
@@ -292,8 +298,10 @@ class LieContext:
             # letter pairs that differ only in depth share one symbol bracket
             sym = self._bracket_cache.get((a, b))
             if sym is None:
-                sym = self._bracket_cache[a, b] = lie_bracket(self.pyramid, a, b)
-            terms = tuple((LoopGen(d, z.i, z.j, z.r), c) for z, c in sym.items())
+                # a tuple, not the dict: most brackets are empty and share ()
+                sym = tuple(lie_bracket(self.pyramid, a, b).items())
+                self._bracket_cache[a, b] = sym
+            terms = tuple((LoopGen(d, z.i, z.j, z.r), c) for z, c in sym)
             central = h.depth * lie_form(self.pyramid, a, b) if d == 0 and h.depth else 0
             hit = (terms, central)
             self._loop_bracket_cache[key] = hit
@@ -309,7 +317,8 @@ class LieContext:
         return self._prefix(w[:k], self._suffix(w[k:], g))
 
     def _suffix(self, b: Monomial, g: LoopGen) -> Terms:
-        """Memoized normal form of b*g where every letter of b exceeds g."""
+        """Normal form of b*g where every letter of b exceeds g, memoized
+        when b has at most MEMO_LETTERS letters."""
         key = (b, g)
         hit = self._insert_memo.get(key)
         if hit is not None:
@@ -322,7 +331,8 @@ class LieContext:
             _axpy(out, self._insert(rest, z), c)
         if central:
             _axpy(out, {rest: central}, 1)
-        self._insert_memo[key] = out
+        if len(b) <= MEMO_LETTERS:
+            self._insert_memo[key] = out
         return out
 
     def _prefix(self, head: Monomial, terms: Terms) -> Terms:

@@ -24,9 +24,6 @@ class Report:
     def passed(self) -> bool:
         return all(c["status"] != "fail" for c in self.cases)
 
-    def failures(self) -> List[dict]:
-        return [c for c in self.cases if c["status"] == "fail"]
-
     def add(self, key: Dict[str, object], diff: Optional[Element] = None):
         """Record a case that passes exactly when ``diff`` is zero or None."""
         case = dict(key)

@@ -39,6 +39,11 @@ def gen_or_zero(ctx, i, j, r, depth=0):
     return ctx.gen(i, j, r, depth)
 
 
+def failures(report):
+    """The failing cases of a report, for assertion messages."""
+    return [c for c in report.cases if c["status"] == "fail"]
+
+
 def monomial_degree(m):
     return -sum(g.depth for g in m)
 

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from sugawara import cli, jsonout
 from sugawara.cli import COMMANDS, build_parser, cmd_center, main, parse_config
 from sugawara.pbw import Element, element_from_obj, get_context
 from sugawara.pyramid import Pyramid
 
 from test_acceptance import ALL_PYRAMIDS
-from test_jsonout import assert_writes_like_json_dumps
+from test_jsonout import _plain, assert_writes_like_json_dumps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -259,6 +260,29 @@ def test_text_format(capsys):
     assert "[E[1,2,0], E[2,1,0]] = E[1,1,0] - E[2,2,0]" in out
     code, out, _ = run(capsys, "--pyramid", "1,1", "--format", "text", "verify")
     assert "[PASS] annihilation" in out
+
+
+def test_json_goes_to_stdout_in_bounded_pieces(monkeypatch):
+    pieces = []
+    monkeypatch.setattr(cli, "_write_stdout", pieces.append)
+    argv = ["--pyramid", "1,1,1,1,1,1", "vectors"]
+    assert main(argv) == 0
+    assert len(pieces) > 1
+    assert max(len(piece.encode()) for piece in pieces) <= 128 * 1024
+    cfg = parse_config(build_parser().parse_args(argv))
+    obj, _ = COMMANDS[cfg.command](cfg)
+    assert "".join(pieces) == json.dumps(_plain(obj), indent=2) + "\n"
+
+
+def test_cli_never_joins_the_whole_document(capsys, monkeypatch):
+    def whole(obj):
+        raise AssertionError("the CLI joined its whole JSON output")
+
+    assert "to_json" not in vars(cli)
+    monkeypatch.setattr(jsonout, "to_json", whole)
+    code, out, _ = run(capsys, "--pyramid", "1,2,3", "vectors")
+    assert code == 0
+    assert json.loads(out)["pyramid"] == "1,2,3"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sugawara.jsonout import to_json
+from sugawara.jsonout import PIECE, to_json, write_json
 from sugawara.pbw import Element, element_from_obj, element_to_obj, get_context
 from sugawara.pyramid import Pyramid
 from sugawara.reports import Report
@@ -84,3 +84,23 @@ def test_json_forms_round_trip(mode, seed, n_terms, s):
     v = v.scale(s) + ctx.scalar(Fraction(seed % 5, 3))
     assert element_from_obj(ctx, json.loads(to_json(v))) == v
     assert element_from_obj(ctx, element_to_obj(v)) == v
+
+
+def test_write_json_hands_out_pieces_of_about_piece_size():
+    ctx = get_context(Pyramid((1, 2)), "affine")
+    v = random_element(ctx, random.Random(3), n_terms=4, depths=(-1, -2))
+    obj = {"vectors": [{"k": k, "element": v} for k in range(400)], "tail": "end"}
+    pieces = []
+    write_json(obj, pieces.append)
+    assert "".join(pieces) == to_json(obj)
+    assert "".join(pieces) == json.dumps(_plain(obj), indent=2) + "\n"
+    # every piece but the last is full, and none overruns by more than a term
+    assert len(pieces) > 2
+    assert all(PIECE <= len(piece) < PIECE + 4096 for piece in pieces[:-1])
+    assert 0 < len(pieces[-1]) < PIECE + 4096
+
+
+def test_write_json_writes_small_documents_once():
+    pieces = []
+    write_json({"a": [1, "x", None]}, pieces.append)
+    assert pieces == [json.dumps({"a": [1, "x", None]}, indent=2) + "\n"]

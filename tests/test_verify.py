@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sugawara.cli import main
 from sugawara.pbw import get_context
 from sugawara.pyramid import Pyramid
 from sugawara.suga import phi_table, selected_pairs
@@ -12,13 +13,15 @@ from sugawara.verify import (
     raising_recursion_check,
 )
 
+from oracles import failures
+
 
 @pytest.mark.parametrize("lam", [(3,), (1, 1), (1, 2), (2, 2)])
 def test_annihilation_small(lam):
     # every basis mode X[s] with 0 <= s <= k, for every selected (k, r)
     p = Pyramid(lam)
     report = annihilation_check(p)
-    assert report.passed(), report.failures()
+    assert report.passed(), failures(report)
     assert len(report.cases) == sum((k + 1) * p.dim() for k, _ in selected_pairs(p))
     assert all(c["status"] == "pass" for c in report.cases)
 
@@ -37,7 +40,7 @@ def test_commutativity_pair():
     ctx = get_context(p, "affine")
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in table.selected_entries()]
     report = commutativity_check(labeled, ctx)
-    assert report.passed(), report.failures()
+    assert report.passed(), failures(report)
     assert len(report.cases) == 3
 
 
@@ -50,13 +53,13 @@ def test_centrality_casimir():
     assert report.passed()
     bad = centrality_check(p, [("e11", e(1, 1))])
     assert not bad.passed()
-    assert bad.failures()[0]["diff"] is not None
+    assert failures(bad)[0]["diff"] is not None
 
 
 def test_raising_recursion_check():
     for lam in [(1, 1), (1, 2)]:
         report = raising_recursion_check(Pyramid(lam))
-        assert report.passed(), report.failures()
+        assert report.passed(), failures(report)
 
 
 def test_report_json_shape_and_determinism():
@@ -70,3 +73,14 @@ def test_report_json_shape_and_determinism():
     assert {"generator", "s", "k", "r", "status"} <= set(o1["cases"][0])
     assert "elapsed" not in json.dumps(o1)
 
+
+
+@pytest.mark.parametrize("lam", [(2, 2), (1, 1, 2), (2, 2, 2)])
+def test_insert_memo_keeps_short_suffixes_only(capsys, lam):
+    # verify on 2,2,2 inserts past suffixes of three letters too
+    assert main(["--pyramid", ",".join(map(str, lam)), "verify"]) == 0
+    capsys.readouterr()
+    lengths = set()
+    for mode in ("affine", "finite"):
+        lengths.update(len(b) for b, g in get_context(Pyramid(lam), mode)._insert_memo)
+    assert lengths == {1, 2}
