@@ -24,10 +24,8 @@ from .pbw import (
     weight_component,
 )
 from .detcalc import (
-    MatrixEntry,
     TauPoly,
     UXElem,
-    apply_entry,
     build_entry_matrix,
     build_tau_matrix,
     cdet,

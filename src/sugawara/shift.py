@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .detcalc import UXElem, apply_entry, column_determinant, ux_matrix
+from .detcalc import UXElem, column_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, Sparse, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
@@ -159,19 +159,17 @@ def center_determinant(p: Pyramid) -> UXElem:
     delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
     fin = get_context(p, "finite")
     matrix = ux_matrix(
-        p, fin.gen, const=lambda i: fin.scalar((p.n - i) * p.lambdas[i - 1])
+        p, fin.gen, diag=lambda i, s: s.scale((p.n - i) * p.lambdas[i - 1])
     )
-    return column_determinant(matrix, UXElem({(0, 0): fin.one()}), apply_entry)
+    return column_determinant(matrix, UXElem({(0, 0): fin.one()}))
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
     """The N central elements of the enveloping algebra: x^{n-k} u^r
     coefficients of the shifted determinant at the selected indices."""
-    d = center_determinant(p)
+    table = center_determinant(p).coefficient_table(p.n)
     fin = get_context(p, "finite")
-    return [
-        (k, r, d.coeff(r, p.n - k, fin.zero())) for k, r in selected_pairs(p)
-    ]
+    return [(k, r, table.get((k, r), fin.zero())) for k, r in selected_pairs(p)]
 
 
 def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
@@ -257,7 +255,7 @@ def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
     """All nonzero x^{n-k} u^r coefficients of the commutative
     determinant with entries in the symmetric algebra."""
     matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
-    d = column_determinant(matrix, UXElem({(0, 0): SymPoly.const(1)}), apply_entry)
+    d = column_determinant(matrix, UXElem({(0, 0): SymPoly.const(1)}))
     return d.coefficient_table(p.n)
 
 

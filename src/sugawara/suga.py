@@ -139,7 +139,7 @@ def tau_cross_check(p: Pyramid) -> Report:
     zero = get_context(p, "affine").zero()
     report = Report("tau-cross-check", str(p))
     for k, r, elem in table.selected_entries():
-        circ = tau.coeff(p.big_n - r - k, zero)
+        circ = tau.terms.get(p.big_n - r - k, zero)
         diff = weight_component(circ, r) - elem
         top = max(map(monomial_weight, circ.terms), default=0)
         if diff.is_zero() and top > r:

@@ -86,7 +86,7 @@ def bracket_combo(p, combo, b):
 # -- the column determinant as a permutation sum
 
 
-def column_determinant_bruteforce(matrix, unit, apply):
+def column_determinant_bruteforce(matrix, unit):
     """Sum over sigma of sgn(sigma) times the composition of entries,
     rightmost column applied first."""
     n = len(matrix)
@@ -99,7 +99,7 @@ def column_determinant_bruteforce(matrix, unit, apply):
                     sign = -sign
         v = unit
         for col in reversed(range(n)):
-            v = apply(matrix[perm[col]][col], v)
+            v = matrix[perm[col]][col](v)
         _axpy(out, v.terms, sign)
     return unit._like(out)
 
