@@ -2,10 +2,10 @@
 
 Subcommands: basis | vectors | verify | center | shift.  Output is JSON
 by default (text mode prints elements in the bracketed E[i,j,r][depth]
-form for side-by-side reading).  Exit codes: 0 when every check passes,
-1 when a mathematical check fails, 2 on usage or parse errors, so CI
-can gate on the suite, and 141 (128 + SIGPIPE) when the reader of
-stdout closes it early.
+form for side-by-side reading).  Exit codes: 0 when no check fails (a
+report with no case reads EMPTY, not PASS), 1 when one fails, 2 on
+usage or parse errors, so CI can gate on the suite, and 141 (128 +
+SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -275,9 +275,10 @@ COMMANDS = {
 def _render_report_text(out, robj: dict):
     cases = robj["cases"]
     failed = [c for c in cases if c["status"] == "fail"]
+    status = "FAIL" if failed else "PASS" if cases else "EMPTY"
     out.append(
-        f"[{'FAIL' if failed else 'PASS'}] {robj['check']}: "
-        f"{len(cases) - len(failed)} pass, {len(failed)} fail, 0 vacuous"
+        f"[{status}] {robj['check']}: "
+        f"{len(cases) - len(failed)} pass, {len(failed)} fail"
     )
     for case in failed:
         key = {k: v for k, v in case.items() if k not in ("status", "diff")}
@@ -337,6 +338,7 @@ def render_text(cfg: Config, obj: dict) -> str:
                     f"  phi[k={item['k']},r={item['r']}]: "
                     + element_text(item["element"])
                 )
+    out.append("")  # the document ends in a newline
     return "\n".join(out)
 
 
@@ -370,7 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if cfg.fmt == "json":
             write_json(obj, _write_stdout)
         else:
-            _write_stdout(render_text(cfg, obj) + "\n")
+            _write_stdout(render_text(cfg, obj))
     except BrokenPipeError:
         # The reader went away (``| head``): point stdout at devnull so the
         # flush at exit does not raise again, and exit as SIGPIPE would.

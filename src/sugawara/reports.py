@@ -35,9 +35,14 @@ class Report:
         self.cases.append(case)
 
     def to_obj(self) -> dict:
-        return {
+        """The JSON form; a report with no case is marked ``"status":
+        "empty"``, since it checked nothing."""
+        obj = {
             "check": self.check,
             "pyramid": self.pyramid,
             "cases": self.cases,
             "seed": self.seed,
         }
+        if not self.cases:
+            obj["status"] = "empty"
+        return obj

@@ -231,12 +231,11 @@ class SymPoly(Sparse):
         return SymPoly(out)
 
     def evaluate(self, point: Dict[GenId, Fraction]) -> Fraction:
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
-            val = Fraction(c)
             for g, e in m:
-                val *= Fraction(point.get(g, 0)) ** e
-            total += val
+                c *= point.get(g, 0) ** e
+            total += c
         return total
 
     def __repr__(self) -> str:

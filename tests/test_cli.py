@@ -80,7 +80,7 @@ def test_failing_report_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "--pyramid", "1,1", "--format", "text", "center")
     assert code == 1
     lines = out.splitlines()
-    assert "[FAIL] centrality: 2 pass, 2 fail, 0 vacuous" in lines
+    assert "[FAIL] centrality: 2 pass, 2 fail" in lines
     assert "    FAIL {'element': 'Phi[1,0]', 'generator': 'E[1,2,0]'}" in lines
     assert "    FAIL {'element': 'Phi[1,0]', 'generator': 'E[2,1,0]'}" in lines
 
@@ -259,7 +259,38 @@ def test_text_format(capsys):
     assert "dimension 4" in out
     assert "[E[1,2,0], E[2,1,0]] = E[1,1,0] - E[2,2,0]" in out
     code, out, _ = run(capsys, "--pyramid", "1,1", "--format", "text", "verify")
-    assert "[PASS] annihilation" in out
+    assert "[PASS] annihilation: 20 pass, 0 fail" in out.splitlines()
+    assert "vacuous" not in out
+
+
+@pytest.mark.parametrize("command", ["verify", "shift"])
+def test_report_with_no_case_reads_empty(capsys, command):
+    # one generator has nothing to commute with: the report checked
+    # nothing, so it must not read PASS, and nothing failed, so exit 0
+    code, out, _ = run(capsys, "--pyramid", "1", command)
+    assert code == 0
+    obj = json.loads(out)
+    reports = obj["reports"] if command == "verify" else [obj["commutativity"]]
+    assert [r["check"] for r in reports if not r["cases"]] == ["commutativity"]
+    for robj in reports:
+        assert robj.get("status") == (None if robj["cases"] else "empty")
+    code, out, _ = run(capsys, "--pyramid", "1", "--format", "text", command)
+    assert code == 0
+    lines = out.splitlines()
+    assert "[EMPTY] commutativity: 0 pass, 0 fail" in lines
+    assert not any(line.startswith("[PASS] commutativity") for line in lines)
+    assert "vacuous" not in out
+
+
+def test_text_goes_to_stdout_as_one_document(monkeypatch):
+    pieces = []
+    monkeypatch.setattr(cli, "_write_stdout", pieces.append)
+    argv = ["--pyramid", "1,2", "--format", "text", "vectors"]
+    assert main(argv) == 0
+    cfg = parse_config(build_parser().parse_args(argv))
+    obj, _ = COMMANDS[cfg.command](cfg)
+    assert pieces == [cli.render_text(cfg, obj)]
+    assert pieces[0].endswith("\n") and not pieces[0].endswith("\n\n")
 
 
 def test_json_goes_to_stdout_in_bounded_pieces(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sugawara.detcalc import UXElem, column_determinant, ux_matrix
 from sugawara.jsonout import to_json
 from sugawara.pbw import LoopGen, exact, get_context
 from sugawara.pyramid import GenId, Pyramid
@@ -208,6 +209,31 @@ def test_automorphism_gl2_example():
         assert fin.commutator(fin.gen(*g), image).is_zero()
 
 
+_AUTOMORPHISM_PYRAMIDS = [
+    (1,), (1, 1), (1, 2), (2, 2), (1, 3), (2, 3),
+    (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 1, 1, 1), (2, 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "lam", _AUTOMORPHISM_PYRAMIDS, ids=lambda lam: str(Pyramid(lam))
+)
+def test_automorphism_shifts_the_diagonal_of_the_center_determinant(lam):
+    # E[i,i,0] -> E[i,i,0] + c lambda_i turns the diagonal constant
+    # (n-i) lambda_i of the center determinant into (n-i+c) lambda_i
+    p = Pyramid(lam)
+    fin = get_context(p, "finite")
+    unit = UXElem({(0, 0): fin.one()})
+    gens = center_generators(p)
+    for c in (-1, Fraction(1, 2), 2):
+        shifted = lambda i, s: s.scale((p.n - i + c) * p.lambdas[i - 1])
+        det = column_determinant(ux_matrix(p, fin.gen, diag=shifted), unit)
+        table = det.coefficient_table(p.n)
+        for k, r, elem in gens:
+            want = table.get((k, r), fin.zero())
+            assert apply_automorphism(p, elem, c) == want, (c, k, r)
+
+
 def test_symbols_gl2():
     p = Pyramid((1, 1))
     sym = symbols(p)
@@ -223,6 +249,19 @@ def test_sympoly_product_merges_exponents():
     assert square.terms == {((g, 2),): 1, ((g, 1), (h, 1)): 2, ((h, 2),): 1}
     assert square.diff(g) == 2 * a + 2 * b
     assert square.evaluate({g: Fraction(3), h: Fraction(-1)}) == 4
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2)])
+def test_symbols_evaluate_in_ints_at_int_points(lam):
+    p = Pyramid(lam)
+    point = random_point(p, 3)
+    as_fractions = {g: Fraction(v) for g, v in point.items()}
+    for poly in symbols(p).values():
+        for g in p.basis():
+            d = poly.diff(g)
+            got = d.evaluate(point)
+            assert type(got) is int
+            assert got == d.evaluate(as_fractions)
 
 
 def test_jacobian_example_gl2():
