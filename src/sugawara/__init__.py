@@ -34,6 +34,7 @@ from .detcalc import (
 )
 from .suga import (
     SugaTable,
+    clear_caches,
     delta_ladder,
     gln_delta_tower,
     phi_table,

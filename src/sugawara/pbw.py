@@ -43,9 +43,12 @@ kills are never built.
 The commutator walks the trie of its right operand by the Leibniz rule
 [a, P*y] = [a, P]*y + P*[a, y], where each node carries its prefix P, a
 normal-ordered word, and [a, P].  The brackets [a, y] with the letters
-of b are computed once per call.  Every term the walk builds already
-has a bracket in it, so the top-length terms that a*b and b*a share,
-and that cancel in their difference, are never built.
+of b are computed once per left operand, shared by all the right
+operands it is paired with, and each by the same walk over a's trie:
+right-ad by y is a derivation too, [Q*x, y] = [Q, y]*x + Q*[x, y].
+Every term either walk builds already has a bracket in it, so the
+top-length terms that a*b and b*a share, and that cancel in their
+difference, are never built.
 """
 
 from __future__ import annotations
@@ -449,26 +452,45 @@ class LieContext:
         return out
 
     def commutator(self, a: Element, b: Element) -> Element:
-        """[a, b] by the Leibniz walk over b's trie (see the module
-        docstring)."""
-        trie = self._trie(a, b)
+        """[a, b]; see :meth:`commutators`."""
+        return self.commutators(a, [b])[0]
+
+    def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:
+        """[a, b] for each b in bs, each by the Leibniz walk over b's trie
+        (see the module docstring).  The letter brackets [a, y] are shared
+        by all the bs, and each is the Leibniz walk over a's trie with the
+        letter table {x: [x, y]}, since right-ad by y is a derivation."""
+        a_trie = self._trie(a, a)
+        a_letters = dict.fromkeys(chain.from_iterable(a.terms))
         ad: Dict[LoopGen, Terms] = {}
-        for y in dict.fromkeys(chain.from_iterable(b.terms)):
-            # [a, y] = a*y - y*a
-            d = self._times(a.terms, (y,))
-            for m, c in a.terms.items():
-                _axpy(d, self._times({(y,): 1}, m), -c)
-            ad[y] = d
-        out: Terms = {}
-        self._leibniz(trie, (), {}, ad, out)
-        return self._element(out)
+        out = []
+        for b in bs:
+            trie = self._trie(a, b)
+            for y in chain.from_iterable(b.terms):
+                if y not in ad:
+                    ad[y] = {}
+                    brackets = {x: self._bracket_terms(x, y) for x in a_letters}
+                    self._leibniz(a_trie, (), {}, brackets, ad[y])
+            res: Terms = {}
+            self._leibniz(trie, (), {}, ad, res)
+            out.append(self._element(res))
+        return out
+
+    def _bracket_terms(self, x: LoopGen, y: LoopGen) -> Terms:
+        """[x, y] as terms: its letters and its central scalar."""
+        terms, central = self.loop_bracket(x, y)
+        out = {(z,): c for z, c in terms}
+        if central:
+            out[()] = central
+        return out
 
     def _leibniz(
         self, node: dict, head: Monomial, cur: Terms, ad: Dict[LoopGen, Terms], out: Terms
     ) -> None:
-        """out += [a, head*w] for the words w of the trie below node, where
-        cur = [a, head] and ad[y] = [a, y]: the next letter y gives
-        [a, head*y] = [a, head]*y + head*[a, y]."""
+        """out += D(head*w) for the words w of the trie below node and a
+        derivation D, where cur = D(head) and ad[y] = D(y): the next letter
+        y gives D(head*y) = D(head)*y + head*D(y).  D is [a, .] or, with
+        ad[x] = [x, y], the right-ad [., y]."""
         for y, child in node.items():
             if y is None:
                 _axpy(out, cur, child)

@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 
 from .detcalc import cdet, cdet_tau
 from .pbw import (
+    _CONTEXTS,
     Element,
     delta,
     get_context,
@@ -72,6 +73,15 @@ def phi_table(p: Pyramid) -> SugaTable:
     ctx = get_context(p, "affine")
     assert d.x_coefficient(p.n) == {0: ctx.one()}, "determinant must be monic in x"
     return SugaTable(p, d.coefficient_table(p.n), selected_pairs(p))
+
+
+def clear_caches() -> None:
+    """Empty the two caches that live as long as the process: the vector
+    tables of :func:`phi_table` and the shared rewriting contexts with
+    their memos.  For a library caller that loops over many pyramids;
+    later results are the same, only recomputed."""
+    phi_table.cache_clear()
+    _CONTEXTS.clear()
 
 
 # -- the raising-operator ladder

@@ -35,11 +35,14 @@ def annihilation_check(p: Pyramid) -> Report:
 def commutativity_check(
     labeled: Sequence[Tuple[str, Element]], ctx: LieContext
 ) -> Report:
-    """All pairwise commutators vanish (vacuously true on singletons)."""
+    """All pairwise commutators vanish (a singleton gives an empty report).
+    Each left element takes its later partners in one
+    :meth:`~sugawara.pbw.LieContext.commutators` call, which shares the
+    letter brackets [a, y] among them."""
     report = Report("commutativity", str(ctx.pyramid))
     for a, (la, va) in enumerate(labeled):
-        for lb, vb in labeled[a + 1 :]:
-            diff = ctx.commutator(va, vb)
+        rest = labeled[a + 1 :]
+        for (lb, _), diff in zip(rest, ctx.commutators(va, [vb for _, vb in rest])):
             report.add({"a": la, "b": lb}, diff)
     return report
 

@@ -273,7 +273,9 @@ def test_determinants_and_products_leave_no_reference_cycles():
         cdet_tau(p)
         ctx.mul(a, b)
         ctx.commutator(a, b)
+        ctx.commutators(a, [b, a])
         fin.commutator(fin.gen(1, 3, 2), fin.gen(3, 1, 0) * fin.gen(2, 3, 1))
+        fin.commutators(fin.gen(2, 3, 1), [fin.gen(1, 3, 2) * fin.gen(3, 1, 0), fin.gen(2, 2, 1)])
 
     work()  # fills the engine's memo and caches
     gc.collect()

@@ -109,7 +109,8 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_insert", "_suffix", "_prefix", "_times", "_walk", "_leibniz", "_act_word", "_shift_depth"
+    "_insert", "_suffix", "_prefix", "_times", "_walk", "_leibniz", "_act_word", "_shift_depth",
+    "commutators", "_bracket_terms",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 

@@ -184,8 +184,66 @@ def test_commutator_matches_two_products(lam, mode):
     assert nonzero >= 10
 
 
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+@pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2), (2, 3)])
+def test_commutators_match_two_products(lam, mode):
+    # one left operand against many: the letter brackets [a, y] are shared
+    # across the bs, so the bs share letters with each other and with a
+    rng = random.Random(29)
+    ctx = get_context(Pyramid(lam), mode)
+    depths = (0,) if mode == "finite" else (-1, -2)
+    basis = ctx.pyramid.basis()
+    g = basis[0]
+    h = next(h for h in basis if bracket(ctx.pyramid, g, h))  # [g, h] != 0
+    x, y = LoopGen(depths[-1], *g), LoopGen(depths[-1], *h)
+    lefts = [
+        ctx.word([x, y]) + ctx.word([y], 3),
+        random_element(ctx, rng, n_terms=3, depths=depths) + ctx.scalar(-1),
+    ]
+    nonzero = 0
+    for a in lefts:
+        shared = random_element(ctx, rng, n_terms=2, depths=depths)
+        bs = [
+            ctx.word([y]),
+            a,
+            ctx.zero(),
+            ctx.scalar(Fraction(-5, 3)),
+            ctx.word([y, y, x], 2),  # repeated letters
+            shared,
+            shared * ctx.word([x]) + ctx.word([x, y]),
+            random_element(ctx, rng, n_terms=3, depths=depths),
+        ]
+        got = ctx.commutators(a, bs)
+        assert got == [two_product_commutator(ctx, a, b) for b in bs]
+        assert got == [ctx.commutator(a, b) for b in bs]
+        assert all(isinstance(v, Element) and v.ctx is ctx for v in got)
+        nonzero += sum(map(bool, got))
+        assert ctx.commutators(a, []) == []
+    assert nonzero >= 6
+
+
+def test_commutators_keep_the_central_term():
+    # an element built from raw terms may hold a letter of depth >= 0, and
+    # its bracket with a negative mode carries the central scalar
+    ctx = get_context(Pyramid((1, 2)), "affine")
+    x = LoopGen(1, 1, 1, 0)
+    a = Element(ctx, {(x,): 1, (LoopGen(-1, 2, 2, 0), x): 2})
+    bs = [ctx.gen(1, 1, 0, depth=-1), ctx.gen(2, 2, 0, depth=-1) * ctx.gen(1, 1, 0, depth=-1)]
+    got = ctx.commutators(a, bs)
+    assert got == [two_product_commutator(ctx, a, b) for b in bs]
+    assert got[0] == ctx.scalar(-1) - ctx.gen(2, 2, 0, depth=-1).scale(2)
+
+
 @pytest.mark.parametrize(
-    "op", [operator.mul, operator.add, operator.sub, lambda a, b: a.ctx.commutator(a, b)]
+    "op",
+    [
+        operator.mul,
+        operator.add,
+        operator.sub,
+        lambda a, b: a.ctx.commutator(a, b),
+        lambda a, b: a.ctx.commutators(a, [a, b]),
+        lambda a, b: b.ctx.commutators(a, []),
+    ],
 )
 def test_mixed_context_rejected(op):
     a = get_context(Pyramid((1, 1)), "finite").gen(1, 1, 0)
@@ -430,6 +488,33 @@ def test_mul_associative_property(lam, mode, words):
         for w in words
     )
     assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from([(2, 3), (1, 1, 2), (2, 2)]),
+    mode=st.sampled_from(["finite", "affine"]),
+    a_words=st.lists(_WORDS, min_size=1, max_size=3),
+    b_words=st.lists(st.lists(_WORDS, min_size=1, max_size=2), min_size=1, max_size=4),
+)
+def test_commutators_property(lam, mode, a_words, b_words):
+    p = Pyramid(lam)
+    ctx = get_context(p, mode)
+    basis = p.basis()
+
+    def element(words):
+        out = ctx.zero()
+        for t, w in enumerate(words):
+            letters = (
+                LoopGen(0 if mode == "finite" else d, *basis[k % len(basis)])
+                for k, d in w
+            )
+            out = out + ctx.word(letters, Fraction(t + 1, 2))
+        return out
+
+    a = element(a_words)
+    bs = [element(words) for words in b_words]
+    assert ctx.commutators(a, bs) == [two_product_commutator(ctx, a, b) for b in bs]
 
 
 def _dict_axpy(a, b, c):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sugawara import clear_caches, pbw
 from sugawara.cli import main
 from sugawara.pbw import get_context
 from sugawara.pyramid import Pyramid
@@ -84,3 +85,16 @@ def test_insert_memo_keeps_short_suffixes_only(capsys, lam):
     for mode in ("affine", "finite"):
         lengths.update(len(b) for b, g in get_context(Pyramid(lam), mode)._insert_memo)
     assert lengths == {1, 2}
+
+
+def test_clear_caches_empties_the_process_caches(capsys):
+    p = Pyramid((1, 2))
+    assert main(["--pyramid", "1,2", "verify"]) == 0
+    capsys.readouterr()
+    first = phi_table(p)
+    assert pbw._CONTEXTS and phi_table.cache_info().currsize
+    clear_caches()
+    assert pbw._CONTEXTS == {}
+    assert phi_table.cache_info().currsize == 0
+    again = phi_table(p)
+    assert again is not first and again == first
