@@ -241,8 +241,8 @@ def test_commutators_keep_the_central_term():
         operator.add,
         operator.sub,
         lambda a, b: a.ctx.commutator(a, b),
-        lambda a, b: a.ctx.commutators(a, [a, b]),
-        lambda a, b: b.ctx.commutators(a, []),
+        pytest.param(lambda a, b: a.ctx.commutators(a, [a, b]), id="commutators"),
+        pytest.param(lambda a, b: b.ctx.commutators(a, []), id="commutators_empty"),
     ],
 )
 def test_mixed_context_rejected(op):
