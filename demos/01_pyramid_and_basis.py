@@ -4,15 +4,19 @@ brackets, the invariant form, and the embedding into gl_N.
 Run:  python3 demos/01_pyramid_and_basis.py
 """
 
-from sugawara import GenId, Pyramid, bracket, form, gln_expand
+from itertools import accumulate
+
+from sugawara import GenId, Pyramid, bracket, form
 
 p = Pyramid((2, 3, 4))
 print(f"pyramid {p}: n = {p.n} rows, N = {p.big_n} boxes")
 print()
 
 # boxes are numbered row by row; box 5 sits in row 2, column 3
+before = [0, *accumulate(p.lambdas)]  # boxes above each row
 for a in (1, 2, 5, 9):
-    print(f"  box {a}: row {p.row_of(a)}, column {p.col_of(a)}")
+    i = next(i for i in range(1, p.n + 1) if a <= before[i])
+    print(f"  box {a}: row {i}, column {a - before[i - 1]}")
 print()
 
 basis = p.basis()
@@ -36,6 +40,10 @@ for pair in [(GenId(1, 1, 0), GenId(2, 2, 0)), (GenId(1, 1, 0), GenId(1, 1, 0))]
     print(f"<{pair[0].text()}, {pair[1].text()}> =", form(p, *pair))
 print()
 
-# every symbol is an honest gl_N matrix; brackets agree with gl_N commutators
+# every symbol is an honest gl_N matrix: E[i,j,r] sums e_ab over box a
+# in row i and box b in row j, r columns to the right of a
 g = GenId(1, 1, 1)
-print(f"{g.text()} expands to elementary matrices:", gln_expand(p, g))
+li, lj = p.lambdas[g.i - 1], p.lambdas[g.j - 1]
+cols = range(max(1, 1 - g.r), min(li, lj - g.r) + 1)
+expansion = {(before[g.i - 1] + c, before[g.j - 1] + c + g.r): 1 for c in cols}
+print(f"{g.text()} expands to elementary matrices:", expansion)

@@ -13,14 +13,13 @@ from sugawara import (
     get_context,
     jacobian_rank,
     phi_table,
-    random_chi,
     random_point,
     rho_chi,
     symbols,
 )
 
 p = Pyramid((1, 1))
-chi = random_chi(p, seed=2)
+chi = {g: c for g, c in random_point(p, seed=2).items() if c}
 print(f"pyramid {p}, random functional chi =",
       {g.text(): str(c) for g, c in sorted(chi.items())})
 print()

@@ -9,12 +9,11 @@ commutativity, the skew-variable cross-check, shift-of-argument
 subalgebras and the center of the enveloping algebra.
 """
 
-from .pyramid import GenId, Pyramid, bracket, form, gln_expand
+from .pyramid import GenId, Pyramid, bracket, form
 from .pbw import (
     Element,
     LieContext,
     LoopGen,
-    degree_d,
     delta,
     element_from_obj,
     element_text,
@@ -36,7 +35,6 @@ from .suga import (
     SugaTable,
     clear_caches,
     delta_ladder,
-    gln_delta_tower,
     phi_table,
     selected_pairs,
     tau_cross_check,
@@ -48,7 +46,6 @@ from .shift import (
     apply_automorphism,
     center_generators,
     jacobian_rank,
-    random_chi,
     random_point,
     rho_chi,
     symbols,

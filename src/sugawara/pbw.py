@@ -269,9 +269,6 @@ class LieContext:
     def one(self) -> Element:
         return Element(self, {(): 1})
 
-    def scalar(self, c) -> Element:
-        return Element(self, {(): c})
-
     def loop(self, i: int, j: int, r: int, depth: int) -> LoopGen:
         self.pyramid.check(GenId(i, j, r))
         if self.mode == "finite" and depth != 0:
@@ -544,11 +541,6 @@ def translation_T(v: Element) -> Element:
 def delta(v: Element) -> Element:
     """Raising derivation with [Delta, X[r]] = r X[r+1], Delta(1) = 0."""
     return _shift_depth(v, 1, "raising")
-
-
-def degree_d(v: Element) -> Element:
-    """Grading derivation with [d, X[r]] = r X[r]."""
-    return Element(v.ctx, {m: sum(g.depth for g in m) * c for m, c in v.terms.items()})
 
 
 def monomial_weight(m: Monomial) -> int:

@@ -1,18 +1,16 @@
 """Pyramid combinatorics and the centralizer Lie algebra it defines.
 
-A pyramid is a left-justified array of unit boxes with non-decreasing row
-lengths lambda_1 <= ... <= lambda_n; boxes are numbered 1..N row by row.
-The nilpotent matrix with Jordan blocks of these sizes has a centralizer
-inside gl_N spanned by symbols E[i,j,r], one for every ordered pair of
-rows (i, j) and every shift r in the window
+A pyramid is a left-justified array of N unit boxes with non-decreasing
+row lengths lambda_1 <= ... <= lambda_n.  The nilpotent matrix with
+Jordan blocks of these sizes has a centralizer inside gl_N spanned by
+symbols E[i,j,r], one for every ordered pair of rows (i, j) and every
+shift r in the window
 
     lambda_j - min(lambda_i, lambda_j) <= r < lambda_j.
 
 This module provides that basis, its bracket as a plain {symbol:
-coefficient} dict (with out-of-window terms truncated to zero), the
-invariant symmetric bilinear form in the critical-level normalization,
-and the expansion of a basis symbol into elementary matrices e_ab of
-gl_N.
+coefficient} dict (with out-of-window terms truncated to zero), and the
+invariant symmetric bilinear form in the critical-level normalization.
 """
 
 from __future__ import annotations
@@ -53,7 +51,10 @@ class Pyramid:
     lambdas: Tuple[int, ...]
 
     def __post_init__(self):
-        lam = tuple(int(x) for x in self.lambdas)
+        lam = tuple(self.lambdas)
+        # a float, bool or str row length is refused, not truncated to int
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in lam):
+            raise ValueError(f"row lengths must be integers: {lam}")
         if not lam:
             raise ValueError("pyramid needs at least one row")
         if any(x <= 0 for x in lam):
@@ -86,35 +87,6 @@ class Pyramid:
     @property
     def big_n(self) -> int:
         return sum(self.lambdas)
-
-    # -- box bookkeeping (1-based throughout, matching the tableau convention)
-
-    def _offsets(self) -> List[int]:
-        out = [0]
-        for lam in self.lambdas:
-            out.append(out[-1] + lam)
-        return out
-
-    def row_of(self, a: int) -> int:
-        """Row of box ``a`` under consecutive row-wise filling."""
-        if not 1 <= a <= self.big_n:
-            raise ValueError(f"box index {a} out of range 1..{self.big_n}")
-        off = self._offsets()
-        for i in range(1, self.n + 1):
-            if a <= off[i]:
-                return i
-        raise AssertionError("unreachable")
-
-    def col_of(self, a: int) -> int:
-        """Column of box ``a`` (position within its row, from the left)."""
-        i = self.row_of(a)
-        return a - self._offsets()[i - 1]
-
-    def box(self, i: int, c: int) -> int:
-        """Box index of row ``i``, column ``c``."""
-        if not 1 <= i <= self.n or not 1 <= c <= self.lambdas[i - 1]:
-            raise ValueError(f"no box at row {i}, column {c}")
-        return self._offsets()[i - 1] + c
 
     # -- the E[i,j,r] basis
 
@@ -197,17 +169,3 @@ def form(p: Pyramid, a: GenId, b: GenId) -> int:
         if p.lambdas[a.i - 1] == p.lambdas[a.j - 1]:
             return -p.column_boxes(a.i)
     return 0
-
-
-def gln_expand(p: Pyramid, a: GenId) -> Dict[Tuple[int, int], int]:
-    """E[i,j,r] as a combination of elementary matrices e_ab of gl_N.
-
-    The sum runs over box pairs with row(a) = i, row(b) = j and
-    col(b) - col(a) = r; returned as a map (a, b) -> coefficient.
-    """
-    p.check(a)
-    li, lj = p.lambdas[a.i - 1], p.lambdas[a.j - 1]
-    out: Dict[Tuple[int, int], int] = {}
-    for c in range(max(1, 1 - a.r), min(li, lj - a.r) + 1):
-        out[(p.box(a.i, c), p.box(a.j, c + a.r))] = 1
-    return out

@@ -71,10 +71,6 @@ def random_point(p: Pyramid, seed: int) -> Dict[GenId, int]:
     return {g: rng.randint(-3, 3) for g in p.basis()}
 
 
-def random_chi(p: Pyramid, seed: int) -> Chi:
-    return {g: c for g, c in random_point(p, seed).items() if c}
-
-
 def _drop_constants(
     m: Monomial, const: Callable[[LoopGen], Fraction]
 ) -> Iterator[Tuple[Monomial, Fraction]]:

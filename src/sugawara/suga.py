@@ -11,8 +11,8 @@ and the coefficients phi_k^(r) whose indices satisfy
 form a complete set of Segal-Sugawara vectors: N of them, with exactly
 lambda_{n-k+1} admitted shifts for each k.  This module builds the full
 coefficient table (entries outside the selected window are needed by the
-ladder identities), the raising-operator ladder, the all-ones tower,
-and the comparison against the tau presentation.
+ladder identities), the raising-operator ladder and the comparison
+against the tau presentation.
 """
 
 from __future__ import annotations
@@ -110,31 +110,6 @@ def delta_ladder(p: Pyramid) -> Report:
             kind = "boundary"
         report.add({"k": k, "r": r, "kind": kind}, diff)
     return report
-
-
-def gln_delta_tower(n: int) -> Tuple[List[Element], Report]:
-    """All-ones pyramid: iterate Delta on the constant term phi_n^(0).
-
-    Returns the chain Delta^k(phi) for k = 0..n together with a report
-    comparing each step against the ladder-derived multiple of
-    phi_{n-k}^(0) (and Delta^n(phi) against zero).  The expected
-    constants are products of the per-step ladder coefficients, not
-    hard-coded values.
-    """
-    p = Pyramid((1,) * n)
-    table = phi_table(p)
-    report = Report("delta-tower", str(p))
-    powers = [table.entry(n, 0)]
-    coeff = 1
-    for k in range(1, n + 1):
-        powers.append(delta(powers[-1]))
-        if k < n:
-            coeff *= ladder_coefficient(p, n - k + 1)
-            diff = powers[-1] - coeff * table.entry(n - k, 0)
-        else:
-            diff = powers[-1]
-        report.add({"k": k, "expect": "zero" if k == n else "multiple"}, diff)
-    return powers, report
 
 
 # -- comparison with the tau presentation

@@ -2,10 +2,11 @@
 paper's corollaries.
 
 Nothing in the package calls these.  Each computes its answer another
-way than the code it checks: the column determinant as a straight
-permutation sum, the commutator as two full products, the small shapes
-from their closed forms, and the top-letter parts of the generators
-from the commutative symbols.
+way than the code it checks: the bracket through the embedding into
+gl_N, the column determinant as a straight permutation sum, the
+commutator as two full products, the small shapes from their closed
+forms, the all-ones tower from the ladder constants, and the top-letter
+parts of the generators from the commutative symbols.
 
 The corollaries are read on top-letter parts.  A degree-k vector of the
 vacuum module has no word longer than k letters, and the words with
@@ -23,10 +24,11 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from sugawara.pbw import _axpy, get_context, monomial_weight
-from sugawara.pyramid import GenId, Pyramid, bracket, gln_expand
-from sugawara.shift import SymPoly, a_chi_generators, center_generators, symbols
-from sugawara.suga import phi_table, selected_pairs, selection_bounds
+from sugawara.pbw import Element, _axpy, delta, get_context, monomial_weight
+from sugawara.pyramid import GenId, Pyramid, bracket
+from sugawara.reports import Report
+from sugawara.shift import SymPoly, a_chi_generators, center_generators, random_point, symbols
+from sugawara.suga import ladder_coefficient, phi_table, selected_pairs, selection_bounds
 
 
 # -- small helpers shared by several test modules
@@ -46,6 +48,28 @@ def failures(report):
 
 def monomial_degree(m):
     return -sum(g.depth for g in m)
+
+
+def random_chi(p, seed):
+    """A seeded functional: the nonzero values of ``random_point``."""
+    return {g: c for g, c in random_point(p, seed).items() if c}
+
+
+# -- the embedding into gl_N
+
+
+def gln_expand(p, g):
+    """E[i,j,r] as a combination of elementary matrices e_ab of gl_N,
+    with the boxes numbered 1..N row by row: the sum of e_ab over box a
+    in row i and box b in row j, column(b) - column(a) = r, returned as
+    {(a, b): 1}."""
+    p.check(g)
+    before = [0, *itertools.accumulate(p.lambdas)]  # boxes above each row
+    li, lj = p.lambdas[g.i - 1], p.lambdas[g.j - 1]
+    return {
+        (before[g.i - 1] + c, before[g.j - 1] + c + g.r): 1
+        for c in range(max(1, 1 - g.r), min(li, lj - g.r) + 1)
+    }
 
 
 def gl_commutator(x, y):
@@ -110,6 +134,34 @@ def column_determinant_bruteforce(matrix, unit):
 def two_product_commutator(ctx, a, b):
     """[a, b] = a*b - b*a, with both products built in full."""
     return ctx.mul(a, b) - ctx.mul(b, a)
+
+
+# -- the grading derivation and the all-ones tower
+
+
+def degree_d(v):
+    """Grading derivation with [d, X[r]] = r X[r]."""
+    return Element(v.ctx, {m: sum(g.depth for g in m) * c for m, c in v.terms.items()})
+
+
+def gln_delta_tower(n):
+    """All-ones pyramid: the chain Delta^k phi_n^(0), k = 0..n, and a
+    report comparing each step with phi_{n-k}^(0) times the product of
+    the ladder coefficients so far (and Delta^n phi_n^(0) with zero)."""
+    p = Pyramid((1,) * n)
+    table = phi_table(p)
+    report = Report("delta-tower", str(p))
+    powers = [table.entry(n, 0)]
+    coeff = 1
+    for k in range(1, n + 1):
+        powers.append(delta(powers[-1]))
+        if k < n:
+            coeff *= ladder_coefficient(p, n - k + 1)
+            diff = powers[-1] - coeff * table.entry(n - k, 0)
+        else:
+            diff = powers[-1]
+        report.add({"k": k, "expect": "zero" if k == n else "multiple"}, diff)
+    return powers, report
 
 
 # -- selection bookkeeping

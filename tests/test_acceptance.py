@@ -16,25 +16,22 @@ from sugawara.detcalc import (
 )
 from sugawara.pbw import (
     LoopGen,
-    degree_d,
     delta,
     get_context,
     translation_T,
 )
-from sugawara.pyramid import Pyramid, bracket, form, gln_expand
+from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.shift import (
     a_chi_generators,
     apply_automorphism,
     center_generators,
     jacobian_rank,
-    random_chi,
     random_point,
     rho_chi,
     symbols,
 )
 from sugawara.suga import (
     delta_ladder,
-    gln_delta_tower,
     phi_table,
     selected_pairs,
     tau_cross_check,
@@ -45,11 +42,15 @@ from oracles import (
     bracket_combo,
     column_determinant_bruteforce,
     combo_add,
+    degree_d,
     expand_combo,
     gl_commutator,
+    gln_delta_tower,
+    gln_expand,
     minimal_nilpotent_check,
     per_level_counts,
     phi_2_formula_check,
+    random_chi,
 )
 
 ALL_PYRAMIDS = [

@@ -125,7 +125,7 @@ def _determinant_setup(kind, p):
         return matrix, TauPoly({0: ctx.one()}), cdet_tau(p)
     if kind == "center":
         # the diagonal constant as a product with a scalar element
-        const = lambda i: UXElem({(0, 0): fin.scalar((p.n - i) * p.lambdas[i - 1])})
+        const = lambda i: UXElem({(0, 0): fin.one().scale((p.n - i) * p.lambdas[i - 1])})
         matrix = ux_matrix(p, fin.gen, diag=lambda i, s: const(i) * s)
         return matrix, UXElem({(0, 0): fin.one()}), center_determinant(p)
     matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))

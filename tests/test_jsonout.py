@@ -35,7 +35,7 @@ def test_to_json_matches_json_dumps_on_hand_built_objects():
     wide = Fraction(-7, 3) * e(1, 1, 0, -1) * e(2, 2, 1, -2) * e(2, 1, 0, -1) + 5 * e(
         2, 2, 0, -3
     )
-    constant = fin.scalar(Fraction(-3, 2)) + fin.gen(2, 1, 0)
+    constant = fin.one().scale(Fraction(-3, 2)) + fin.gen(2, 1, 0)
     assert () in constant.terms and any(len(m) == 3 for m in wide.terms)
     failing = Report("commutativity", "1,2")
     failing.add({"a": "x", "b": "y"})
@@ -81,7 +81,7 @@ def test_json_forms_round_trip(mode, seed, n_terms, s):
     ctx = get_context(Pyramid((1, 2)), mode)
     depths = (0,) if mode == "finite" else (-1, -2)
     v = random_element(ctx, random.Random(seed), n_terms=n_terms, depths=depths)
-    v = v.scale(s) + ctx.scalar(Fraction(seed % 5, 3))
+    v = v.scale(s) + ctx.one().scale(Fraction(seed % 5, 3))
     assert element_from_obj(ctx, json.loads(to_json(v))) == v
     assert element_from_obj(ctx, element_to_obj(v)) == v
 

@@ -17,7 +17,6 @@ from sugawara.pbw import (
     Sparse,
     _axpy,
     _coeff_str,
-    degree_d,
     delta,
     element_from_obj,
     element_text,
@@ -32,12 +31,11 @@ from sugawara.shift import (
     ZSeries,
     a_chi_generators,
     center_generators,
-    random_chi,
     zseries_eval,
 )
 from sugawara.suga import phi_table
 
-from oracles import gen_or_zero, monomial_degree, two_product_commutator
+from oracles import degree_d, gen_or_zero, monomial_degree, random_chi, two_product_commutator
 from test_acceptance import ALL_PYRAMIDS
 
 
@@ -168,11 +166,11 @@ def test_commutator_matches_two_products(lam, mode):
     x, y = LoopGen(depths[-1], *g), LoopGen(depths[-1], *h)
     elems = [
         ctx.zero(),
-        ctx.scalar(Fraction(3, 2)),
+        ctx.one().scale(Fraction(3, 2)),
         ctx.word([x]),
         ctx.word([y], -2),
         ctx.word([x, x, y]) + ctx.word([y, x, y]),  # repeated letters
-        random_element(ctx, rng, n_terms=3, depths=depths) + ctx.scalar(2),
+        random_element(ctx, rng, n_terms=3, depths=depths) + ctx.one().scale(2),
         random_element(ctx, rng, n_terms=3, depths=depths),
     ]
     nonzero = 0
@@ -198,7 +196,7 @@ def test_commutators_match_two_products(lam, mode):
     x, y = LoopGen(depths[-1], *g), LoopGen(depths[-1], *h)
     lefts = [
         ctx.word([x, y]) + ctx.word([y], 3),
-        random_element(ctx, rng, n_terms=3, depths=depths) + ctx.scalar(-1),
+        random_element(ctx, rng, n_terms=3, depths=depths) + ctx.one().scale(-1),
     ]
     nonzero = 0
     for a in lefts:
@@ -207,7 +205,7 @@ def test_commutators_match_two_products(lam, mode):
             ctx.word([y]),
             a,
             ctx.zero(),
-            ctx.scalar(Fraction(-5, 3)),
+            ctx.one().scale(Fraction(-5, 3)),
             ctx.word([y, y, x], 2),  # repeated letters
             shared,
             shared * ctx.word([x]) + ctx.word([x, y]),
@@ -231,7 +229,7 @@ def test_commutators_keep_the_central_term():
     bs = [ctx.gen(1, 1, 0, depth=-1), ctx.gen(2, 2, 0, depth=-1) * ctx.gen(1, 1, 0, depth=-1)]
     got = ctx.commutators(a, bs)
     assert got == [two_product_commutator(ctx, a, b) for b in bs]
-    assert got[0] == ctx.scalar(-1) - ctx.gen(2, 2, 0, depth=-1).scale(2)
+    assert got[0] == ctx.one().scale(-1) - ctx.gen(2, 2, 0, depth=-1).scale(2)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +254,7 @@ def test_act_cocycle_example():
     ctx = get_context(Pyramid((1, 1)), "affine")
     v = ctx.gen(1, 1, 0, depth=-1)
     out = ctx.act(LoopGen(1, 1, 1, 0), v)
-    assert out == ctx.scalar(-1)
+    assert out == ctx.one().scale(-1)
 
 
 def test_act_annihilates_vacuum():

@@ -1,43 +1,14 @@
 import pytest
 
-from sugawara.pyramid import GenId, Pyramid, bracket, form, gln_expand
+from sugawara.pyramid import GenId, Pyramid, bracket, form
 
-from oracles import bracket_combo, combo_add, expand_combo, gl_commutator
+from oracles import bracket_combo, combo_add, expand_combo, gl_commutator, gln_expand
 
 
 PYRAMIDS = [
     (1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3),
     (1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 3, 4),
 ]
-
-
-def test_row_col_examples():
-    p = Pyramid((2, 3, 4))
-    assert p.row_of(5) == 2 and p.col_of(5) == 3
-    assert p.row_of(1) == 1 and p.col_of(1) == 1
-    q = Pyramid((1, 1, 2))
-    assert q.row_of(4) == 3 and q.col_of(4) == 2
-
-
-def test_row_col_consistent_with_filling():
-    p = Pyramid((2, 3, 4))
-    a = 0
-    for i, lam in enumerate(p.lambdas, start=1):
-        for c in range(1, lam + 1):
-            a += 1
-            assert p.row_of(a) == i
-            assert p.col_of(a) == c
-            assert p.box(i, c) == a
-
-
-def test_box_index_errors():
-    p = Pyramid((2, 3))
-    with pytest.raises(ValueError):
-        p.row_of(0)
-    with pytest.raises(ValueError):
-        p.row_of(6)
-    with pytest.raises(ValueError):
-        p.box(1, 3)
 
 
 def test_pyramid_validation():
@@ -57,6 +28,10 @@ def test_pyramid_validation():
         Pyramid((1,) * 256)
     with pytest.raises(ValueError, match="at most 65536 boxes"):
         Pyramid((1, 65537))
+    # a row length that is not an int is refused, not truncated
+    for lam in [(1.9, 2.5), (True, 2), ("2", "3")]:
+        with pytest.raises(ValueError, match="must be integers"):
+            Pyramid(lam)
 
 
 def test_genid_text_roundtrip():

@@ -17,7 +17,6 @@ from sugawara.shift import (
     chi_from_obj,
     chi_to_obj,
     jacobian_rank,
-    random_chi,
     random_point,
     rho_chi,
     symbols,
@@ -28,6 +27,7 @@ from sugawara.suga import phi_table
 from oracles import (
     brown_brundan_cases,
     gen_or_zero,
+    random_chi,
     shift_limit_cases,
     symbol_cases,
 )
@@ -46,7 +46,7 @@ def test_rho_single_factors():
     fin = get_context(p, "finite")
     chi = {GenId(1, 1, 0): Fraction(5, 2)}
     out = rho_chi(ctx.gen(1, 1, 0, depth=-1), chi)
-    assert out.terms == {-1: fin.gen(1, 1, 0), 0: fin.scalar(Fraction(5, 2))}
+    assert out.terms == {-1: fin.gen(1, 1, 0), 0: fin.one().scale(Fraction(5, 2))}
     out = rho_chi(ctx.gen(1, 1, 0, depth=-2), chi)
     assert out.terms == {-2: fin.gen(1, 1, 0)}
 
@@ -89,7 +89,7 @@ def test_zseries_eval():
     chi = {GenId(1, 1, 0): Fraction(3)}
     series = rho_chi(ctx.gen(1, 1, 0, depth=-1), chi)
     val = zseries_eval(p, series, Fraction(2))
-    assert val == Fraction(1, 2) * fin.gen(1, 1, 0) + fin.scalar(Fraction(3))
+    assert val == Fraction(1, 2) * fin.gen(1, 1, 0) + fin.one().scale(Fraction(3))
     with pytest.raises(ValueError):
         zseries_eval(p, series, Fraction(0))
 

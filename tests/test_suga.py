@@ -4,7 +4,6 @@ from sugawara.pbw import delta, get_context
 from sugawara.pyramid import Pyramid
 from sugawara.suga import (
     delta_ladder,
-    gln_delta_tower,
     ladder_coefficient,
     phi_table,
     selected_pairs,
@@ -14,6 +13,7 @@ from sugawara.suga import (
 
 from oracles import (
     failures,
+    gln_delta_tower,
     homogeneity_ok,
     minimal_nilpotent_check,
     monomial_degree,

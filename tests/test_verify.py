@@ -76,15 +76,21 @@ def test_report_json_shape_and_determinism():
 
 
 
-@pytest.mark.parametrize("lam", [(2, 2), (1, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("lam", [(2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
 def test_insert_memo_keeps_short_suffixes_only(capsys, lam):
-    # verify on 2,2,2 inserts past suffixes of three letters too
+    # from a clean start, so that no earlier test has filled the contexts;
+    # verify on 2,2 memoizes one-letter suffixes only, the others reach
+    # two-letter ones, and 1,1,1,1 inserts past suffixes of three and four
+    # letters too, which the memo must not keep
+    clear_caches()
     assert main(["--pyramid", ",".join(map(str, lam)), "verify"]) == 0
     capsys.readouterr()
     lengths = set()
     for mode in ("affine", "finite"):
         lengths.update(len(b) for b, g in get_context(Pyramid(lam), mode)._insert_memo)
-    assert lengths == {1, 2}
+    assert lengths and all(1 <= n <= pbw.MEMO_LETTERS for n in lengths)
+    if lam != (2, 2):
+        assert 2 in lengths
 
 
 def test_clear_caches_empties_the_process_caches(capsys):
