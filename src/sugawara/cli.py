@@ -11,6 +11,7 @@ SIGPIPE) when the reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -382,7 +383,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # The output is written in full.  Frozen objects are left out of the
+    # collections the interpreter runs as it shuts down, which would only
+    # walk the memo and the vector tables before they are freed.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,12 @@ carrier of the package, and replaces only its product by the PBW
 product.  The rewriting core below works on raw dicts; it and every
 carrier sum through one kernel, :func:`_axpy`.
 
+Letter brackets are kept in rows: ``_loop_bracket_cache[h][g]`` is
+[h, g], so the core fetches h's row once and looks a letter up in it
+without building a pair key.  Most letter pairs commute, and every
+empty bracket is the one value ``_EMPTY``, which the core skips by an
+identity test.
+
 The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
 at most ``g`` and every factor of ``b`` above it.  Only ``b * g`` is
@@ -54,6 +60,7 @@ difference, are never built.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, List, Tuple
@@ -116,6 +123,10 @@ Terms = Dict[Monomial, Fraction]
 # Longest b whose b*g the insert memo keeps.  Short suffixes take most of
 # the hits; the long ones filled most of the memory.
 MEMO_LETTERS = 2
+
+# The one value of every empty loop bracket, so the core skips a letter
+# pair by an identity test.
+_EMPTY = ((), 0)
 
 
 def _axpy(out: Terms, terms: Terms, c) -> None:
@@ -258,7 +269,8 @@ class LieContext:
         self.mode = mode
         self.key = (pyramid.lambdas, mode)
         self._bracket_cache: Dict[Tuple[GenId, GenId], Tuple[Tuple[GenId, int], ...]] = {}
-        self._loop_bracket_cache: Dict[Tuple[LoopGen, LoopGen], tuple] = {}
+        # row h holds [h, g] under key g, so a lookup builds no pair key
+        self._loop_bracket_cache: Dict[LoopGen, Dict[LoopGen, tuple]] = defaultdict(dict)
         self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
 
     # -- element constructors
@@ -289,23 +301,27 @@ class LieContext:
     # -- the rewriting core
 
     def loop_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
-        """[h, g] as ((LoopGen, coeff), ...) plus the central scalar."""
-        key = (h, g)
-        hit = self._loop_bracket_cache.get(key)
+        """[h, g] as ((LoopGen, coeff), ...) plus the central scalar; every
+        empty bracket is the one value ``_EMPTY``."""
+        row = self._loop_bracket_cache[h]
+        hit = row.get(g)
         if hit is None:
-            d = h.depth + g.depth
-            a, b = h.gen, g.gen
-            # letter pairs that differ only in depth share one symbol bracket
-            sym = self._bracket_cache.get((a, b))
-            if sym is None:
-                # a tuple, not the dict: most brackets are empty and share ()
-                sym = tuple(lie_bracket(self.pyramid, a, b).items())
-                self._bracket_cache[a, b] = sym
-            terms = tuple((LoopGen(d, z.i, z.j, z.r), c) for z, c in sym)
-            central = h.depth * lie_form(self.pyramid, a, b) if d == 0 and h.depth else 0
-            hit = (terms, central)
-            self._loop_bracket_cache[key] = hit
+            hit = row[g] = self._make_bracket(h, g)
         return hit
+
+    def _make_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
+        """[h, g] from the symbol bracket, for a pair not yet in the table."""
+        d = h.depth + g.depth
+        a, b = h.gen, g.gen
+        # letter pairs that differ only in depth share one symbol bracket
+        sym = self._bracket_cache.get((a, b))
+        if sym is None:
+            # a tuple, not the dict: most brackets are empty and share ()
+            sym = tuple(lie_bracket(self.pyramid, a, b).items())
+            self._bracket_cache[a, b] = sym
+        terms = tuple((LoopGen(d, z.i, z.j, z.r), c) for z, c in sym)
+        central = h.depth * lie_form(self.pyramid, a, b) if d == 0 and h.depth else 0
+        return (terms, central) if terms or central else _EMPTY
 
     def _insert(self, w: Monomial, g: LoopGen) -> Terms:
         """Normal form of w*g for a normal-ordered w, in the full loop
@@ -353,7 +369,10 @@ class LieContext:
         return out
 
     def _times(self, terms: Terms, word: Monomial) -> Terms:
-        """Normal form of terms*word, inserting one factor at a time."""
+        """Normal form of terms*word, inserting one factor at a time.
+        Empty terms give a new empty dict, never the argument itself."""
+        if not terms:
+            return {}
         for g in word:
             # appending g keeps distinct monomials distinct, so those terms
             # are placed before any reordered one is accumulated
@@ -365,7 +384,18 @@ class LieContext:
                 else:
                     late.append((m, c))
             for m, c in late:
-                _axpy(out, self._insert(m, g), c)
+                # m[-1] > g: the split of _insert, without its in-order test
+                k = bisect_right(m, g)
+                res = self._prefix(m[:k], self._suffix(m[k:], g))
+                if len(res) == 1:
+                    [(t, v)] = res.items()
+                    v = out.get(t, 0) + c * v
+                    if v:
+                        out[t] = v
+                    else:
+                        del out[t]
+                else:
+                    _axpy(out, res, c)
             terms = out
         return terms
 
@@ -434,10 +464,13 @@ class LieContext:
         the right through m and vanishes on reaching the vacuum, so only
         the brackets it picks up on the way survive."""
         out: Terms = {}
+        row = self._loop_bracket_cache[g]
         for idx, y in enumerate(m):
-            terms, central = self.loop_bracket(g, y)
-            if not terms and not central:
+            # a bracket is a nonempty pair, so `or` only runs on a miss
+            hit = row.get(y) or self.loop_bracket(g, y)
+            if hit is _EMPTY:
                 continue
+            terms, central = hit
             head, tail = m[:idx], m[idx + 1 :]
             for z, c in terms:
                 if z >= 0:
@@ -492,8 +525,9 @@ class LieContext:
             if y is None:
                 _axpy(out, cur, child)
             else:
-                nxt = self._times(cur, (y,))
-                _axpy(nxt, self._prefix(head, ad[y]), 1)
+                nxt = self._times(cur, (y,)) if cur else {}
+                if ad[y]:
+                    _axpy(nxt, self._prefix(head, ad[y]), 1)
                 self._leibniz(child, head + (y,), nxt, ad, out)
 
 

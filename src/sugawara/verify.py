@@ -49,14 +49,18 @@ def commutativity_check(
 
 def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Report:
     """Every element commutes with every basis symbol in the enveloping
-    algebra of the centralizer."""
+    algebra of the centralizer.  Each generator takes all the elements in
+    one :meth:`~sugawara.pbw.LieContext.commutators` call, which builds
+    its brackets with their letters once; the cases stay element-major."""
     fin = get_context(p, "finite")
     report = Report("centrality", str(p))
-    gens = [(g.text(), fin.gen(g.i, g.j, g.r)) for g in p.basis()]
-    for label, elem in labeled:
-        for text, x in gens:
-            diff = fin.commutator(x, elem)
-            report.add({"element": label, "generator": text}, diff)
+    elems = [elem for _, elem in labeled]
+    columns = [
+        (g.text(), fin.commutators(fin.gen(g.i, g.j, g.r), elems)) for g in p.basis()
+    ]
+    for e, (label, _) in enumerate(labeled):
+        for text, diffs in columns:
+            report.add({"element": label, "generator": text}, diffs[e])
     return report
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -365,3 +366,32 @@ def test_benchmark_tracer_runs_the_cli(capsys, tmp_path, command):
         "shift.symbols",
     ):
         assert name in names
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--pyramid", "2,2", "verify"],
+        ["--pyramid", "2,2", "center"],
+        ["--pyramid", "3,2", "vectors"],
+    ],
+    ids=["verify", "center", "usage_error"],
+)
+def test_entry_point_matches_main(capsys, args):
+    # the module entry freezes the collector after main returns; what it
+    # writes and the status it exits with are main's
+    done = subprocess.run(
+        [sys.executable, "-m", "sugawara.cli"] + args,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=120,
+    )
+    code, out, err = run(capsys, *args)
+    assert (done.returncode, done.stdout) == (code, out.encode())
+    assert done.stderr == err.encode()
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "--pyramid", "1,2", "verify")[0] == 0
+    assert gc.get_freeze_count() == before

@@ -12,7 +12,10 @@ from sugawara.detcalc import TauPoly, UXElem
 from sugawara.jsonout import to_json
 from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.pbw import (
+    _CONTEXTS,
+    _EMPTY,
     Element,
+    LieContext,
     LoopGen,
     Sparse,
     _axpy,
@@ -33,7 +36,8 @@ from sugawara.shift import (
     center_generators,
     zseries_eval,
 )
-from sugawara.suga import phi_table
+from sugawara.suga import clear_caches, phi_table
+from sugawara.verify import annihilation_check
 
 from oracles import degree_d, gen_or_zero, monomial_degree, random_chi, two_product_commutator
 from test_acceptance import ALL_PYRAMIDS
@@ -853,3 +857,103 @@ def test_engine_hands_out_only_loopgen_letters():
             | letter_types(a.element for a in a_chi_generators(p, random_chi(p, 0)))
         )
         assert found == {LoopGen}, (lam, found)
+
+
+def _letters(p, mode, fields):
+    basis = p.basis()
+    return tuple(
+        LoopGen(0 if mode == "finite" else d, *basis[k % len(basis)]) for k, d in fields
+    )
+
+
+_FIELDS = st.lists(st.tuples(st.integers(0, 6), st.sampled_from((-2, -1, 0, 1))), max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from([(2, 3), (1, 1, 2), (2, 2)]),
+    mode=st.sampled_from(["finite", "affine"]),
+    pieces=st.lists(st.tuples(_FIELDS, _SCALARS), max_size=4),
+    word=_FIELDS,
+)
+def test_times_matches_combine(lam, mode, pieces, word):
+    # terms is any sum of normal-ordered words, the empty sum included;
+    # equal words with opposite scalars cancel before the product
+    p = Pyramid(lam)
+    ctx = get_context(p, mode)
+    terms = {}
+    for fields, c in pieces:
+        _axpy(terms, {tuple(sorted(_letters(p, mode, fields))): 1}, c)
+    w = _letters(p, mode, word)
+    got = ctx._times(dict(terms), w)
+    assert ctx._element(got) == ctx.combine((m + w, c) for m, c in terms.items())
+    assert all(got.values())
+
+
+def test_times_drops_a_cancelled_one_term_result():
+    # m1 = (g, v) gives k*(g, x) for x = [v, g]; m2 = (x,) commutes with g
+    # and gives the one term (g, x).  With m2's coefficient -k the term
+    # cancels in the inline sum of the reordering path.
+    p = Pyramid((1, 2, 2))
+    ctx = get_context(p, "finite")
+    letters = sorted(LoopGen(0, *g) for g in p.basis())
+    found = 0
+    for g, v in itertools.product(letters, repeat=2):
+        inner, _ = ctx.loop_bracket(v, g)
+        if not (g < v and len(inner) == 1):
+            continue
+        (x, k), = inner
+        if x <= g or ctx.loop_bracket(x, g)[0]:
+            continue
+        terms = {(g, v): 1, (x,): -k}
+        got = ctx._times(terms, (g,))
+        assert (g, x) not in got
+        assert got == ctx.combine([((g, v, g), 1), ((x, g), -k)]).terms
+        assert got == naive_sum(ctx, [((g, v, g), 1), ((x, g), -k)])
+        found += 1
+    assert found
+
+
+@pytest.mark.parametrize("word", [(), (LoopGen(0, 1, 1, 0),)], ids=["empty_word", "one_letter"])
+def test_times_of_empty_terms_is_a_new_dict(word):
+    ctx = get_context(Pyramid((1, 1)), "finite")
+    empty = {}
+    out = ctx._times(empty, word)
+    assert out == {} and out is not empty
+    out[()] = 1
+    assert empty == {}
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2)])
+def test_loop_bracket_lifts_the_symbol_bracket(lam):
+    p = Pyramid(lam)
+    ctx = LieContext(p, "affine")
+    letters = [LoopGen(d, *g) for d in range(-2, 3) for g in p.basis()]
+    empty = 0
+    for h, g in itertools.product(letters, repeat=2):
+        d = h.depth + g.depth
+        terms = tuple((LoopGen(d, *z), c) for z, c in bracket(p, h.gen, g.gen).items())
+        central = h.depth * form(p, h.gen, g.gen) if d == 0 else 0
+        got = ctx.loop_bracket(h, g)
+        assert got == (terms, central)
+        if not (terms or central):
+            assert got is _EMPTY
+            empty += 1
+    assert 0 < empty < len(letters) ** 2
+
+
+def test_each_loop_bracket_is_built_once(monkeypatch):
+    clear_caches()
+    built = []
+    make = LieContext._make_bracket
+
+    def counted(self, h, g):
+        built.append((self.key, h, g))
+        return make(self, h, g)
+
+    monkeypatch.setattr(LieContext, "_make_bracket", counted)
+    assert annihilation_check(Pyramid((2, 2, 2, 2))).passed()
+    entries = sum(
+        len(row) for ctx in _CONTEXTS.values() for row in ctx._loop_bracket_cache.values()
+    )
+    assert len(built) == entries > 1000
