@@ -40,17 +40,21 @@ joined to ``a`` by concatenation, any other is inserted into ``a``
 factor by factor.  This terminates by the usual filtration argument:
 bracket terms are shorter words.
 
-A product right-inserts the factors of its right operand, walked as a
-trie, so monomials that share a prefix share its work.  The action of a
-mode X[s], s >= 0, on a vacuum-module state commutes X[s] rightwards
-through each monomial until it meets the vacuum, so the terms the vacuum
-kills are never built.
+A product prepends each monomial m of its left operand to the terms of
+its right operand with ``_prefix``, the same join: a term that starts at
+or above the last letter of m is concatenated, any other is inserted
+after m factor by factor.  The determinants multiply only by a single
+generator or the unit, so each of their products is one such call.  The
+action of a mode X[s], s >= 0, on a vacuum-module state commutes X[s]
+rightwards through each monomial until it meets the vacuum, so the terms
+the vacuum kills are never built.
 
-The commutator walks the trie of its right operand by the Leibniz rule
-[a, P*y] = [a, P]*y + P*[a, y], where each node carries its prefix P, a
-normal-ordered word, and [a, P].  The brackets [a, y] with the letters
-of b are computed once per left operand, shared by all the right
-operands it is paired with, and each by the same walk over a's trie:
+Only the commutator walks a trie.  It walks the trie of its right
+operand by the Leibniz rule [a, P*y] = [a, P]*y + P*[a, y], where each
+node carries its prefix P, a normal-ordered word, and [a, P].  The
+brackets [a, y] with the letters of b are computed once per left
+operand, shared by all the right operands it is paired with, and each
+by the same walk over a's trie:
 right-ad by y is a derivation too, [Q*x, y] = [Q, y]*x + Q*[x, y].
 Every term either walk builds already has a bracket in it, so the
 top-length terms that a*b and b*a share, and that cancel in their
@@ -323,15 +327,6 @@ class LieContext:
         central = h.depth * lie_form(self.pyramid, a, b) if d == 0 and h.depth else 0
         return (terms, central) if terms or central else _EMPTY
 
-    def _insert(self, w: Monomial, g: LoopGen) -> Terms:
-        """Normal form of w*g for a normal-ordered w, in the full loop
-        enveloping algebra (the vacuum quotient is applied by callers).
-        The result may be a memo entry: callers must not mutate it."""
-        if not w or w[-1] <= g:
-            return {w + (g,): 1}
-        k = bisect_right(w, g)
-        return self._prefix(w[:k], self._suffix(w[k:], g))
-
     def _suffix(self, b: Monomial, g: LoopGen) -> Terms:
         """Normal form of b*g where every letter of b exceeds g, memoized
         when b has at most MEMO_LETTERS letters."""
@@ -344,7 +339,7 @@ class LieContext:
         out = self._times(self._suffix(rest, g) if rest else {(g,): 1}, (h,))
         terms, central = self.loop_bracket(h, g)
         for z, c in terms:
-            _axpy(out, self._insert(rest, z), c)
+            _axpy(out, self._times({rest: 1}, (z,)), c)
         if central:
             _axpy(out, {rest: central}, 1)
         if len(b) <= MEMO_LETTERS:
@@ -384,7 +379,7 @@ class LieContext:
                 else:
                     late.append((m, c))
             for m, c in late:
-                # m[-1] > g: the split of _insert, without its in-order test
+                # m[-1] > g: split m = head + b, b the letters above g
                 k = bisect_right(m, g)
                 res = self._prefix(m[:k], self._suffix(m[k:], g))
                 if len(res) == 1:
@@ -417,35 +412,30 @@ class LieContext:
 
     # -- products and the module action
 
-    def _trie(self, a: Element, b: Element) -> dict:
-        """b's monomials as a trie (None marks a word's end), once a and b
-        are checked to live in this context."""
+    def _own(self, a: Element, b: Element) -> None:
+        """Raise ValueError unless a and b both live in this context."""
         a._compat(b)
         if a.ctx.key != self.key:
             raise ValueError("operands do not belong to this context")
+
+    @staticmethod
+    def _trie(terms: Terms) -> dict:
+        """The monomials of terms as a trie (None marks a word's end)."""
         trie: dict = {}
-        for mb, cb in b.terms.items():
+        for m, c in terms.items():
             node = trie
-            for x in mb:
+            for x in m:
                 node = node.setdefault(x, {})
-            node[None] = cb
+            node[None] = c
         return trie
 
     def mul(self, a: Element, b: Element) -> Element:
-        # every letter of b is right-inserted into all of a's partial
-        # products at once, so monomials of b that share a prefix share
-        # its work
+        """a*b, as the sum over a's terms c*m of c * _prefix(m, b.terms)."""
+        self._own(a, b)
         out: Terms = {}
-        self._walk(self._trie(a, b), a.terms, out)
+        for m, c in a.terms.items():
+            _axpy(out, self._prefix(m, b.terms), c)
         return self._element(out)
-
-    def _walk(self, node: dict, cur: Terms, out: Terms) -> None:
-        """out += cur * (the words of the trie below node)."""
-        for x, child in node.items():
-            if x is None:
-                _axpy(out, cur, child)
-            else:
-                self._walk(child, self._times(cur, (x,)), out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
         """Left action of X[s] with s >= 0 on a vacuum-module state."""
@@ -481,21 +471,19 @@ class LieContext:
                 _axpy(out, {head + tail: central}, 1)
         return out
 
-    def commutator(self, a: Element, b: Element) -> Element:
-        """[a, b]; see :meth:`commutators`."""
-        return self.commutators(a, [b])[0]
-
     def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:
         """[a, b] for each b in bs, each by the Leibniz walk over b's trie
         (see the module docstring).  The letter brackets [a, y] are shared
         by all the bs, and each is the Leibniz walk over a's trie with the
         letter table {x: [x, y]}, since right-ad by y is a derivation."""
-        a_trie = self._trie(a, a)
+        self._own(a, a)  # a against itself: only whether it lives here
+        a_trie = self._trie(a.terms)
         a_letters = dict.fromkeys(chain.from_iterable(a.terms))
         ad: Dict[LoopGen, Terms] = {}
         out = []
         for b in bs:
-            trie = self._trie(a, b)
+            self._own(a, b)
+            trie = self._trie(b.terms)
             for y in chain.from_iterable(b.terms):
                 if y not in ad:
                     ad[y] = {}

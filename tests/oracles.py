@@ -292,7 +292,7 @@ def brown_brundan_cases(p):
     for g in a_chi_generators(p, {}):
         if g.m:
             continue
-        central = all(fin.commutator(x, g.element).is_zero() for x in basis)
+        central = all(v.is_zero() for v in fin.commutators(g.element, basis))
         rest = g.element - center[(g.k, g.r)]
         cases[(g.k, g.r)] = central and all(len(m) < g.k for m in rest.terms)
     return cases

@@ -272,9 +272,8 @@ def test_determinants_and_products_leave_no_reference_cycles():
         symbols(p)
         cdet_tau(p)
         ctx.mul(a, b)
-        ctx.commutator(a, b)
         ctx.commutators(a, [b, a])
-        fin.commutator(fin.gen(1, 3, 2), fin.gen(3, 1, 0) * fin.gen(2, 3, 1))
+        fin.commutators(fin.gen(1, 3, 2), [fin.gen(3, 1, 0) * fin.gen(2, 3, 1)])
         fin.commutators(fin.gen(2, 3, 1), [fin.gen(1, 3, 2) * fin.gen(3, 1, 0), fin.gen(2, 2, 1)])
 
     work()  # fills the engine's memo and caches

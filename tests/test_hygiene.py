@@ -109,7 +109,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_insert", "_suffix", "_prefix", "_times", "_walk", "_leibniz", "_act_word", "_shift_depth",
+    "_suffix", "_prefix", "_times", "_leibniz", "_act_word", "_shift_depth",
     "commutators", "_bracket_terms", "loop_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}

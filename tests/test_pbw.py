@@ -148,7 +148,7 @@ def test_commutator_antisymmetry_and_jacobi(mode):
     rng = random.Random(5)
     ctx = get_context(Pyramid((1, 2)), mode)
     depths = (0,) if mode == "finite" else (-1, -2)
-    br = ctx.commutator
+    br = lambda x, y: ctx.commutators(x, [y])[0]
     for _ in range(8):
         a = random_element(ctx, rng, depths=depths)
         b = random_element(ctx, rng, depths=depths)
@@ -180,7 +180,7 @@ def test_commutator_matches_two_products(lam, mode):
     nonzero = 0
     for a in elems:  # every ordered pair, a == b included
         for b in elems:
-            got = ctx.commutator(a, b)
+            got = ctx.commutators(a, [b])[0]
             assert got == two_product_commutator(ctx, a, b)
             nonzero += bool(got)
     assert nonzero >= 10
@@ -217,7 +217,7 @@ def test_commutators_match_two_products(lam, mode):
         ]
         got = ctx.commutators(a, bs)
         assert got == [two_product_commutator(ctx, a, b) for b in bs]
-        assert got == [ctx.commutator(a, b) for b in bs]
+        assert got == [ctx.commutators(a, [b])[0] for b in bs]
         assert all(isinstance(v, Element) and v.ctx is ctx for v in got)
         nonzero += sum(map(bool, got))
         assert ctx.commutators(a, []) == []
@@ -242,7 +242,6 @@ def test_commutators_keep_the_central_term():
         operator.mul,
         operator.add,
         operator.sub,
-        lambda a, b: a.ctx.commutator(a, b),
         pytest.param(lambda a, b: a.ctx.commutators(a, [a, b]), id="commutators"),
         pytest.param(lambda a, b: b.ctx.commutators(a, []), id="commutators_empty"),
     ],
@@ -252,6 +251,22 @@ def test_mixed_context_rejected(op):
     b = get_context(Pyramid((1, 1)), "affine").gen(1, 1, 0, depth=-1)
     with pytest.raises(ValueError):
         op(a, b)
+
+
+@pytest.mark.parametrize("op", ["mul", "commutators"])
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_foreign_operands_rejected(op, mode):
+    # a and b share a context, but not the one asked: the same pyramid in
+    # the other mode, whose letters the asked context could still rewrite
+    p = Pyramid((1, 2))
+    ctx = get_context(p, mode)
+    other = get_context(p, "affine" if mode == "finite" else "finite")
+    d = -1 if other.mode == "affine" else 0
+    a = other.gen(1, 2, 1, depth=d)
+    b = other.gen(2, 1, 0, depth=d) * other.gen(2, 2, 1, depth=d)
+    call = {"mul": lambda: ctx.mul(a, b), "commutators": lambda: ctx.commutators(a, [b])}
+    with pytest.raises(ValueError, match="do not belong"):
+        call[op]()
 
 
 def test_act_cocycle_example():
@@ -440,11 +455,12 @@ def test_mul_against_naive_rewriter(mode):
     p = Pyramid((2, 3))
     ctx = get_context(p, mode)
     depths = (0,) if mode == "finite" else (-1, -2, -3)
+    # the one-term shapes below draw from a generator apart from a and b
+    shapes = random.Random(43)
     shared = 0
     for _ in range(20):
         a = random_element(ctx, rng, n_terms=2, depths=depths)
-        # b's monomials share the normal-ordered prefix of one word, so the
-        # trie walk reuses partial products
+        # b's monomials extend the normal-ordered prefixes of one word
         stem = sorted(
             LoopGen(rng.choice(depths), *rng.choice(p.basis())) for _ in range(2)
         )
@@ -455,15 +471,28 @@ def test_mul_against_naive_rewriter(mode):
                 terms[tuple(stem) + (x,)] = rng.choice([1, -2, 3])
         b = Element(ctx, terms) + random_state(ctx, rng, depths=depths)
         shared += len(b.terms) > len({m[:1] for m in b.terms})
-        want = naive_sum(
-            ctx,
-            [
-                (ma + mb, ca * cb)
-                for ma, ca in a.terms.items()
-                for mb, cb in b.terms.items()
-            ],
+        # the one-term left operands the determinants multiply by: a single
+        # letter, a normal-ordered word with a non-unit coefficient, the unit
+        word = sorted(
+            LoopGen(shapes.choice(depths), *shapes.choice(p.basis()))
+            for _ in range(shapes.randint(2, 3))
         )
-        assert ctx.mul(a, b).terms == want
+        lefts = [
+            ctx.word(word[:1]),
+            Element(ctx, {tuple(word): shapes.choice([-1, 2, Fraction(-3, 2)])}),
+            ctx.one(),
+        ]
+        for left in [a] + lefts:
+            want = naive_sum(
+                ctx,
+                [
+                    (ma + mb, ca * cb)
+                    for ma, ca in left.terms.items()
+                    for mb, cb in b.terms.items()
+                ],
+            )
+            assert ctx.mul(left, b).terms == want
+        assert all(len(left.terms) == 1 for left in lefts)
     assert shared >= 10
 
 
