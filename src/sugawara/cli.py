@@ -16,9 +16,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .jsonout import write_json
 from .pbw import _coeff_str, element_text, exact, get_context, signed_sum
@@ -45,8 +44,7 @@ from .verify import (
 )
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     pyramid: Pyramid
     command: str
     fmt: str = "json"
@@ -130,12 +128,23 @@ def parse_config(args: argparse.Namespace) -> Config:
     )
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a key given twice, which ``json``
+    would silently resolve to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"the key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_chi(cfg: Config):
     if cfg.chi_path is None:
         return {}
     try:
         with open(cfg.chi_path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         return chi_from_obj(cfg.pyramid, obj)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load chi from {cfg.chi_path}: {exc}") from None

@@ -26,7 +26,9 @@ Letter brackets are kept in rows: ``_loop_bracket_cache[h][g]`` is
 [h, g], so the core fetches h's row once and looks a letter up in it
 without building a pair key.  Most letter pairs commute, and every
 empty bracket is the one value ``_EMPTY``, which the core skips by an
-identity test.
+identity test.  A pair missing from the rows lifts the bracket of its
+symbols, cached under their packed (i, j, r) bits, to its depth by int
+arithmetic alone.
 
 The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
@@ -112,7 +114,7 @@ class LoopGen(int):
 
     @property
     def gen(self) -> GenId:
-        return GenId(self.i, self.j, self.r)
+        return GenId((self >> 24) & 255, (self >> 16) & 255, self & 65535)
 
     def text(self) -> str:
         return f"E[{self.i},{self.j},{self.r}][{self.depth}]"
@@ -131,6 +133,9 @@ MEMO_LETTERS = 2
 # The one value of every empty loop bracket, so the core skips a letter
 # pair by an identity test.
 _EMPTY = ((), 0)
+
+# The low 32 bits of a letter: its symbol E[i,j,r] without the depth.
+_SYMBOL = (1 << 32) - 1
 
 
 def _axpy(out: Terms, terms: Terms, c) -> None:
@@ -272,7 +277,8 @@ class LieContext:
         self.pyramid = pyramid
         self.mode = mode
         self.key = (pyramid.lambdas, mode)
-        self._bracket_cache: Dict[Tuple[GenId, GenId], Tuple[Tuple[GenId, int], ...]] = {}
+        # (h & _SYMBOL) << 32 | g & _SYMBOL -> _symbol_bracket(h, g)
+        self._bracket_cache: Dict[int, Tuple[tuple, int]] = {}
         # row h holds [h, g] under key g, so a lookup builds no pair key
         self._loop_bracket_cache: Dict[LoopGen, Dict[LoopGen, tuple]] = defaultdict(dict)
         self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
@@ -315,17 +321,34 @@ class LieContext:
 
     def _make_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
         """[h, g] from the symbol bracket, for a pair not yet in the table."""
-        d = h.depth + g.depth
-        a, b = h.gen, g.gen
-        # letter pairs that differ only in depth share one symbol bracket
-        sym = self._bracket_cache.get((a, b))
+        # letter pairs that differ only in depth share one symbol bracket,
+        # keyed by the packed (i, j, r) of both letters, their low 32 bits
+        key = (h & _SYMBOL) << 32 | g & _SYMBOL
+        sym = self._bracket_cache.get(key)
         if sym is None:
-            # a tuple, not the dict: most brackets are empty and share ()
-            sym = tuple(lie_bracket(self.pyramid, a, b).items())
-            self._bracket_cache[a, b] = sym
-        terms = tuple((LoopGen(d, z.i, z.j, z.r), c) for z, c in sym)
-        central = h.depth * lie_form(self.pyramid, a, b) if d == 0 and h.depth else 0
+            sym = self._bracket_cache[key] = self._symbol_bracket(h, g)
+        if sym is _EMPTY:
+            return _EMPTY
+        terms, value = sym
+        hd = h >> 32
+        d = hd + (g >> 32)
+        if d:
+            # the symbol terms are depth-0 letters: lift them to depth d
+            shift = d << 32
+            terms = tuple((int.__new__(LoopGen, shift | z), c) for z, c in terms)
+            central = 0
+        else:
+            central = hd * value
         return (terms, central) if terms or central else _EMPTY
+
+    def _symbol_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
+        """The bracket of the symbols of h and g as depth-0 letters, and
+        their form value in affine mode, or ``_EMPTY`` when both vanish."""
+        p, a, b = self.pyramid, h.gen, g.gen
+        # a tuple, not the dict: most brackets are empty and share _EMPTY
+        terms = tuple((LoopGen(0, *z), c) for z, c in lie_bracket(p, a, b).items())
+        value = lie_form(p, a, b) if self.mode == "affine" else 0
+        return (terms, value) if terms or value else _EMPTY
 
     def _suffix(self, b: Monomial, g: LoopGen) -> Terms:
         """Normal form of b*g where every letter of b exceeds g, memoized

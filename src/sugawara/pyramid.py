@@ -16,7 +16,6 @@ invariant symmetric bilinear form in the critical-level normalization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 
@@ -38,20 +37,21 @@ class GenId(NamedTuple):
         return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-@dataclass(frozen=True)
 class Pyramid:
     """Left-justified pyramid given by its non-decreasing row lengths.
 
     Any other row order is rejected rather than sorted silently, since
     sorting would remap the (i, j) labels of the basis.  At most 255 rows
     of at most 65536 boxes are accepted: the engine packs a row label
-    into 8 bits and a shift r < lambda_j into 16.
+    into 8 bits and a shift r < lambda_j into 16.  A pyramid is an
+    immutable value: equal row lengths give equal, equally hashed
+    pyramids, so one keys the per-pyramid caches.
     """
 
-    lambdas: Tuple[int, ...]
+    __slots__ = ("lambdas",)
 
-    def __post_init__(self):
-        lam = tuple(self.lambdas)
+    def __init__(self, lambdas: Tuple[int, ...]):
+        lam = tuple(lambdas)
         # a float, bool or str row length is refused, not truncated to int
         if any(isinstance(x, bool) or not isinstance(x, int) for x in lam):
             raise ValueError(f"row lengths must be integers: {lam}")
@@ -66,6 +66,26 @@ class Pyramid:
         if lam[-1] > 65536:
             raise ValueError(f"a row has at most 65536 boxes, not {lam[-1]}")
         object.__setattr__(self, "lambdas", lam)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a Pyramid is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild a pyramid through __init__
+        return type(self), (self.lambdas,)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.lambdas == other.lambdas
+
+    def __hash__(self) -> int:
+        return hash(self.lambdas)
+
+    def __repr__(self) -> str:
+        return f"Pyramid(lambdas={self.lambdas!r})"
 
     @classmethod
     def parse(cls, text: str) -> "Pyramid":
@@ -98,11 +118,12 @@ class Pyramid:
         return range(lj - min(li, lj), lj)
 
     def contains(self, g: GenId) -> bool:
-        return (
-            1 <= g.i <= self.n
-            and 1 <= g.j <= self.n
-            and g.r in self.window(g.i, g.j)
-        )
+        i, j, r = g
+        lam = self.lambdas
+        if not (0 < i <= len(lam) and 0 < j <= len(lam)):
+            return False
+        li, lj = lam[i - 1], lam[j - 1]
+        return lj - min(li, lj) <= r < lj
 
     def check(self, g: GenId) -> GenId:
         if not self.contains(g):
@@ -147,7 +168,8 @@ def bracket(p: Pyramid, a: GenId, b: GenId) -> Dict[GenId, int]:
     if a.i == b.j and rs < p.lambdas[a.j - 1]:
         g = GenId(b.i, a.j, rs)
         terms[g] = terms.get(g, 0) - 1
-    return {g: c for g, c in sorted(terms.items()) if c}
+    # most symbol pairs commute: an empty dict needs no sorting
+    return {g: c for g, c in sorted(terms.items()) if c} if terms else terms
 
 
 def form(p: Pyramid, a: GenId, b: GenId) -> int:

@@ -8,18 +8,26 @@ inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .pbw import Element
 
 
-@dataclass
 class Report:
-    check: str
-    pyramid: str
-    cases: List[dict] = field(default_factory=list)
-    seed: Optional[int] = None
+    __slots__ = ("check", "pyramid", "cases", "seed")
+
+    def __init__(
+        self,
+        check: str,
+        pyramid: str,
+        cases: Optional[List[dict]] = None,
+        seed: Optional[int] = None,
+    ):
+        self.check = check
+        self.pyramid = pyramid
+        # a fresh list per report: no two reports share their cases
+        self.cases = [] if cases is None else cases
+        self.seed = seed
 
     def passed(self) -> bool:
         return all(c["status"] != "fail" for c in self.cases)

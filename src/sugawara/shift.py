@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .detcalc import UXElem, column_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, Sparse, _axpy, get_context
@@ -54,6 +53,9 @@ def chi_from_obj(p: Pyramid, obj: Dict[str, str]) -> Chi:
     chi = {}
     for k, v in obj.items():
         g = GenId.parse(k)
+        # two spellings of one symbol, such as E[1,1,0] and E[1,1,00]
+        if g in chi:
+            raise ValueError(f"chi gives a value for {g.text()} twice (key {k!r})")
         try:
             chi[g] = exact(v)
         except ValueError as exc:
@@ -121,8 +123,7 @@ def zseries_eval(p: Pyramid, series: ZSeries, z: Fraction) -> Element:
     return Element(get_context(p, "finite"), out)
 
 
-@dataclass(frozen=True)
-class AChiGen:
+class AChiGen(NamedTuple):
     """One shift-of-argument generator: z^{m-k} coefficient of the image
     of the selected vector phi_k^(r)."""
 

@@ -17,9 +17,8 @@ against the tau presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .detcalc import cdet, cdet_tau
 from .pbw import (
@@ -34,8 +33,7 @@ from .pyramid import Pyramid
 from .reports import Report
 
 
-@dataclass
-class SugaTable:
+class SugaTable(NamedTuple):
     """All nonzero x^{n-k} u^r coefficients of the column determinant,
     with the selected index pairs flagged."""
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,39 @@ def test_chi_accepts_strings_and_ints(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["chi"] == {"E[1,1,0]": "1/10", "E[2,2,0]": "-1"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"E[1,1,0]": "1", "E[1,1,0]": "2"}', "the key 'E[1,1,0]' is given twice"),
+        ('{"E[1,1,0]": "1", "E[1,1,00]": "2"}', "value for E[1,1,0] twice"),
+    ],
+    ids=["same_key", "same_symbol"],
+)
+def test_chi_rejects_a_symbol_given_twice(capsys, tmp_path, text, message):
+    # json keeps the last of two equal keys, and GenId.parse reads
+    # E[1,1,00] as E[1,1,0]: either way one value would be dropped
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(text)
+    code, out, err = run(capsys, "--pyramid", "1,1", "--chi", str(chi_file), "shift")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_config_fields_read_as_before():
+    cfg = parse_config(build_parser().parse_args(["--pyramid", "1,2", "verify"]))
+    assert cfg == cli.Config(Pyramid((1, 2)), "verify")
+    assert (cfg.fmt, cfg.chi_path, cfg.z, cfg.seed, cfg.automorphism_c) == (
+        "json", None, None, 0, None,
+    )
+    args = ["--pyramid", "2,2", "--format", "text", "--chi", "c.json", "--z", "1/2",
+            "--seed", "5", "--automorphism-c", "-3", "shift"]
+    cfg = parse_config(build_parser().parse_args(args))
+    assert cfg.pyramid == Pyramid((2, 2)) and cfg.command == "shift"
+    assert (cfg.fmt, cfg.chi_path, cfg.z, cfg.seed, cfg.automorphism_c) == (
+        "text", "c.json", Fraction(1, 2), 5, -3,
+    )
 
 
 def test_usage_error_exits_2():

@@ -9,9 +9,15 @@ one operand is a ``Fraction(...)`` call, since ``int / int`` is a float.
 
 The rewriting hot path reads letters as ints: it calls none of the
 ``LoopGen`` field properties, each of which is a Python-level call.
+
+Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
+request pays for what its import pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,7 +116,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 HOT_PATH = (
     "_suffix", "_prefix", "_times", "_leibniz", "_act_word", "_shift_depth",
-    "commutators", "_bracket_terms", "loop_bracket",
+    "commutators", "_bracket_terms", "loop_bracket", "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 
@@ -152,3 +158,26 @@ def test_scan_sees_letter_field_reads(tmp_path):
         {"_times"},
         [("_times", 2, "depth"), ("_times", 2, "r")],
     )
+
+
+# Prints the modules that ``import sugawara.cli`` adds to sys.modules.
+# Run under -S, so that no site hook preloads a module and hides it.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import sugawara.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    added = set(proc.stdout.split())
+    assert {"sugawara.cli", "sugawara.pbw", "argparse"} <= added
+    found = sorted(added & {"dataclasses", "inspect"})
+    assert not found, f"import sugawara.cli loads {found}"

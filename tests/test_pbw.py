@@ -955,20 +955,29 @@ def test_times_of_empty_terms_is_a_new_dict(word):
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2)])
 def test_loop_bracket_lifts_the_symbol_bracket(lam):
+    # the packed-key symbol cache against pyramid.bracket and form, in
+    # both modes; the finite context sees depth-0 letters only
     p = Pyramid(lam)
-    ctx = LieContext(p, "affine")
-    letters = [LoopGen(d, *g) for d in range(-2, 3) for g in p.basis()]
-    empty = 0
-    for h, g in itertools.product(letters, repeat=2):
-        d = h.depth + g.depth
-        terms = tuple((LoopGen(d, *z), c) for z, c in bracket(p, h.gen, g.gen).items())
-        central = h.depth * form(p, h.gen, g.gen) if d == 0 else 0
-        got = ctx.loop_bracket(h, g)
-        assert got == (terms, central)
-        if not (terms or central):
-            assert got is _EMPTY
-            empty += 1
-    assert 0 < empty < len(letters) ** 2
+    for mode, depths in (("affine", range(-2, 3)), ("finite", [0])):
+        ctx = LieContext(p, mode)
+        letters = [LoopGen(d, *g) for d in depths for g in p.basis()]
+        empty = central_pairs = 0
+        for h, g in itertools.product(letters, repeat=2):
+            d = h.depth + g.depth
+            terms = tuple(
+                (LoopGen(d, *z), c) for z, c in bracket(p, h.gen, g.gen).items()
+            )
+            central = h.depth * form(p, h.gen, g.gen) if d == 0 else 0
+            got = ctx.loop_bracket(h, g)
+            assert got == (terms, central)
+            assert all(type(z) is LoopGen for z, _ in got[0])
+            central_pairs += central != 0
+            if not (terms or central):
+                assert got is _EMPTY
+                empty += 1
+        assert 0 < empty < len(letters) ** 2
+        # depth pairs summing to 0 carry the central term in affine mode only
+        assert (central_pairs > 0) == (mode == "affine")
 
 
 def test_each_loop_bracket_is_built_once(monkeypatch):

@@ -1,6 +1,11 @@
+import copy
+import pickle
+
 import pytest
 
+from sugawara import clear_caches
 from sugawara.pyramid import GenId, Pyramid, bracket, form
+from sugawara.suga import phi_table
 
 from oracles import bracket_combo, combo_add, expand_combo, gl_commutator, gln_expand
 
@@ -32,6 +37,38 @@ def test_pyramid_validation():
     for lam in [(1.9, 2.5), (True, 2), ("2", "3")]:
         with pytest.raises(ValueError, match="must be integers"):
             Pyramid(lam)
+
+
+def test_pyramid_is_an_immutable_value():
+    clear_caches()
+    a, b = Pyramid((2, 2)), Pyramid([2, 2])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Pyramid((1, 2)) and a != (2, 2)
+    assert len({a, b, Pyramid((1, 2))}) == 2
+    # equal pyramids key one entry of the per-pyramid caches
+    assert phi_table(a) is phi_table(b)
+    assert phi_table.cache_info().currsize == 1
+    with pytest.raises(AttributeError):
+        a.lambdas = (1, 2)
+    with pytest.raises(AttributeError):
+        del a.lambdas
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.lambdas == (2, 2) and type(a.lambdas) is tuple
+    assert repr(a) == "Pyramid(lambdas=(2, 2))"
+    assert eval(repr(a)) == a
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_contains_reads_the_window():
+    for lam in PYRAMIDS:
+        p = Pyramid(lam)
+        inside = set(p.basis())
+        for i in range(p.n + 2):
+            for j in range(p.n + 2):
+                for r in range(-1, max(lam) + 1):
+                    g = GenId(i, j, r)
+                    assert p.contains(g) == (g in inside)
 
 
 def test_genid_text_roundtrip():

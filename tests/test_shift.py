@@ -114,6 +114,15 @@ def test_a_chi_top_component_chi_free():
             assert elem == plain[(k, r, 0)]
 
 
+def test_a_chi_generator_fields():
+    p = Pyramid((1, 2))
+    gens = a_chi_generators(p, {})
+    assert [(g.k, g.r, g.m) for g in gens][:3] == [(1, 0, 0), (1, 1, 0), (2, 1, 0)]
+    k, r, m, element = gens[0]
+    assert (k, r, m) == (gens[0].k, gens[0].r, gens[0].m) and element is gens[0].element
+    assert element.ctx is get_context(p, "finite")
+
+
 def test_a_chi_generator_count():
     for lam in [(1, 1), (1, 2), (2, 3), (1, 1, 2)]:
         p = Pyramid(lam)

@@ -153,6 +153,19 @@ def test_tau_cross_check(lam):
     assert report.passed(), failures(report)
 
 
+def test_table_fields_read_as_before():
+    p = Pyramid((1, 2))
+    table = phi_table(p)
+    assert table.pyramid == p
+    assert table.selected == selected_pairs(p)
+    assert set(table.selected) <= set(table.entries)
+    assert table.selected_entries() == [
+        (k, r, table.entries[(k, r)]) for k, r in table.selected
+    ]
+    assert table.entry(1, 0) is table.entries[(1, 0)]
+    assert table.entry(9, 9) == get_context(p, "affine").zero()
+
+
 def test_selection_bounds_match_display():
     p = Pyramid((2, 3))
     assert selection_bounds(p, 1) == (0, 2)

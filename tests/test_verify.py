@@ -6,6 +6,7 @@ from sugawara import clear_caches, pbw
 from sugawara.cli import main
 from sugawara.pbw import get_context
 from sugawara.pyramid import Pyramid
+from sugawara.reports import Report
 from sugawara.suga import phi_table, selected_pairs
 from sugawara.verify import (
     annihilation_check,
@@ -73,6 +74,28 @@ def test_report_json_shape_and_determinism():
     assert o1["pyramid"] == "1,1"
     assert {"generator", "s", "k", "r", "status"} <= set(o1["cases"][0])
     assert "elapsed" not in json.dumps(o1)
+
+
+def test_reports_never_share_their_cases():
+    a, b = Report("annihilation", "1,1"), Report("annihilation", "1,1")
+    a.add({"s": 0})
+    assert a.cases == [{"s": 0, "status": "pass"}] and b.cases == []
+    assert a.passed() and b.passed()
+    assert b.to_obj() == {
+        "check": "annihilation",
+        "pyramid": "1,1",
+        "cases": [],
+        "seed": None,
+        "status": "empty",
+    }
+    seeded = Report("raising-recursion", "1,2", seed=7)
+    assert (seeded.check, seeded.pyramid, seeded.cases, seeded.seed) == (
+        "raising-recursion", "1,2", [], 7,
+    )
+    seeded.seed = 8
+    assert seeded.to_obj()["seed"] == 8
+    with pytest.raises(AttributeError):
+        seeded.elapsed = 0
 
 
 
