@@ -12,14 +12,15 @@ columns to its right, rightmost column first.  One column recursion over
 row subsets (2^n * n states instead of n! products) evaluates every
 determinant of the package: this one, the tau presentation below, and
 the center and symbol determinants of :mod:`sugawara.shift`.
-:func:`ux_matrix` builds the three u, x matrices.  The carriers here are
-:class:`~sugawara.pbw.Sparse` subclasses, like the algebra elements they
-hold: :class:`UXElem` sets the join of its (u, x) keys and
-:class:`TauPoly` keeps its own skew product.
+:func:`ux_matrix` builds the three u, x matrices; their carrier is
+:class:`UXElem`, a :class:`~sugawara.pbw.Sparse` subclass that sets the
+join of its (u, x) keys.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
 right through a word costs a binomial sum of translation derivatives.
+Its entries are operators too, on a plain :class:`~sugawara.pbw.Sparse`
+map from tau power to coefficient.
 """
 
 from __future__ import annotations
@@ -128,51 +129,44 @@ def cdet(p: Pyramid) -> UXElem:
 # -- the tau presentation
 
 
-class TauPoly(Sparse):
-    """Polynomial in the skew variable tau with vacuum-module coefficients,
-    tau powers kept to the right."""
-
-    __slots__ = ()
-
-    def __mul__(self, other: "TauPoly") -> "TauPoly":
-        # (A tau^a)(B tau^b): tau^a B = sum_k C(a,k) T^k(B) tau^(a-k)
-        if not self.terms or not other.terms:
-            return TauPoly({})
-        max_a = max(self.terms)
-        tpow: Dict[int, List[Element]] = {}
-        for eb, cb in other.terms.items():
-            row = [cb]
-            for _ in range(max_a):
-                row.append(translation_T(row[-1]))
-            tpow[eb] = row
-        out: Dict[int, Element] = {}
-        for ea, ca in self.terms.items():
-            for eb in other.terms:
-                for k in range(ea + 1):
-                    _axpy(out, {ea - k + eb: ca * tpow[eb][k]}, comb(ea, k))
-        return TauPoly(out)
-
-
-def build_tau_matrix(p: Pyramid) -> List[List[TauPoly]]:
-    """Entries delta_ij tau^{lambda_j} + sum_m E[i,j,lambda_j-1-m][-1] tau^m."""
+def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
+    """Operators delta_ij tau^{lambda_j} + sum_m E[i,j,lambda_j-1-m][-1] tau^m
+    on polynomials in tau with vacuum-module coefficients, tau powers kept
+    to the right.  An entry term A tau^a times B tau^b moves tau^a right
+    through B: tau^a B = sum_k C(a,k) T^k(B) tau^(a-k), with the T-powers
+    of each coefficient B of the image built once per application."""
     ctx = get_context(p, "affine")
-    matrix: List[List[TauPoly]] = []
-    for i in range(1, p.n + 1):
-        row = []
-        for j in range(1, p.n + 1):
-            lj = p.lambdas[j - 1]
-            terms = {lj - 1 - r: ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
-            if i == j:
-                terms[lj] = ctx.one()
-            row.append(TauPoly(terms))
-        matrix.append(row)
-    return matrix
+
+    def entry(i: int, j: int) -> Callable:
+        lj = p.lambdas[j - 1]
+        terms = {lj - 1 - r: ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
+        if i == j:
+            terms[lj] = ctx.one()
+        top = max(terms)
+
+        def apply(inner: Sparse) -> Sparse:
+            tpow: Dict[int, List[Element]] = {}
+            for eb, cb in inner.terms.items():
+                row = [cb]
+                for _ in range(top):
+                    row.append(translation_T(row[-1]))
+                tpow[eb] = row
+            out: Dict[int, Element] = {}
+            for ea, ca in terms.items():
+                for eb, row in tpow.items():
+                    for k in range(ea + 1):
+                        _axpy(out, {ea - k + eb: ca * row[k]}, comb(ea, k))
+            return Sparse(out)
+
+        return apply
+
+    rows = range(1, p.n + 1)
+    return [[entry(i, j) for j in rows] for i in rows]
 
 
-def cdet_tau(p: Pyramid) -> TauPoly:
-    """Column determinant in the skew ring; the result is monic of
-    degree N in tau and its lower coefficients are the phi-circle
-    elements of the alternative presentation."""
+def cdet_tau(p: Pyramid) -> Sparse:
+    """Column determinant in the skew ring, as tau power -> coefficient;
+    the result is monic of degree N in tau and its lower coefficients are
+    the phi-circle elements of the alternative presentation."""
     ctx = get_context(p, "affine")
-    matrix = [[e.__mul__ for e in row] for row in build_tau_matrix(p)]
-    return column_determinant(matrix, TauPoly({0: ctx.one()}))
+    return column_determinant(build_tau_matrix(p), Sparse({0: ctx.one()}))

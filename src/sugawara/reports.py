@@ -16,17 +16,10 @@ from .pbw import Element
 class Report:
     __slots__ = ("check", "pyramid", "cases", "seed")
 
-    def __init__(
-        self,
-        check: str,
-        pyramid: str,
-        cases: Optional[List[dict]] = None,
-        seed: Optional[int] = None,
-    ):
+    def __init__(self, check: str, pyramid: str, seed: Optional[int] = None):
         self.check = check
         self.pyramid = pyramid
-        # a fresh list per report: no two reports share their cases
-        self.cases = [] if cases is None else cases
+        self.cases: List[dict] = []  # a fresh list: no two reports share it
         self.seed = seed
 
     def passed(self) -> bool:

@@ -3,10 +3,11 @@ paper's corollaries.
 
 Nothing in the package calls these.  Each computes its answer another
 way than the code it checks: the bracket through the embedding into
-gl_N, the column determinant as a straight permutation sum, the
-commutator as two full products, the small shapes from their closed
-forms, the all-ones tower from the ladder constants, and the top-letter
-parts of the generators from the commutative symbols.
+gl_N, the column determinant as a straight permutation sum, the skew
+tau product one step of tau at a time, the commutator as two full
+products, the small shapes from their closed forms, the all-ones tower
+from the ladder constants, and the top-letter parts of the generators
+from the commutative symbols.
 
 The corollaries are read on top-letter parts.  A degree-k vector of the
 vacuum module has no word longer than k letters, and the words with
@@ -24,7 +25,15 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from sugawara.pbw import Element, _axpy, delta, get_context, monomial_weight
+from sugawara.pbw import (
+    Element,
+    Sparse,
+    _axpy,
+    delta,
+    get_context,
+    monomial_weight,
+    translation_T,
+)
 from sugawara.pyramid import GenId, Pyramid, bracket
 from sugawara.reports import Report
 from sugawara.shift import SymPoly, a_chi_generators, center_generators, random_point, symbols
@@ -126,6 +135,47 @@ def column_determinant_bruteforce(matrix, unit):
             v = matrix[perm[col]][col](v)
         _axpy(out, v.terms, sign)
     return unit._like(out)
+
+
+# -- the skew tau product, one step of tau at a time
+
+
+def tau_step(terms):
+    """tau * sum_b B_b tau^b, by tau (B tau^b) = B tau^(b+1) + T(B) tau^b."""
+    out: dict = {}
+    for b, cb in terms.items():
+        _axpy(out, {b + 1: cb}, 1)
+        _axpy(out, {b: translation_T(cb)}, 1)
+    return out
+
+
+def naive_tau_product(left, inner):
+    """(sum_a A_a tau^a) * inner for tau power -> coefficient maps: each
+    tau^a moves right through ``inner`` one step at a time, with no
+    binomial sum."""
+    out: dict = {}
+    for a, ca in left.items():
+        moved = inner.terms
+        for _ in range(a):
+            moved = tau_step(moved)
+        _axpy(out, {b: ca * cb for b, cb in moved.items()}, 1)
+    return Sparse(out)
+
+
+def naive_tau_matrix(p):
+    """The tau matrix, entries delta_ij tau^{lambda_j} + sum_r E[i,j,r][-1]
+    tau^(lambda_j-1-r), each applied through the naive product."""
+    ctx = get_context(p, "affine")
+
+    def entry(i, j):
+        lj = p.lambdas[j - 1]
+        terms = {lj - 1 - r: ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
+        if i == j:
+            terms[lj] = ctx.one()
+        return lambda inner: naive_tau_product(terms, inner)
+
+    rows = range(1, p.n + 1)
+    return [[entry(i, j) for j in rows] for i in rows]
 
 
 # -- the commutator as two full products

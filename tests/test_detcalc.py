@@ -1,10 +1,10 @@
 import gc
+import itertools
 import random
 
 import pytest
 
 from sugawara.detcalc import (
-    TauPoly,
     UXElem,
     build_entry_matrix,
     build_tau_matrix,
@@ -13,11 +13,11 @@ from sugawara.detcalc import (
     column_determinant,
     ux_matrix,
 )
-from sugawara.pbw import get_context, translation_T, weight_component
+from sugawara.pbw import Sparse, get_context, translation_T, weight_component
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import SymPoly, center_determinant, symbols
 
-from oracles import column_determinant_bruteforce
+from oracles import column_determinant_bruteforce, naive_tau_matrix
 
 
 def test_entry_windows():
@@ -121,8 +121,7 @@ def _determinant_setup(kind, p):
     if kind == "cdet":
         return build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), cdet(p)
     if kind == "tau":
-        matrix = [[e.__mul__ for e in row] for row in build_tau_matrix(p)]
-        return matrix, TauPoly({0: ctx.one()}), cdet_tau(p)
+        return build_tau_matrix(p), Sparse({0: ctx.one()}), cdet_tau(p)
     if kind == "center":
         # the diagonal constant as a product with a scalar element
         const = lambda i: UXElem({(0, 0): fin.one().scale((p.n - i) * p.lambdas[i - 1])})
@@ -161,16 +160,21 @@ def test_cdet_matches_permutation_oracle(kind, lam):
     slow = column_determinant_bruteforce(matrix, unit)
     assert fast == slow
     assert slow == value
+    if kind == "tau":
+        # the same sum with every entry applied through the naive product
+        assert column_determinant_bruteforce(naive_tau_matrix(p), unit) == value
 
 
 def test_tau_matrix_shapes():
     p = Pyramid((1, 2))
     ctx = get_context(p, "affine")
     m = build_tau_matrix(p)
-    assert m[0][0] == TauPoly({1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)})
+    one = Sparse({0: ctx.one()})
+    # an entry applied to the unit is its own tau polynomial
+    assert m[0][0](one) == Sparse({1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)})
     # i<j entry tops out at tau^(lambda_i - 1)
-    assert m[0][1] == TauPoly({0: ctx.gen(1, 2, 1, depth=-1)})
-    assert m[1][1] == TauPoly(
+    assert m[0][1](one) == Sparse({0: ctx.gen(1, 2, 1, depth=-1)})
+    assert m[1][1](one) == Sparse(
         {
             2: ctx.one(),
             1: ctx.gen(2, 2, 0, depth=-1),
@@ -182,12 +186,12 @@ def test_tau_matrix_shapes():
 def test_cdet_tau_small():
     p = Pyramid((1,))
     ctx = get_context(p, "affine")
-    assert cdet_tau(p) == TauPoly({1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)})
+    assert cdet_tau(p) == Sparse({1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)})
     assert cdet_tau(p).terms[p.big_n - 1] == ctx.gen(1, 1, 0, depth=-1)
 
     q = Pyramid((2,))
     qctx = get_context(q, "affine")
-    assert cdet_tau(q) == TauPoly(
+    assert cdet_tau(q) == Sparse(
         {
             2: qctx.one(),
             1: qctx.gen(1, 1, 0, depth=-1),
@@ -215,24 +219,30 @@ def test_cdet_tau_monic(lam):
     assert top == ctx.one()
 
 
-def test_tau_skew_associativity_samples():
+@pytest.mark.parametrize("lam", [(1, 2), (1, 1, 2), (2, 2)])
+def test_tau_entries_match_the_naive_skew_product(lam):
     rng = random.Random(17)
-    p = Pyramid((1, 2))
+    p = Pyramid(lam)
     ctx = get_context(p, "affine")
     basis = p.basis()
 
-    def random_tau():
-        terms = {}
-        for _ in range(2):
-            e = rng.randint(0, 2)
-            g = rng.choice(basis)
-            elem = ctx.gen(g.i, g.j, g.r, depth=rng.choice([-1, -2]))
-            terms[e] = terms.get(e, ctx.zero()) + elem
-        return TauPoly(terms)
+    def letter():
+        g = rng.choice(basis)
+        return ctx.gen(g.i, g.j, g.r, depth=rng.choice([-1, -2]))
 
-    for _ in range(10):
-        a, b, c = random_tau(), random_tau(), random_tau()
-        assert (a * b) * c == a * (b * c)
+    def random_inner():
+        terms = {}
+        for _ in range(3):
+            e = rng.randint(0, 3)
+            elem = letter() * letter() if rng.randint(0, 1) else letter()
+            terms[e] = terms.get(e, ctx.zero()) + elem
+        return Sparse(terms)
+
+    fast, naive = build_tau_matrix(p), naive_tau_matrix(p)
+    for _ in range(4):
+        inner = random_inner()
+        for i, j in itertools.product(range(p.n), repeat=2):
+            assert fast[i][j](inner) == naive[i][j](inner)
 
 
 def test_term_counts_stay_bounded():

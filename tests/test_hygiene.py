@@ -12,6 +12,11 @@ The rewriting hot path reads letters as ints: it calls none of the
 
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
 request pays for what its import pulls in.
+
+No ``Sparse`` subclass but ``Element`` defines its own ``__mul__``: a
+carrier's product is the convolution over its ``_join``, and the engine's
+product is ``LieContext.mul``; any other product is an operator, built
+where it is applied.
 """
 
 import ast
@@ -158,6 +163,61 @@ def test_scan_sees_letter_field_reads(tmp_path):
         {"_times"},
         [("_times", 2, "depth"), ("_times", 2, "r")],
     )
+
+
+def sparse_products(paths):
+    """(class, file, line) of every ``__mul__`` defined or assigned in a
+    class that derives, directly or not, from ``Sparse``."""
+    classes = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+                classes[node.name] = (bases, path, node)
+    derived, grew = {"Sparse"}, True
+    while grew:
+        new = {name for name, (bases, _, _) in classes.items() if bases & derived}
+        grew = not new <= derived
+        derived |= new
+    found = []
+    for name in sorted(derived - {"Sparse"}):
+        _, path, node = classes[name]
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef):
+                targets = [sub.name]
+            elif isinstance(sub, ast.Assign):
+                targets = [t.id for t in sub.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if "__mul__" in targets:
+                found.append((name, path.name, sub.lineno))
+    return found
+
+
+def test_no_sparse_carrier_keeps_its_own_product():
+    found = sparse_products(sorted((ROOT / "src").rglob("*.py")))
+    assert ("Element", "pbw.py") in {(name, file) for name, file, _ in found}
+    found = [f"{file}:{line}: {name}" for name, file, line in found if name != "Element"]
+    assert not found, "Sparse subclasses with their own __mul__:\n" + "\n".join(found)
+
+
+def test_scan_sees_sparse_products(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Carrier(pbw.Sparse):\n"
+        "    def __mul__(self, other): pass\n"
+        "class Deeper(Carrier):\n"
+        "    __mul__ = None\n"
+        "class Plain(Carrier):\n"
+        "    def scale(self, s): pass\n"
+        "class Other:\n"
+        "    def __mul__(self, other): pass\n"
+    )
+    assert sparse_products([path]) == [
+        ("Carrier", "sample.py", 2),
+        ("Deeper", "sample.py", 4),
+    ]
 
 
 # Prints the modules that ``import sugawara.cli`` adds to sys.modules.
