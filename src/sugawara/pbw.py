@@ -26,9 +26,11 @@ Letter brackets are kept in rows: ``_loop_bracket_cache[h][g]`` is
 [h, g], so the core fetches h's row once and looks a letter up in it
 without building a pair key.  Most letter pairs commute, and every
 empty bracket is the one value ``_EMPTY``, which the core skips by an
-identity test.  A pair missing from the rows lifts the bracket of its
-symbols, cached under their packed (i, j, r) bits, to its depth by int
-arithmetic alone.
+identity test.  The rows are the one bracket table: with no central
+term at depths 0, 0, the depth-0 rows are the symbol brackets, built by
+the pyramid bracket, the one check of both symbols.  Any other pair
+lifts the depth-0 entry of its symbols, the low 32 bits of its letters,
+to its depth by int arithmetic.
 
 The rewriting core is right-insertion of one generator ``g`` into a
 normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
@@ -277,8 +279,6 @@ class LieContext:
         self.pyramid = pyramid
         self.mode = mode
         self.key = (pyramid.lambdas, mode)
-        # (h & _SYMBOL) << 32 | g & _SYMBOL -> _symbol_bracket(h, g)
-        self._bracket_cache: Dict[int, Tuple[tuple, int]] = {}
         # row h holds [h, g] under key g, so a lookup builds no pair key
         self._loop_bracket_cache: Dict[LoopGen, Dict[LoopGen, tuple]] = defaultdict(dict)
         self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
@@ -320,35 +320,31 @@ class LieContext:
         return hit
 
     def _make_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
-        """[h, g] from the symbol bracket, for a pair not yet in the table."""
-        # letter pairs that differ only in depth share one symbol bracket,
-        # keyed by the packed (i, j, r) of both letters, their low 32 bits
-        key = (h & _SYMBOL) << 32 | g & _SYMBOL
-        sym = self._bracket_cache.get(key)
+        """[h, g] for a pair not yet in the table (see the module docstring)."""
+        hd, gd = h >> 32, g >> 32
+        if not (hd or gd):
+            # a tuple, not the dict: most brackets are empty and share _EMPTY
+            sym = lie_bracket(self.pyramid, h.gen, g.gen)
+            terms = tuple((LoopGen(0, *z), c) for z, c in sym.items())
+            return (terms, 0) if terms else _EMPTY
+        # the low 32 bits of a letter are its depth-0 letter
+        a, b = h & _SYMBOL, g & _SYMBOL
+        row = self._loop_bracket_cache[a]
+        sym = row.get(b)
         if sym is None:
-            sym = self._bracket_cache[key] = self._symbol_bracket(h, g)
-        if sym is _EMPTY:
-            return _EMPTY
-        terms, value = sym
-        hd = h >> 32
-        d = hd + (g >> 32)
-        if d:
+            a, b = int.__new__(LoopGen, a), int.__new__(LoopGen, b)
+            sym = row[b] = self._make_bracket(a, b)
+        d = hd + gd
+        if d and sym is not _EMPTY:
             # the symbol terms are depth-0 letters: lift them to depth d
             shift = d << 32
-            terms = tuple((int.__new__(LoopGen, shift | z), c) for z, c in terms)
-            central = 0
-        else:
-            central = hd * value
-        return (terms, central) if terms or central else _EMPTY
-
-    def _symbol_bracket(self, h: LoopGen, g: LoopGen) -> Tuple[tuple, int]:
-        """The bracket of the symbols of h and g as depth-0 letters, and
-        their form value in affine mode, or ``_EMPTY`` when both vanish."""
-        p, a, b = self.pyramid, h.gen, g.gen
-        # a tuple, not the dict: most brackets are empty and share _EMPTY
-        terms = tuple((LoopGen(0, *z), c) for z, c in lie_bracket(p, a, b).items())
-        value = lie_form(p, a, b) if self.mode == "affine" else 0
-        return (terms, value) if terms or value else _EMPTY
+            return tuple((int.__new__(LoopGen, shift | z), c) for z, c in sym[0]), 0
+        if d or h & 65535 or g & 65535:
+            # an empty lift, or no central term: the form vanishes unless
+            # both shifts r, the low 16 bits, are 0
+            return sym
+        central = hd * lie_form(self.pyramid, h.gen, g.gen)
+        return (sym[0], central) if sym[0] or central else _EMPTY
 
     def _suffix(self, b: Monomial, g: LoopGen) -> Terms:
         """Normal form of b*g where every letter of b exceeds g, memoized
@@ -663,10 +659,11 @@ def element_to_obj(v: Element) -> list:
 
 
 def element_from_obj(ctx: LieContext, obj: list) -> Element:
-    terms: Dict[Monomial, Fraction] = {}
-    for item in obj:
-        m = tuple(
-            LoopGen(f["depth"], f["i"], f["j"], f["r"]) for f in item["monomial"]
+    """The element of a term list, each letter checked by ``ctx.loop``."""
+    return ctx.combine(
+        (
+            [ctx.loop(f["i"], f["j"], f["r"], f["depth"]) for f in item["monomial"]],
+            exact(item["coeff"]),
         )
-        _axpy(terms, {m: exact(item["coeff"])}, 1)
-    return Element(ctx, terms)
+        for item in obj
+    )

@@ -60,7 +60,8 @@ def chi_from_obj(p: Pyramid, obj: Dict[str, str]) -> Chi:
             chi[g] = exact(v)
         except ValueError as exc:
             raise ValueError(f"chi value for {k}: {exc}") from None
-    return check_chi(p, {g: c for g, c in chi.items() if c})
+    # every symbol is checked, a zero value's too
+    return {g: c for g, c in check_chi(p, chi).items() if c}
 
 
 def chi_to_obj(chi: Chi) -> Dict[str, str]:

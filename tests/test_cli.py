@@ -220,6 +220,16 @@ def test_chi_rejects_a_symbol_given_twice(capsys, tmp_path, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_chi_refuses_a_symbol_outside_the_pyramid(capsys, tmp_path, value):
+    # a zero value is checked too, before it is dropped
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps({"E[1,1,0]": "1", "E[9,9,0]": value}))
+    code, out, err = run(capsys, "--pyramid", "1,1", "--chi", str(chi_file), "shift")
+    assert code == 2 and out == ""
+    assert "E[9,9,0] is not a basis symbol" in err
+
+
 def test_config_fields_read_as_before():
     cfg = parse_config(build_parser().parse_args(["--pyramid", "1,2", "verify"]))
     assert cfg == cli.Config(Pyramid((1, 2)), "verify")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sugawara.cli import main
 from sugawara.detcalc import UXElem
 from sugawara.jsonout import to_json
 from sugawara.pyramid import Pyramid, bracket, form
@@ -38,7 +39,7 @@ from sugawara.shift import (
     zseries_eval,
 )
 from sugawara.suga import clear_caches, phi_table
-from sugawara.verify import annihilation_check
+from sugawara.verify import annihilation_check, centrality_check
 
 from oracles import degree_d, gen_or_zero, monomial_degree, random_chi, two_product_commutator
 from test_acceptance import ALL_PYRAMIDS
@@ -397,6 +398,37 @@ def test_serialization_roundtrip_bit_exact():
     w = element_from_obj(ctx, json.loads(text))
     assert w == v
     assert json.dumps(element_to_obj(w)) == text
+
+
+def _term(coeff, *letters):
+    return {
+        "coeff": coeff,
+        "monomial": [dict(zip(("i", "j", "r", "depth"), f)) for f in letters],
+    }
+
+
+@pytest.mark.parametrize("mode, depth", [("affine", -1), ("finite", 0)])
+def test_element_from_obj_refuses_a_symbol_outside_the_pyramid(mode, depth):
+    ctx = LieContext(Pyramid((1, 1)), mode)
+    with pytest.raises(ValueError, match=re.escape("E[9,9,0]")):
+        element_from_obj(ctx, [_term("1", (1, 1, 0, depth), (9, 9, 0, depth))])
+
+
+def test_element_from_obj_refuses_a_depth_in_finite_mode():
+    ctx = LieContext(Pyramid((1, 1)), "finite")
+    with pytest.raises(ValueError, match="depth must be 0"):
+        element_from_obj(ctx, [_term("1", (1, 1, 0, -1))])
+
+
+@pytest.mark.parametrize("mode, depth", [("affine", -1), ("finite", 0)])
+def test_element_from_obj_puts_a_word_in_normal_order(mode, depth):
+    ctx = LieContext(Pyramid((1, 2)), mode)
+    # [E[2,1,0], E[1,2,1]] = E[2,2,1]
+    word = [LoopGen(depth, 2, 1, 0), LoopGen(depth, 1, 2, 1)]
+    obj = [_term("3/2", *[(g.i, g.j, g.r, g.depth) for g in word])]
+    got = element_from_obj(ctx, obj)
+    assert got == ctx.word(word, Fraction(3, 2))
+    assert len(got.terms) > 1
 
 
 def test_element_text_form():
@@ -951,8 +983,9 @@ def test_times_of_empty_terms_is_a_new_dict(word):
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2)])
 def test_loop_bracket_lifts_the_symbol_bracket(lam):
-    # the packed-key symbol cache against pyramid.bracket and form, in
-    # both modes; the finite context sees depth-0 letters only
+    # each letter pair against pyramid.bracket and form, in both modes:
+    # the depth-0 rows, lifted to every other depth, with the central
+    # term at opposite depths; the finite context sees depth 0 only
     p = Pyramid(lam)
     for mode, depths in (("affine", range(-2, 3)), ("finite", [0])):
         ctx = LieContext(p, mode)
@@ -976,28 +1009,42 @@ def test_loop_bracket_lifts_the_symbol_bracket(lam):
         assert (central_pairs > 0) == (mode == "affine")
 
 
-@pytest.mark.parametrize("path", ["word", "mul", "commutators"])
+# (mode, path): the affine paths keep their bare ids
+REFUSING_PATHS = [
+    pytest.param("affine", path, id=path)
+    for path in ("word", "mul", "commutators", "act")
+] + [
+    pytest.param("finite", path, id=f"finite-{path}")
+    for path in ("word", "mul", "commutators")
+]
+
+
+@pytest.mark.parametrize("mode, path", REFUSING_PATHS)
 @pytest.mark.parametrize("bad", [(9, 9, 0), (1, 1, 5)], ids=["row", "shift"])
-def test_bracket_path_refuses_a_symbol_outside_the_pyramid(path, bad):
-    # the symbol cache is where a letter is checked: a sorted word never
-    # reaches a bracket, so each call here needs a reordering
+def test_bracket_path_refuses_a_symbol_outside_the_pyramid(mode, path, bad):
+    # the symbol bracket is where a letter is checked: a sorted word never
+    # reaches a bracket, so each call here needs a reordering; one mode
+    # per case, so a case shows which mode's path did the checking
     name = "E[{},{},{}]".format(*bad)
-    for mode, high, low in (("affine", -1, -2), ("finite", 0, 0)):
-        ctx = LieContext(Pyramid((1, 1)), mode)
-        bad_word = ctx.word([LoopGen(high, *bad)])
-        small = ctx.gen(1, 1, 0, depth=low)
-        calls = {
-            "word": lambda: ctx.word(
-                [LoopGen(high, 2, 2, 0), LoopGen(high, *bad), LoopGen(low, 1, 1, 0)]
-            ),
-            "mul": lambda: ctx.mul(bad_word, small),
-            "commutators": lambda: ctx.commutators(small, [bad_word]),
-        }
-        with pytest.raises(ValueError, match=re.escape(name)):
-            calls[path]()
+    high, low = (-1, -2) if mode == "affine" else (0, 0)
+    ctx = LieContext(Pyramid((1, 1)), mode)
+    bad_word = ctx.word([LoopGen(high, *bad)])
+    small = ctx.gen(1, 1, 0, depth=low)
+    calls = {
+        "word": lambda: ctx.word(
+            [LoopGen(high, 2, 2, 0), LoopGen(high, *bad), LoopGen(low, 1, 1, 0)]
+        ),
+        "mul": lambda: ctx.mul(bad_word, small),
+        "commutators": lambda: ctx.commutators(small, [bad_word]),
+        "act": lambda: ctx.act(LoopGen(1, 1, 1, 0), bad_word),
+    }
+    with pytest.raises(ValueError, match=re.escape(name)):
+        calls[path]()
 
 
-def test_each_loop_bracket_is_built_once(monkeypatch):
+def test_each_loop_bracket_is_built_once(monkeypatch, capsys):
+    # the letter rows are a context's one bracket table: every entry, a
+    # symbol bracket at depth 0 too, is built by one _make_bracket call
     clear_caches()
     built = []
     make = LieContext._make_bracket
@@ -1007,8 +1054,22 @@ def test_each_loop_bracket_is_built_once(monkeypatch):
         return make(self, h, g)
 
     monkeypatch.setattr(LieContext, "_make_bracket", counted)
-    assert annihilation_check(Pyramid((2, 2, 2, 2))).passed()
-    entries = sum(
-        len(row) for ctx in _CONTEXTS.values() for row in ctx._loop_bracket_cache.values()
-    )
-    assert len(built) == entries > 1000
+    p = Pyramid((2, 2, 2, 2))
+    assert annihilation_check(p).passed()
+    labeled = [(f"Phi[{k},{r}]", elem) for k, r, elem in center_generators(p)]
+    assert centrality_check(p, labeled).passed()
+    for mode in ("affine", "finite"):
+        ctx = get_context(p, mode)
+        entries = sum(len(row) for row in ctx._loop_bracket_cache.values())
+        assert sum(key == ctx.key for key, _, _ in built) == entries > 1000
+    # the finite context sees each symbol pair once, in one table
+    assert entries == p.dim() ** 2
+
+    # shift uses both contexts, and each holds one bracket table and the memo
+    clear_caches()
+    assert main(["--pyramid", "1,2", "--z", "2", "shift"]) == 0
+    capsys.readouterr()
+    assert sorted(key for _, key in _CONTEXTS) == ["affine", "finite"]
+    for ctx in _CONTEXTS.values():
+        tables = [name for name, v in vars(ctx).items() if isinstance(v, dict)]
+        assert sorted(tables) == ["_insert_memo", "_loop_bracket_cache"]
