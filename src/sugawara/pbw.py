@@ -40,18 +40,26 @@ computed from ``b[:-1] * g`` and the bracket of the displaced pair.  The
 memo keeps ``b * g`` only for a ``b`` of at most ``MEMO_LETTERS``
 letters; a longer ``b`` is recomputed from its memoized prefix.  A
 term of ``b * g`` that starts at or above the last factor of ``a`` is
-joined to ``a`` by concatenation, any other is inserted into ``a``
-factor by factor.  This terminates by the usual filtration argument:
-bracket terms are shorter words.
+joined to ``a`` by concatenation, any other takes the letters of ``a``
+from the left, as a product does.  This terminates by the usual
+filtration argument: bracket terms are shorter words.
 
-A product prepends each monomial m of its left operand to the terms of
-its right operand with ``_prefix``, the same join: a term that starts at
-or above the last letter of m is concatenated, any other is inserted
-after m factor by factor.  The determinants multiply only by a single
-generator or the unit, so each of their products is one such call.  The
-action of a mode X[s], s >= 0, on a vacuum-module state commutes X[s]
-rightwards through each monomial until it meets the vacuum, so the terms
-the vacuum kills are never built.
+A product adds c * m * t, for each monomial m of its left operand and
+each term t of its right operand, straight into one dict with
+``_into``, by the same join: a t that starts at or above the last
+letter g of m is concatenated, and any other takes g from the left with
+``_lead``, then the rest of m the same way.  ``_lead`` moves g right
+past the letters of t at most g, t[:p] with p = bisect_right(t, g):
+
+    g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:].
+
+Each term w of t[:i] * z, for a letter z of the bracket, is joined to
+t[i+1:] by the same order test: concatenated when w ends at or below
+t[i+1], inserted factor by factor otherwise.  The determinants multiply
+only by a single generator or the unit, so each of their products is
+one ``_into`` call.  The action of a mode X[s], s >= 0, on a
+vacuum-module state commutes X[s] rightwards through each monomial until
+it meets the vacuum, so the terms the vacuum kills are never built.
 
 Only the commutator walks a trie.  It walks the trie of its right
 operand by the Leibniz rule [a, P*y] = [a, P]*y + P*[a, y], where each
@@ -294,7 +302,10 @@ class LieContext:
     def loop(self, i: int, j: int, r: int, depth: int) -> LoopGen:
         self.pyramid.check(GenId(i, j, r))
         if self.mode == "finite" and depth != 0:
-            raise ValueError("finite mode carries no loop variable; depth must be 0")
+            raise ValueError(
+                f"E[{i},{j},{r}][{depth}]: finite mode carries no loop"
+                " variable; depth must be 0"
+            )
         return LoopGen(depth, i, j, r)
 
     def gen(self, i: int, j: int, r: int, depth: int = 0) -> Element:
@@ -365,22 +376,55 @@ class LieContext:
             self._insert_memo[key] = out
         return out
 
-    def _prefix(self, head: Monomial, terms: Terms) -> Terms:
-        """Normal form of head*terms for a normal-ordered head: a term
-        that starts at or above head's last letter is concatenated."""
-        if not head:
-            return terms
-        last = head[-1]
-        out = {}
-        late = []
-        for t, c in terms.items():
-            if not t or t[0] >= last:
-                out[head + t] = c
-            else:
-                late.append((t, c))
-        for t, c in late:
-            _axpy(out, self._times({head: 1}, t), c)
+    def _lead(self, g: LoopGen, t: Monomial) -> Terms:
+        """Normal form of g*t for a normal-ordered t.  g passes the letters
+        t[:p] at most g, p = bisect_right(t, g), with a bracket at each:
+        g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:]."""
+        p = bisect_right(t, g)
+        out = {t[:p] + (g,) + t[p:]: 1}
+        row = self._loop_bracket_cache[g]
+        for i in range(p):
+            hit = row.get(t[i]) or self.loop_bracket(g, t[i])
+            if hit is _EMPTY:
+                continue
+            terms, central = hit
+            head, rest = t[:i], t[i + 1 :]
+            for z, c in terms:
+                for w, v in self._times({head: 1}, (z,)).items():
+                    # w ends at or below rest's first letter: w + rest is
+                    # normal-ordered, else rest goes in factor by factor
+                    if not rest or not w or w[-1] <= rest[0]:
+                        m = w + rest
+                        v = out.get(m, 0) + c * v
+                        if v:
+                            out[m] = v
+                        else:
+                            out.pop(m, None)
+                    else:
+                        _axpy(out, self._times({w: 1}, rest), c * v)
+            if central:
+                _axpy(out, {head + rest: central}, 1)
         return out
+
+    def _into(self, out: Terms, head: Monomial, terms: Terms, c) -> None:
+        """out += c * head*terms for a normal-ordered head: a term that
+        starts at or above head's last letter is concatenated, any other
+        takes that letter from the left by ``_lead`` and the rest of head
+        by recursion.  terms is only read, so it may be shared."""
+        if not head:
+            _axpy(out, terms, c)
+            return
+        last = head[-1]
+        for t, v in terms.items():
+            if not t or t[0] >= last:
+                m = head + t
+                v = out.get(m, 0) + c * v
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+            else:
+                self._into(out, head[:-1], self._lead(last, t), c * v)
 
     def _times(self, terms: Terms, word: Monomial) -> Terms:
         """Normal form of terms*word, inserting one factor at a time.
@@ -400,21 +444,16 @@ class LieContext:
             for m, c in late:
                 # m[-1] > g: split m = head + b, b the letters above g
                 k = bisect_right(m, g)
-                res = self._prefix(m[:k], self._suffix(m[k:], g))
-                if len(res) == 1:
-                    [(t, v)] = res.items()
-                    v = out.get(t, 0) + c * v
-                    if v:
-                        out[t] = v
-                    else:
-                        del out[t]
-                else:
-                    _axpy(out, res, c)
+                self._into(out, m[:k], self._suffix(m[k:], g), c)
             terms = out
         return terms
 
     def combine(self, pieces: Iterable[Tuple[Iterable[LoopGen], Fraction]]) -> Element:
-        """Normal-ordered sum of arbitrary words with coefficients."""
+        """Normal-ordered sum of arbitrary words with coefficients.  No
+        letter is checked, since ``translation_T`` runs through here: the
+        callers pass checked letters (``word``, ``element_from_obj`` by
+        ``loop``, ``_shift_depth`` and the shift layer, which move the
+        letters of an element of this pyramid)."""
         out: Dict[Monomial, Fraction] = {}
         for word, coeff in pieces:
             if not coeff:
@@ -427,7 +466,11 @@ class LieContext:
         return self._element(out)
 
     def word(self, factors: Iterable[LoopGen], coeff: Fraction = 1) -> Element:
-        return self.combine([(tuple(factors), coeff)])
+        """coeff * the product of factors, each letter checked by ``loop``."""
+        factors = tuple(factors)
+        for g in factors:
+            self.loop(g.i, g.j, g.r, g.depth)
+        return self.combine([(factors, coeff)])
 
     # -- products and the module action
 
@@ -449,11 +492,11 @@ class LieContext:
         return trie
 
     def mul(self, a: Element, b: Element) -> Element:
-        """a*b, as the sum over a's terms c*m of c * _prefix(m, b.terms)."""
+        """a*b, as the sum over a's terms c*m of c * m*b, by ``_into``."""
         self._own(a, b)
         out: Terms = {}
         for m, c in a.terms.items():
-            _axpy(out, self._prefix(m, b.terms), c)
+            self._into(out, m, b.terms, c)
         return self._element(out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
@@ -483,7 +526,7 @@ class LieContext:
             head, tail = m[:idx], m[idx + 1 :]
             for z, c in terms:
                 if z >= 0:
-                    _axpy(out, self._prefix(head, self._act_word(z, tail)), c)
+                    self._into(out, head, self._act_word(z, tail), c)
                 else:
                     _axpy(out, self._times({head: 1}, (z,) + tail), c)
             if central:
@@ -534,7 +577,7 @@ class LieContext:
             else:
                 nxt = self._times(cur, (y,)) if cur else {}
                 if ad[y]:
-                    _axpy(nxt, self._prefix(head, ad[y]), 1)
+                    self._into(nxt, head, ad[y], 1)
                 self._leibniz(child, head + (y,), nxt, ad, out)
 
 

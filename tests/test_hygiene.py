@@ -120,8 +120,9 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_suffix", "_prefix", "_times", "_leibniz", "_act_word", "_shift_depth",
-    "commutators", "_bracket_terms", "loop_bracket", "_make_bracket",
+    "_suffix", "_lead", "_into", "_times", "_leibniz", "_act_word",
+    "_shift_depth", "commutators", "_bracket_terms", "loop_bracket",
+    "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 

@@ -45,10 +45,11 @@ from oracles import degree_d, gen_or_zero, monomial_degree, random_chi, two_prod
 from test_acceptance import ALL_PYRAMIDS
 
 
-def naive_normal_order(ctx, word, coeff=1, step_cap=200_000):
+def naive_normal_order(ctx, word, coeff=1, step_cap=200_000, quotient=True):
     """Independent rewriter: repeatedly reduce the *last* out-of-order
     adjacent pair (the production engine works from the front).  Returns
-    (element-terms, steps)."""
+    (element-terms, steps).  In affine mode the vacuum kills the words
+    that end at depth >= 0, unless quotient is false."""
     out = {}
     stack = [(tuple(word), coeff)]
     steps = 0
@@ -61,7 +62,7 @@ def naive_normal_order(ctx, word, coeff=1, step_cap=200_000):
             if w[t] > w[t + 1]:
                 pos = t
         if pos < 0:
-            if ctx.mode == "affine" and w and w[-1].depth >= 0:
+            if quotient and ctx.mode == "affine" and w and w[-1].depth >= 0:
                 continue
             v = out.get(w, 0) + c
             if v:
@@ -84,11 +85,11 @@ def naive_normal_order(ctx, word, coeff=1, step_cap=200_000):
     return out, steps
 
 
-def naive_sum(ctx, pieces):
+def naive_sum(ctx, pieces, quotient=True):
     """Naive normal form of a sum of (word, coeff) pieces."""
     out = {}
     for word, coeff in pieces:
-        for m, c in naive_normal_order(ctx, word, coeff)[0].items():
+        for m, c in naive_normal_order(ctx, word, coeff, quotient=quotient)[0].items():
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
@@ -431,6 +432,21 @@ def test_element_from_obj_puts_a_word_in_normal_order(mode, depth):
     assert len(got.terms) > 1
 
 
+def test_word_refuses_a_depth_in_finite_mode():
+    # a depth-1 letter would bring the loop bracket's central term into
+    # the finite algebra: -1 + E[1,1,0][-1] E[1,1,0][1] here
+    ctx = LieContext(Pyramid((1, 1)), "finite")
+    with pytest.raises(ValueError, match=re.escape("E[1,1,0][1]")):
+        ctx.word([LoopGen(1, 1, 1, 0), LoopGen(-1, 1, 1, 0)])
+
+
+def test_word_refuses_a_symbol_outside_the_pyramid():
+    # a one-letter word reaches no bracket, so word checks its letters
+    ctx = LieContext(Pyramid((1, 1)), "affine")
+    with pytest.raises(ValueError, match=re.escape("E[9,9,0]")):
+        ctx.word([LoopGen(-1, 9, 9, 0)])
+
+
 def test_element_text_form():
     ctx = get_context(Pyramid((1, 1)), "affine")
     v = ctx.gen(1, 1, 0, depth=-1) - 2 * ctx.gen(2, 2, 0, depth=-1)
@@ -527,6 +543,110 @@ def test_mul_against_naive_rewriter(mode):
             assert ctx.mul(left, b).terms == want
         assert all(len(left.terms) == 1 for left in lefts)
     assert shared >= 10
+
+
+def _kernel_letters(p, mode):
+    # affine depths -2..1 hold opposite-depth pairs, which carry the
+    # central term, and letters the vacuum would kill
+    depths = (0,) if mode == "finite" else (-2, -1, 0, 1)
+    return [LoopGen(d, *x) for d in depths for x in p.basis()]
+
+
+def _sorted_word(rng, letters, lo, hi):
+    return tuple(sorted(rng.choice(letters) for _ in range(rng.randint(lo, hi))))
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_lead_against_naive_rewriter(mode):
+    # one letter g times a normal-ordered word t, compared in full: no
+    # vacuum quotient, since _lead applies none
+    rng = random.Random(29)
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, mode)
+    letters = _kernel_letters(p, mode)
+    seen = dict.fromkeys(["below", "inside", "above", "equal", "central"], 0)
+    for _ in range(300):
+        t = _sorted_word(rng, letters, 1, 4)
+        # g equal to a letter y of t, y's partner in the form, or any letter
+        y = rng.choice(t)
+        partner = LoopGen(-y.depth, y.j, y.i, y.r)
+        pick = rng.random()
+        if pick < 0.2:
+            g = y
+        elif pick < 0.5 and partner in letters:
+            g = partner
+        else:
+            g = rng.choice(letters)
+        want = naive_normal_order(ctx, (g,) + t, quotient=False)[0]
+        assert ctx._lead(g, t) == want
+        passed = [y for y in t if y <= g]
+        seen["below"] += not passed
+        seen["inside"] += 0 < len(passed) < len(t)
+        seen["above"] += len(passed) == len(t)
+        seen["equal"] += g in t
+        seen["central"] += any(ctx.loop_bracket(g, y)[1] for y in passed)
+    assert min(n for key, n in seen.items() if key != "central") >= 30
+    # opposite depths reach the central term in affine mode only
+    assert (seen["central"] >= 5) == (mode == "affine")
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_into_adds_to_what_out_holds(mode):
+    # out += c * head*terms on a prefilled out; the prefill cancels some
+    # of the sum, and a cancelled key leaves out (no 0 is kept)
+    rng = random.Random(31)
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, mode)
+    letters = _kernel_letters(p, mode)
+    cancelled = 0
+    for _ in range(60):
+        head = _sorted_word(rng, letters, 0, 3)
+        terms = {
+            _sorted_word(rng, letters, 0, 3): rng.choice([1, -1, 3, Fraction(1, 2)])
+            for _ in range(3)
+        }
+        c = rng.choice([1, -2, Fraction(2, 3)])
+        want = naive_sum(
+            ctx, [(head + t, c * v) for t, v in terms.items()], quotient=False
+        )
+        out = {m: -v for m, v in want.items() if rng.random() < 0.5}
+        out[(rng.choice(letters),)] = 5
+        before, shared = dict(out), dict(terms)
+        ctx._into(out, head, terms, c)
+        expect = dict(before)
+        for m, v in want.items():
+            expect[m] = expect.get(m, 0) + v
+        assert out == {m: v for m, v in expect.items() if v}
+        assert terms == shared
+        cancelled += sum(m not in out for m in before)
+    assert cancelled >= 30
+
+
+def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
+    # _into reads terms that others share (memo entries, ad[y] in
+    # commutators): each memo entry, copied when it is stored, must read
+    # the same after a whole verify has used it
+    clear_caches()
+    stored = {}
+    suffix = LieContext._suffix
+
+    def spy(self, b, g):
+        out = suffix(self, b, g)
+        key = (self.key, b, g)
+        if key not in stored and (b, g) in self._insert_memo:
+            stored[key] = dict(out)
+        return out
+
+    monkeypatch.setattr(LieContext, "_suffix", spy)
+    assert main(["--pyramid", "1,1,2", "verify"]) == 0
+    capsys.readouterr()
+    memo = {
+        (ctx.key,) + key: terms
+        for ctx in _CONTEXTS.values()
+        for key, terms in ctx._insert_memo.items()
+    }
+    assert len(memo) > 30
+    assert memo == stored
 
 
 _WORDS = st.lists(
@@ -1023,12 +1143,14 @@ REFUSING_PATHS = [
 @pytest.mark.parametrize("bad", [(9, 9, 0), (1, 1, 5)], ids=["row", "shift"])
 def test_bracket_path_refuses_a_symbol_outside_the_pyramid(mode, path, bad):
     # the symbol bracket is where a letter is checked: a sorted word never
-    # reaches a bracket, so each call here needs a reordering; one mode
-    # per case, so a case shows which mode's path did the checking
+    # reaches a bracket, so each call here needs a reordering (word
+    # checks its letters before it reorders); one mode per case, so a case
+    # shows which mode's path did the checking
     name = "E[{},{},{}]".format(*bad)
     high, low = (-1, -2) if mode == "affine" else (0, 0)
     ctx = LieContext(Pyramid((1, 1)), mode)
-    bad_word = ctx.word([LoopGen(high, *bad)])
+    # built past word, which checks its letters itself
+    bad_word = Element(ctx, {(LoopGen(high, *bad),): 1})
     small = ctx.gen(1, 1, 0, depth=low)
     calls = {
         "word": lambda: ctx.word(

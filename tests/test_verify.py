@@ -100,20 +100,44 @@ def test_reports_never_share_their_cases():
 
 
 @pytest.mark.parametrize("lam", [(2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
-def test_insert_memo_keeps_short_suffixes_only(capsys, lam):
+def test_insert_memo_keeps_short_suffixes_only(capsys, monkeypatch, lam):
     # from a clean start, so that no earlier test has filled the contexts;
-    # verify on 2,2 memoizes one-letter suffixes only, the others reach
-    # two-letter ones, and 1,1,1,1 inserts past suffixes of three and four
-    # letters too, which the memo must not keep
+    # verify on 2,2 and 1,1,2 memoizes one-letter suffixes only, the others
+    # reach two-letter ones, and 1,1,1,1 inserts past a suffix longer than
+    # MEMO_LETTERS too, which the memo must not keep
     clear_caches()
+    called = []
+    suffix = pbw.LieContext._suffix
+
+    def spy(self, b, g):
+        called.append(len(b))
+        return suffix(self, b, g)
+
+    monkeypatch.setattr(pbw.LieContext, "_suffix", spy)
     assert main(["--pyramid", ",".join(map(str, lam)), "verify"]) == 0
     capsys.readouterr()
     lengths = set()
     for mode in ("affine", "finite"):
         lengths.update(len(b) for b, g in get_context(Pyramid(lam), mode)._insert_memo)
     assert lengths and all(1 <= n <= pbw.MEMO_LETTERS for n in lengths)
-    if lam != (2, 2):
+    if lam in ((2, 2), (1, 1, 2)):
+        assert lengths == {1} == set(called)
+    else:
         assert 2 in lengths
+    if lam == (1, 1, 1, 1):
+        assert max(called) > pbw.MEMO_LETTERS
+
+
+def test_verify_memo_footprint_on_2_2_2_2(capsys):
+    # deterministic counts from a clean start: left insertion by _lead
+    # keeps the insert memo at about half its letter-by-letter size, with
+    # the same bracket table; a kernel that regrows the memo fails here
+    clear_caches()
+    assert main(["--pyramid", "2,2,2,2", "verify"]) == 0
+    capsys.readouterr()
+    ctx = get_context(Pyramid((2, 2, 2, 2)), "affine")
+    assert 0 < len(ctx._insert_memo) <= 2434
+    assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11461
 
 
 def test_clear_caches_empties_the_process_caches(capsys):
