@@ -20,7 +20,9 @@ A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
 right through a word costs a binomial sum of translation derivatives.
 Its entries are operators too, on a plain :class:`~sugawara.pbw.Sparse`
-map from tau power to coefficient.
+map from tau power to coefficient.  They multiply on the right, with
+the columns reversed, so tau only ever moves through an entry's own
+letters, never through a determinant built so far.
 """
 
 from __future__ import annotations
@@ -132,41 +134,44 @@ def cdet(p: Pyramid) -> UXElem:
 def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
     """Operators delta_ij tau^{lambda_j} + sum_m E[i,j,lambda_j-1-m][-1] tau^m
     on polynomials in tau with vacuum-module coefficients, tau powers kept
-    to the right.  An entry term A tau^a times B tau^b moves tau^a right
-    through B: tau^a B = sum_k C(a,k) T^k(B) tau^(a-k), with the T-powers
-    of each coefficient B of the image built once per application."""
+    to the right, with the columns reversed and each entry multiplying its
+    argument on the right: :func:`column_determinant` applied to this
+    matrix builds the column products from the left.  The product
+    B tau^b * A tau^a is sum_k C(b,k) B T^k(A) tau^(b-k+a); each entry
+    coefficient A is one letter or 1, so each T^k(A) is one word, built
+    once per entry, when first needed."""
     ctx = get_context(p, "affine")
 
     def entry(i: int, j: int) -> Callable:
         lj = p.lambdas[j - 1]
-        terms = {lj - 1 - r: ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
+        # powers[a] = [A, T(A), T^2(A), ...] for the coefficient A of tau^a
+        powers = {lj - 1 - r: [ctx.gen(i, j, r, depth=-1)] for r in p.window(i, j)}
         if i == j:
-            terms[lj] = ctx.one()
-        top = max(terms)
+            powers[lj] = [ctx.one()]
 
         def apply(inner: Sparse) -> Sparse:
-            tpow: Dict[int, List[Element]] = {}
-            for eb, cb in inner.terms.items():
-                row = [cb]
-                for _ in range(top):
-                    row.append(translation_T(row[-1]))
-                tpow[eb] = row
             out: Dict[int, Element] = {}
-            for ea, ca in terms.items():
-                for eb, row in tpow.items():
-                    for k in range(ea + 1):
-                        _axpy(out, {ea - k + eb: ca * row[k]}, comb(ea, k))
+            for eb, cb in inner.terms.items():
+                for ea, row in powers.items():
+                    while len(row) <= eb:
+                        row.append(translation_T(row[-1]))
+                    for k in range(eb + 1):
+                        if row[k]:
+                            _axpy(out, {eb - k + ea: cb * row[k]}, comb(eb, k))
             return Sparse(out)
 
         return apply
 
     rows = range(1, p.n + 1)
-    return [[entry(i, j) for j in rows] for i in rows]
+    return [[entry(i, j) for j in reversed(rows)] for i in rows]
 
 
 def cdet_tau(p: Pyramid) -> Sparse:
     """Column determinant in the skew ring, as tau power -> coefficient;
     the result is monic of degree N in tau and its lower coefficients are
-    the phi-circle elements of the alternative presentation."""
+    the phi-circle elements of the alternative presentation.  The tau
+    matrix has its columns reversed, which multiplies the column
+    recursion's signs by that of the reversal, (-1)^(n(n-1)/2)."""
     ctx = get_context(p, "affine")
-    return column_determinant(build_tau_matrix(p), Sparse({0: ctx.one()}))
+    det = column_determinant(build_tau_matrix(p), Sparse({0: ctx.one()}))
+    return det.scale(-1) if p.n * (p.n - 1) // 2 % 2 else det

@@ -95,7 +95,7 @@ def _element_json(v: Element, level: int, add: Callable[[str], None]) -> None:
     """Add ``element_to_obj(v)`` as ``json.dumps`` with an indent of 2
     writes it at nesting ``level``, term by term: each distinct letter's
     factor object from one ``%`` template, once per element."""
-    terms = v.sorted_terms()
+    terms = v.terms
     if not terms:
         add("[]")
         return
@@ -108,8 +108,9 @@ def _element_json(v: Element, level: int, add: Callable[[str], None]) -> None:
     tail = i2 + "]" + i1 + "}"
     letters = _letter_forms(terms, lambda g: factor % (g.i, g.j, g.r, g.depth))
     sep = "["
-    for m, c in terms:
-        coeff = head % _quote(_coeff_str(c))
+    # the monomials are unique keys: sort them, not (m, c) pairs
+    for m in sorted(terms):
+        coeff = head % _quote(_coeff_str(terms[m]))
         if m:
             body = ",".join([letters[g] for g in m])
             add(sep + coeff + "[" + body + tail)

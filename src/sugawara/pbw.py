@@ -55,11 +55,16 @@ past the letters of t at most g, t[:p] with p = bisect_right(t, g):
 
 Each term w of t[:i] * z, for a letter z of the bracket, is joined to
 t[i+1:] by the same order test: concatenated when w ends at or below
-t[i+1], inserted factor by factor otherwise.  The determinants multiply
-only by a single generator or the unit, so each of their products is
-one ``_into`` call.  The action of a mode X[s], s >= 0, on a
-vacuum-module state commutes X[s] rightwards through each monomial until
-it meets the vacuum, so the terms the vacuum kills are never built.
+t[i+1], inserted factor by factor otherwise.  The x, u determinant
+multiplies by a single generator or the unit from the left, so each of
+its products is one ``_into`` call; the tau determinant multiplies by
+one word from the right, one ``_into`` call per term of its left
+operand.  The action of a mode X[s], s >= 0, on a vacuum-module state
+commutes X[s] rightwards through each monomial until it meets the
+vacuum, so the terms the vacuum kills are never built.  The vacuum
+derivations T and Delta make one ``_into`` call per shifted letter z:
+z enters the rest of its word from the left by ``_lead``, or, raised to
+depth >= 0, acts on it, so they build no killed word either.
 
 Only the commutator walks a trie.  It walks the trie of its right
 operand by the Leibniz rule [a, P*y] = [a, P]*y + P*[a, y], where each
@@ -275,7 +280,9 @@ class Element(Sparse):
         return f"<Element {element_text(self)}>"
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items())
+        # the monomials are unique keys: sort them, not (m, c) pairs
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms)]
 
 
 class LieContext:
@@ -381,6 +388,8 @@ class LieContext:
         t[:p] at most g, p = bisect_right(t, g), with a bracket at each:
         g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:]."""
         p = bisect_right(t, g)
+        if not p:
+            return {(g,) + t: 1}
         out = {t[:p] + (g,) + t[p:]: 1}
         row = self._loop_bracket_cache[g]
         for i in range(p):
@@ -450,10 +459,11 @@ class LieContext:
 
     def combine(self, pieces: Iterable[Tuple[Iterable[LoopGen], Fraction]]) -> Element:
         """Normal-ordered sum of arbitrary words with coefficients.  No
-        letter is checked, since ``translation_T`` runs through here: the
-        callers pass checked letters (``word``, ``element_from_obj`` by
-        ``loop``, ``_shift_depth`` and the shift layer, which move the
-        letters of an element of this pyramid)."""
+        letter is checked: the callers pass checked letters, ``word`` and
+        ``element_from_obj`` by ``loop``, and the shift layer's
+        ``rho_chi`` and ``apply_automorphism`` the symbols of an element
+        of this pyramid.  The vacuum derivations do not come here: they
+        insert each shifted letter by ``_into``."""
         out: Dict[Monomial, Fraction] = {}
         for word, coeff in pieces:
             if not coeff:
@@ -528,7 +538,7 @@ class LieContext:
                 if z >= 0:
                     self._into(out, head, self._act_word(z, tail), c)
                 else:
-                    _axpy(out, self._times({head: 1}, (z,) + tail), c)
+                    self._into(out, head, self._lead(z, tail), c)
             if central:
                 _axpy(out, {head + tail: central}, 1)
         return out
@@ -599,22 +609,28 @@ def get_context(p: Pyramid, mode: str) -> LieContext:
 
 def _shift_depth(v: Element, step: int, name: str) -> Element:
     """The derivation X[r] -> step * r X[r+step] of the vacuum module,
-    applied factor by factor; words it moves out of normal order, or
-    onto the vacuum, are resolved by the engine."""
+    applied factor by factor: the term c m and position idx add
+    step * r * c m[:idx] * (z m[idx+1:]) for the shifted letter z, with
+    z entering its tail from the left (``_lead``) or, raised to depth
+    >= 0, acting on it (``_act_word``), so no word the vacuum kills is
+    built."""
     ctx = v.ctx
     if ctx.mode != "affine":
         raise ValueError(f"the {name} derivation lives on the vacuum module")
     # g + stride is a bare int with the fields of the shifted letter;
     # int.__new__ makes it a LoopGen again without re-checking them
     stride = step << 32
-    return ctx.combine(
-        (
-            m[:idx] + (int.__new__(LoopGen, g + stride),) + m[idx + 1 :],
-            step * (g >> 32) * c,
-        )
-        for m, c in v.terms.items()
-        for idx, g in enumerate(m)
-    )
+    out: Terms = {}
+    for m, c in v.terms.items():
+        for idx, g in enumerate(m):
+            k = step * (g >> 32) * c
+            if not k:
+                continue
+            z = int.__new__(LoopGen, g + stride)
+            tail = m[idx + 1 :]
+            terms = ctx._act_word(z, tail) if z >= 0 else ctx._lead(z, tail)
+            ctx._into(out, m[:idx], terms, k)
+    return ctx._element(out)
 
 
 def translation_T(v: Element) -> Element:
@@ -674,17 +690,16 @@ def signed_sum(terms: Iterable[Tuple[str, Fraction]]) -> str:
     return " ".join(parts)
 
 
-def _letter_forms(terms: List[Tuple[Monomial, Fraction]], form) -> Dict[LoopGen, str]:
-    """form(g) for each distinct letter g of the terms' monomials, so a
-    writer reads a letter's fields once, not once per factor."""
-    letters = dict.fromkeys(chain.from_iterable(m for m, _ in terms))
-    return {g: form(g) for g in letters}
+def _letter_forms(monomials: Iterable[Monomial], form) -> Dict[LoopGen, str]:
+    """form(g) for each distinct letter g of the monomials, so a writer
+    reads a letter's fields once, not once per factor."""
+    return {g: form(g) for g in dict.fromkeys(chain.from_iterable(monomials))}
 
 
 def element_text(v: Element) -> str:
     """Readable bracketed form, factors as E[i,j,r][depth]."""
     terms = v.sorted_terms()
-    text = _letter_forms(terms, LoopGen.text)
+    text = _letter_forms(v.terms, LoopGen.text)
     return signed_sum((" ".join([text[g] for g in m]), c) for m, c in terms) or "0"
 
 

@@ -162,9 +162,25 @@ def naive_tau_product(left, inner):
     return Sparse(out)
 
 
-def naive_tau_matrix(p):
+def naive_tau_product_right(inner, right):
+    """inner * (sum_a A_a tau^a) for tau power -> coefficient maps: each
+    tau^b of ``inner`` moves right through A_a tau^a one step at a time,
+    with no binomial sum."""
+    out: dict = {}
+    for b, cb in inner.terms.items():
+        for a, ca in right.items():
+            moved = {a: ca}
+            for _ in range(b):
+                moved = tau_step(moved)
+            _axpy(out, {e: cb * ce for e, ce in moved.items()}, 1)
+    return Sparse(out)
+
+
+def naive_tau_matrix(p, right=False):
     """The tau matrix, entries delta_ij tau^{lambda_j} + sum_r E[i,j,r][-1]
-    tau^(lambda_j-1-r), each applied through the naive product."""
+    tau^(lambda_j-1-r), each applied through the naive product.  With
+    ``right``, as ``build_tau_matrix`` lays it out: the columns reversed
+    and each entry multiplying its argument on the right."""
     ctx = get_context(p, "affine")
 
     def entry(i, j):
@@ -172,10 +188,13 @@ def naive_tau_matrix(p):
         terms = {lj - 1 - r: ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
         if i == j:
             terms[lj] = ctx.one()
+        if right:
+            return lambda inner: naive_tau_product_right(inner, terms)
         return lambda inner: naive_tau_product(terms, inner)
 
     rows = range(1, p.n + 1)
-    return [[entry(i, j) for j in rows] for i in rows]
+    cols = rows[::-1] if right else rows
+    return [[entry(i, j) for j in cols] for i in rows]
 
 
 # -- the commutator as two full products

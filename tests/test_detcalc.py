@@ -121,7 +121,10 @@ def _determinant_setup(kind, p):
     if kind == "cdet":
         return build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), cdet(p)
     if kind == "tau":
-        return build_tau_matrix(p), Sparse({0: ctx.one()}), cdet_tau(p)
+        # the columns are reversed: the recursion's signs differ by that
+        # of the reversal
+        sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
+        return build_tau_matrix(p), Sparse({0: ctx.one()}), cdet_tau(p).scale(sign)
     if kind == "center":
         # the diagonal constant as a product with a scalar element
         const = lambda i: UXElem({(0, 0): fin.one().scale((p.n - i) * p.lambdas[i - 1])})
@@ -161,8 +164,12 @@ def test_cdet_matches_permutation_oracle(kind, lam):
     assert fast == slow
     assert slow == value
     if kind == "tau":
-        # the same sum with every entry applied through the naive product
-        assert column_determinant_bruteforce(naive_tau_matrix(p), unit) == value
+        # the same sum with every entry applied through the naive product,
+        # on the right as the package lays the matrix out, and on the left
+        # in column order, which needs no sign
+        right = naive_tau_matrix(p, right=True)
+        assert column_determinant_bruteforce(right, unit) == value
+        assert column_determinant_bruteforce(naive_tau_matrix(p), unit) == cdet_tau(p)
 
 
 def test_tau_matrix_shapes():
@@ -170,16 +177,24 @@ def test_tau_matrix_shapes():
     ctx = get_context(p, "affine")
     m = build_tau_matrix(p)
     one = Sparse({0: ctx.one()})
-    # an entry applied to the unit is its own tau polynomial
-    assert m[0][0](one) == Sparse({1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)})
+    # the columns are reversed: m[i][c] is the entry (i+1, n-c), and one
+    # applied to the unit is its own tau polynomial
+    a = ctx.gen(1, 1, 0, depth=-1)
+    assert m[0][1](one) == Sparse({1: ctx.one(), 0: a})
     # i<j entry tops out at tau^(lambda_i - 1)
-    assert m[0][1](one) == Sparse({0: ctx.gen(1, 2, 1, depth=-1)})
-    assert m[1][1](one) == Sparse(
+    assert m[0][0](one) == Sparse({0: ctx.gen(1, 2, 1, depth=-1)})
+    assert m[1][0](one) == Sparse(
         {
             2: ctx.one(),
             1: ctx.gen(2, 2, 0, depth=-1),
             0: ctx.gen(2, 2, 1, depth=-1),
         }
+    )
+    # an entry multiplies on the right, moving B's tau through its letter:
+    # B tau * (tau + A) = B tau^2 + B A tau + B T(A)
+    b = ctx.gen(2, 2, 0, depth=-1)
+    assert m[0][1](Sparse({1: b})) == Sparse(
+        {2: b, 1: b * a, 0: b * ctx.gen(1, 1, 0, depth=-2)}
     )
 
 
@@ -238,7 +253,7 @@ def test_tau_entries_match_the_naive_skew_product(lam):
             terms[e] = terms.get(e, ctx.zero()) + elem
         return Sparse(terms)
 
-    fast, naive = build_tau_matrix(p), naive_tau_matrix(p)
+    fast, naive = build_tau_matrix(p), naive_tau_matrix(p, right=True)
     for _ in range(4):
         inner = random_inner()
         for i, j in itertools.product(range(p.n), repeat=2):

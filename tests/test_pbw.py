@@ -356,6 +356,37 @@ def test_operator_identities_on_random_states():
         assert lhs == -translation_T(v)
 
 
+@pytest.mark.parametrize("step", [-1, 1], ids=["translation", "raising"])
+def test_shift_derivations_against_naive_rewriter(step):
+    # T and Delta against the naive normal form of the shifted words: each
+    # factor X[r] of each term replaced by step * r X[r+step]
+    derivation = translation_T if step == -1 else delta
+    rng = random.Random(41)
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, "affine")
+    shifted = lambda g: LoopGen(g.depth + step, *g.gen)
+    reordered = raised = 0
+    for _ in range(60):
+        v = random_element(ctx, rng, n_terms=3, max_factors=4)
+        pieces = [
+            (m[:idx] + (shifted(g),) + m[idx + 1 :], step * g.depth * c)
+            for m, c in v.terms.items()
+            for idx, g in enumerate(m)
+        ]
+        assert derivation(v).terms == naive_sum(ctx, pieces)
+        for m in v.terms:
+            for idx, g in enumerate(m):
+                z = shifted(g)
+                # the shifted letter leaves its place in the word ...
+                reordered += any(y > z for y in m[:idx]) or any(y < z for y in m[idx + 1 :])
+                # ... or is raised to depth 0 and acts on a letter after it
+                raised += z.depth == 0 and any(
+                    ctx.loop_bracket(z, y) is not _EMPTY for y in m[idx + 1 :]
+                )
+    assert reordered >= 30
+    assert (raised >= 10) == (step == 1)
+
+
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_confluence_against_naive_rewriter(mode):
     rng = random.Random(99)
@@ -638,7 +669,7 @@ def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(LieContext, "_suffix", spy)
-    assert main(["--pyramid", "1,1,2", "verify"]) == 0
+    assert main(["--pyramid", "2,2,2", "verify"]) == 0
     capsys.readouterr()
     memo = {
         (ctx.key,) + key: terms

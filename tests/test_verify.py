@@ -99,11 +99,13 @@ def test_reports_never_share_their_cases():
 
 
 
-@pytest.mark.parametrize("lam", [(2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize(
+    "lam", [(2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (2, 2, 2, 2)]
+)
 def test_insert_memo_keeps_short_suffixes_only(capsys, monkeypatch, lam):
     # from a clean start, so that no earlier test has filled the contexts;
     # verify on 2,2 and 1,1,2 memoizes one-letter suffixes only, the others
-    # reach two-letter ones, and 1,1,1,1 inserts past a suffix longer than
+    # reach two-letter ones, and 2,2,2,2 inserts past a suffix longer than
     # MEMO_LETTERS too, which the memo must not keep
     clear_caches()
     called = []
@@ -124,20 +126,33 @@ def test_insert_memo_keeps_short_suffixes_only(capsys, monkeypatch, lam):
         assert lengths == {1} == set(called)
     else:
         assert 2 in lengths
-    if lam == (1, 1, 1, 1):
+    if lam == (2, 2, 2, 2):
         assert max(called) > pbw.MEMO_LETTERS
 
 
 def test_verify_memo_footprint_on_2_2_2_2(capsys):
-    # deterministic counts from a clean start: left insertion by _lead
-    # keeps the insert memo at about half its letter-by-letter size, with
-    # the same bracket table; a kernel that regrows the memo fails here
+    # deterministic counts from a clean start: left insertion by _lead,
+    # in products, the vacuum derivations and the action, keeps the
+    # insert memo small; a kernel that regrows the memo fails here.  The
+    # bracket table holds the brackets of the tau products' deeper right
+    # letters T^k(E[-1]) too
     clear_caches()
     assert main(["--pyramid", "2,2,2,2", "verify"]) == 0
     capsys.readouterr()
     ctx = get_context(Pyramid((2, 2, 2, 2)), "affine")
-    assert 0 < len(ctx._insert_memo) <= 2434
-    assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11461
+    assert 0 < len(ctx._insert_memo) <= 1039
+    assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11944
+
+
+def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
+    # the vector table's translations insert each lowered letter from the
+    # left: a T that rewrote its words through combine, letter by letter,
+    # would fill about twelve times this memo
+    clear_caches()
+    assert main(["--pyramid", "1,2,3,4,5", "vectors"]) == 0
+    capsys.readouterr()
+    ctx = get_context(Pyramid((1, 2, 3, 4, 5)), "affine")
+    assert 0 < len(ctx._insert_memo) <= 271
 
 
 def test_clear_caches_empties_the_process_caches(capsys):
