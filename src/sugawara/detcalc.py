@@ -12,17 +12,25 @@ columns to its right, rightmost column first.  One column recursion over
 row subsets (2^n * n states instead of n! products) evaluates every
 determinant of the package: this one, the tau presentation below, and
 the center and symbol determinants of :mod:`sugawara.shift`.
-:func:`ux_matrix` builds the three u, x matrices; their carrier is
+
+The recursion works on raw terms: a determinant is a map from a key (a
+(u, x) or tau exponent) to the ``terms`` dict of its coefficient, and an
+entry adds its signed image into the caller's buckets, through the
+coefficients' product hook ``_mul_into`` or the raw derivation
+``LieContext._derive``.  No carrier is built or copied on the way; each
+determinant wraps the coefficients of its result once.
+:func:`ux_matrix` builds the three u, x matrices, whose results are
 :class:`UXElem`, a :class:`~sugawara.pbw.Sparse` subclass that sets the
 join of its (u, x) keys.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
 right through a word costs a binomial sum of translation derivatives.
-Its entries are operators too, on a plain :class:`~sugawara.pbw.Sparse`
-map from tau power to coefficient.  They multiply on the right, with
-the columns reversed, so tau only ever moves through an entry's own
-letters, never through a determinant built so far.
+Its entries are operators too, keyed by tau power, and its result a
+plain :class:`~sugawara.pbw.Sparse` map from tau power to coefficient.
+They multiply on the right, with the columns reversed, so tau only ever
+moves through an entry's own letters, never through a determinant built
+so far.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import itertools
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .pbw import Element, Sparse, _axpy, get_context, translation_T
+from .pbw import Element, Sparse, _axpy, get_context
 from .pyramid import Pyramid
 
 
@@ -53,16 +61,23 @@ class UXElem(Sparse):
         return {(n - x, u): c for (u, x), c in self.terms.items() if x < n}
 
 
-def column_determinant(matrix: List[list], unit):
-    """Column determinant by a column recursion over row subsets.
+def column_determinant(
+    matrix: List[list], unit: Dict[object, dict]
+) -> Dict[object, dict]:
+    """Column determinant by a column recursion over row subsets, on raw
+    terms: a determinant is a map key -> terms, a ``Sparse`` carrier's
+    key with the ``terms`` dict of its coefficient.
 
-    ``matrix[i][c](inner)`` (0-based) applies the entry of column c+1 at
-    row i+1 to ``inner``, the determinant of the columns to its right;
-    ``unit`` is the empty determinant.  Columns are taken from the right;
-    the determinants of the last s columns, one per subset of s rows, are
-    built from those of the last s-1 columns and then replace them.
-    Signs come from the position of the chosen row among the rows still
-    available, which reproduces sgn of the permutation.
+    ``matrix[i][c](out, inner, sign)`` (0-based) adds sign times the
+    image of ``inner``, the determinant of the columns to its right,
+    under the entry of column c+1 at row i+1 into the buckets of
+    ``out``; it only reads ``inner``.  ``unit`` is the empty
+    determinant.  Columns are taken from the right; the determinants of
+    the last s columns, one per subset of s rows, are built from those
+    of the last s-1 columns and then replace them.  Signs come from the
+    position of the chosen row among the rows still available, which
+    reproduces sgn of the permutation.  The result keeps only its
+    nonzero buckets.
     """
     n = len(matrix)
     level = {(): unit}
@@ -72,34 +87,38 @@ def column_determinant(matrix: List[list], unit):
         for rows in itertools.combinations(range(n), size):
             out: dict = {}
             for pos, i in enumerate(rows):
-                piece = matrix[i][col](level[rows[:pos] + rows[pos + 1 :]])
-                _axpy(out, piece.terms, -1 if pos % 2 else 1)
-            nxt[rows] = unit._like(out)
+                inner = level[rows[:pos] + rows[pos + 1 :]]
+                matrix[i][col](out, inner, -1 if pos % 2 else 1)
+            nxt[rows] = out
         level = nxt
-    return level[tuple(range(n))]
+    return {k: t for k, t in level[tuple(range(n))].items() if t}
 
 
 def ux_matrix(
     p: Pyramid, symbol: Callable, diag: Optional[Callable] = None
 ) -> List[List[Callable]]:
-    """Operators delta_ij (x + diag(i, .)) + sum_r symbol(i,j,r) u^r.
+    """Operators delta_ij (x + diag(i, .)) + sum_r symbol(i,j,r) u^r on
+    determinants keyed by (u, x) exponents.
 
-    u and x commute with everything, so an entry off the diagonal is a
-    product, and one on it also adds x s and ``diag(i, s)`` to the
-    image of s.
+    u and x commute with everything, so the image of each bucket s is
+    symbol(i,j,r) s in the bucket shifted by u^r, through the symbol's
+    product hook ``_mul_into``; on the diagonal it is also s in the
+    bucket shifted by x, and ``diag(i, out, s, c)``, which adds
+    c diag_i(s) into the unshifted bucket ``out``.
     """
 
     def entry(i: int, j: int) -> Callable:
-        mult = UXElem({(r, 0): symbol(i, j, r) for r in p.window(i, j)})
-        if i != j:
-            return mult.__mul__
+        mults = [(r, symbol(i, j, r)) for r in p.window(i, j)]
+        on_diag = i == j
 
-        def apply(s: UXElem) -> UXElem:
-            out = (mult * s).terms  # a fresh dict
-            _axpy(out, {(u, x + 1): c for (u, x), c in s.terms.items()}, 1)
-            if diag is not None:
-                _axpy(out, diag(i, s).terms, 1)
-            return s._like(out)
+        def apply(out: dict, inner: dict, sign: int) -> None:
+            for (u, x), s in inner.items():
+                for r, e in mults:
+                    e._mul_into(out.setdefault((u + r, x), {}), s, sign)
+                if on_diag:
+                    _axpy(out.setdefault((u, x + 1), {}), s, sign)
+                    if diag is not None:
+                        diag(i, out.setdefault((u, x), {}), s, sign)
 
         return apply
 
@@ -107,16 +126,21 @@ def ux_matrix(
     return [[entry(i, j) for j in rows] for i in rows]
 
 
+def ux_determinant(matrix: List[List[Callable]], wrap: Callable) -> UXElem:
+    """The column determinant of a u, x matrix from the unit, each of its
+    coefficients' terms wrapped once by ``wrap``, a carrier constructor."""
+    det = column_determinant(matrix, {(0, 0): {(): 1}})
+    return UXElem({k: wrap(t) for k, t in det.items()})
+
+
 def build_entry_matrix(p: Pyramid) -> List[List[Callable]]:
     """Vacuum-module matrix: delta_ij (x + lambda_i T) + sum_r E[i,j,r][-1] u^r,
-    T acting on the coefficients."""
+    T acting on the coefficients by the raw derivation."""
     ctx = get_context(p, "affine")
     return ux_matrix(
         p,
         lambda i, j, r: ctx.gen(i, j, r, depth=-1),
-        diag=lambda i, s: UXElem(
-            {k: translation_T(c) for k, c in s.terms.items()}
-        ).scale(p.lambdas[i - 1]),
+        diag=lambda i, out, s, c: ctx._derive(out, s, -1, c * p.lambdas[i - 1]),
     )
 
 
@@ -125,7 +149,7 @@ def cdet(p: Pyramid) -> UXElem:
     polynomial in x with coefficients in the vacuum module tensored with
     polynomials in u."""
     ctx = get_context(p, "affine")
-    return column_determinant(build_entry_matrix(p), UXElem({(0, 0): ctx.one()}))
+    return ux_determinant(build_entry_matrix(p), lambda t: Element(ctx, t))
 
 
 # -- the tau presentation
@@ -133,32 +157,36 @@ def cdet(p: Pyramid) -> UXElem:
 
 def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
     """Operators delta_ij tau^{lambda_j} + sum_m E[i,j,lambda_j-1-m][-1] tau^m
-    on polynomials in tau with vacuum-module coefficients, tau powers kept
-    to the right, with the columns reversed and each entry multiplying its
-    argument on the right: :func:`column_determinant` applied to this
-    matrix builds the column products from the left.  The product
-    B tau^b * A tau^a is sum_k C(b,k) B T^k(A) tau^(b-k+a); each entry
-    coefficient A is one letter or 1, so each T^k(A) is one word, built
-    once per entry, when first needed."""
+    on polynomials in tau with vacuum-module coefficients, keyed by tau
+    power, tau powers kept to the right, with the columns reversed and
+    each entry multiplying its argument on the right:
+    :func:`column_determinant` applied to this matrix builds the column
+    products from the left.  The product B tau^b * A tau^a is
+    sum_k C(b,k) B T^k(A) tau^(b-k+a), each term of B taking T^k(A) by
+    one ``_into``; each entry coefficient A is one letter or 1, so each
+    T^k(A) is one word, built once per entry, when first needed."""
     ctx = get_context(p, "affine")
+    into = ctx._into
 
     def entry(i: int, j: int) -> Callable:
         lj = p.lambdas[j - 1]
         # powers[a] = [A, T(A), T^2(A), ...] for the coefficient A of tau^a
-        powers = {lj - 1 - r: [ctx.gen(i, j, r, depth=-1)] for r in p.window(i, j)}
+        powers = {lj - 1 - r: [{(ctx.loop(i, j, r, -1),): 1}] for r in p.window(i, j)}
         if i == j:
-            powers[lj] = [ctx.one()]
+            powers[lj] = [{(): 1}]
 
-        def apply(inner: Sparse) -> Sparse:
-            out: Dict[int, Element] = {}
-            for eb, cb in inner.terms.items():
+        def apply(out: dict, inner: dict, sign: int) -> None:
+            for eb, sb in inner.items():
                 for ea, row in powers.items():
                     while len(row) <= eb:
-                        row.append(translation_T(row[-1]))
+                        row.append({})
+                        ctx._derive(row[-1], row[-2], -1, 1)
                     for k in range(eb + 1):
                         if row[k]:
-                            _axpy(out, {eb - k + ea: cb * row[k]}, comb(eb, k))
-            return Sparse(out)
+                            target = out.setdefault(eb - k + ea, {})
+                            c = sign * comb(eb, k)
+                            for m, v in sb.items():
+                                into(target, m, row[k], c * v)
 
         return apply
 
@@ -171,7 +199,9 @@ def cdet_tau(p: Pyramid) -> Sparse:
     the result is monic of degree N in tau and its lower coefficients are
     the phi-circle elements of the alternative presentation.  The tau
     matrix has its columns reversed, which multiplies the column
-    recursion's signs by that of the reversal, (-1)^(n(n-1)/2)."""
+    recursion's signs by that of the reversal, (-1)^(n(n-1)/2): the
+    unit carries it."""
     ctx = get_context(p, "affine")
-    det = column_determinant(build_tau_matrix(p), Sparse({0: ctx.one()}))
-    return det.scale(-1) if p.n * (p.n - 1) // 2 % 2 else det
+    sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
+    det = column_determinant(build_tau_matrix(p), {0: {(): sign}})
+    return Sparse({e: Element(ctx, t) for e, t in det.items()})

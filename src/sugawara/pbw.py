@@ -44,27 +44,30 @@ joined to ``a`` by concatenation, any other takes the letters of ``a``
 from the left, as a product does.  This terminates by the usual
 filtration argument: bracket terms are shorter words.
 
-A product adds c * m * t, for each monomial m of its left operand and
-each term t of its right operand, straight into one dict with
-``_into``, by the same join: a t that starts at or above the last
-letter g of m is concatenated, and any other takes g from the left with
-``_lead``, then the rest of m the same way.  ``_lead`` moves g right
-past the letters of t at most g, t[:p] with p = bisect_right(t, g):
+Every product adds into its caller's dict: nothing returns a product
+to be summed again.  A product adds c * m * t, for each monomial m of
+its left operand and each term t of its right operand, with ``_into``,
+by the same join: a t that starts at or above the last letter g of m is
+concatenated, and any other takes g from the left with ``_lead``.
+Those late terms are summed in one dict, which then takes the rest of
+m the same way.  ``_lead`` adds g*t into a dict, moving g right past
+the letters of t at most g, t[:p] with p = bisect_right(t, g):
 
     g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:].
 
 Each term w of t[:i] * z, for a letter z of the bracket, is joined to
 t[i+1:] by the same order test: concatenated when w ends at or below
-t[i+1], inserted factor by factor otherwise.  The x, u determinant
-multiplies by a single generator or the unit from the left, so each of
-its products is one ``_into`` call; the tau determinant multiplies by
-one word from the right, one ``_into`` call per term of its left
-operand.  The action of a mode X[s], s >= 0, on a vacuum-module state
-commutes X[s] rightwards through each monomial until it meets the
-vacuum, so the terms the vacuum kills are never built.  The vacuum
-derivations T and Delta make one ``_into`` call per shifted letter z:
-z enters the rest of its word from the left by ``_lead``, or, raised to
-depth >= 0, acts on it, so they build no killed word either.
+t[i+1], inserted factor by factor otherwise.  A carrier's product hook
+``_mul_into`` adds c * self*terms into a dict; for an :class:`Element`
+it is one ``_into`` call per term, and ``mul`` goes through it.  The
+action of a mode X[s], s >= 0, on a vacuum-module state commutes X[s]
+rightwards through each monomial until it meets the vacuum, so the
+terms the vacuum kills are never built.  The vacuum derivations T and
+Delta (``_derive``, which adds into a dict too) shift one letter z at
+a time: z enters the rest of its word from the left, or, raised to
+depth >= 0, acts on it, so they build no killed word either.  A letter
+that enters where the word stays normal-ordered is the word itself,
+with no product (``_enter``).
 
 Only the commutator walks a trie.  It walks the trie of its right
 operand by the Leibniz rule [a, P*y] = [a, P]*y + P*[a, y], where each
@@ -170,12 +173,13 @@ class Sparse:
     carriers; they need +, *, truth value and scalar ``s * c``.  Every
     sum goes through :func:`_axpy`, which starts an absent key from the
     empty sum ``0``, so a carrier coefficient takes ``0 + v`` as ``v``.
-    The product is the convolution over ``_join``, which a subclass sets
-    to the monoid law of its keys.  Every result is built by ``_like``,
-    so a subclass with state beyond ``terms`` carries it over.  Only the
-    constructor filters zeros: ``_like`` is never handed one, since
-    :func:`_axpy` removes a zero sum and a nonzero scalar keeps a
-    coefficient nonzero.
+    The product adds into a dict through the hook ``_mul_into``, the
+    convolution over ``_join``, which a subclass sets to the monoid law
+    of its keys; only :class:`Element` replaces the hook.  Every result
+    is built by ``_like``, so a subclass with state beyond ``terms``
+    carries it over.  Only the constructor filters zeros: ``_like`` is
+    never handed one, since every sum removes a zero it makes and a
+    nonzero scalar keeps a coefficient nonzero.
     """
 
     __slots__ = ("terms",)
@@ -203,13 +207,19 @@ class Sparse:
         # 0 + v, the empty sum an absent key starts from in _axpy
         return self if other == 0 else NotImplemented
 
-    def __mul__(self, other):
-        """Convolution over ``_join``.  Each left term adds one shifted
-        copy of ``other``, which needs ``_join`` to be cancellative: for
-        a fixed ka, distinct kb give distinct keys."""
-        out: dict = {}
+    def _mul_into(self, out: dict, terms: dict, c) -> None:
+        """out += c * self*terms, the product hook: for a key -> coefficient
+        map terms, the convolution over ``_join``.  Each term of self adds
+        one shifted copy of terms, which needs ``_join`` to be
+        cancellative: for a fixed ka, distinct kb give distinct keys."""
+        join = self._join
         for ka, ca in self.terms.items():
-            _axpy(out, {self._join(ka, kb): cb for kb, cb in other.terms.items()}, ca)
+            _axpy(out, {join(ka, kb): cb for kb, cb in terms.items()}, c * ca)
+
+    def __mul__(self, other):
+        """self*other by the product hook ``_mul_into``."""
+        out: dict = {}
+        self._mul_into(out, other.terms, 1)
         return self._like(out)
 
     def __neg__(self):
@@ -263,6 +273,13 @@ class Element(Sparse):
             return NotImplemented
         self._compat(other)
         return super().__add__(other)
+
+    def _mul_into(self, out: Terms, terms: Terms, c) -> None:
+        """out += c * self*terms by the PBW product: one ``_into`` per
+        term of self."""
+        into = self.ctx._into
+        for m, v in self.terms.items():
+            into(out, m, terms, c * v)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -383,14 +400,19 @@ class LieContext:
             self._insert_memo[key] = out
         return out
 
-    def _lead(self, g: LoopGen, t: Monomial) -> Terms:
-        """Normal form of g*t for a normal-ordered t.  g passes the letters
+    def _lead(self, out: Terms, g: LoopGen, t: Monomial, c) -> None:
+        """out += c * g*t for a normal-ordered t.  g passes the letters
         t[:p] at most g, p = bisect_right(t, g), with a bracket at each:
         g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:]."""
         p = bisect_right(t, g)
+        m = t[:p] + (g,) + t[p:] if p else (g,) + t
+        v = out.get(m, 0) + c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
         if not p:
-            return {(g,) + t: 1}
-        out = {t[:p] + (g,) + t[p:]: 1}
+            return
         row = self._loop_bracket_cache[g]
         for i in range(p):
             hit = row.get(t[i]) or self.loop_bracket(g, t[i])
@@ -398,42 +420,50 @@ class LieContext:
                 continue
             terms, central = hit
             head, rest = t[:i], t[i + 1 :]
-            for z, c in terms:
+            for z, k in terms:
+                k *= c
                 for w, v in self._times({head: 1}, (z,)).items():
                     # w ends at or below rest's first letter: w + rest is
                     # normal-ordered, else rest goes in factor by factor
                     if not rest or not w or w[-1] <= rest[0]:
                         m = w + rest
-                        v = out.get(m, 0) + c * v
+                        v = out.get(m, 0) + k * v
                         if v:
                             out[m] = v
                         else:
                             out.pop(m, None)
                     else:
-                        _axpy(out, self._times({w: 1}, rest), c * v)
+                        _axpy(out, self._times({w: 1}, rest), k * v)
             if central:
-                _axpy(out, {head + rest: central}, 1)
-        return out
+                _axpy(out, {head + rest: central}, c)
 
     def _into(self, out: Terms, head: Monomial, terms: Terms, c) -> None:
         """out += c * head*terms for a normal-ordered head: a term that
         starts at or above head's last letter is concatenated, any other
-        takes that letter from the left by ``_lead`` and the rest of head
-        by recursion.  terms is only read, so it may be shared."""
-        if not head:
-            _axpy(out, terms, c)
-            return
-        last = head[-1]
-        for t, v in terms.items():
-            if not t or t[0] >= last:
-                m = head + t
-                v = out.get(m, 0) + c * v
-                if v:
-                    out[m] = v
+        takes that letter from the left by ``_lead``.  Those late terms
+        are gathered in one dict, which then takes the rest of head the
+        same way, so only one level's gathered terms are alive at a time;
+        with no rest they go straight into out.  terms is only read, so
+        it may be shared."""
+        while head:
+            last = head[-1]
+            late = None
+            for t, v in terms.items():
+                if not t or t[0] >= last:
+                    m = head + t
+                    v = out.get(m, 0) + c * v
+                    if v:
+                        out[m] = v
+                    else:
+                        out.pop(m, None)
                 else:
-                    out.pop(m, None)
-            else:
-                self._into(out, head[:-1], self._lead(last, t), c * v)
+                    if late is None:
+                        late = out if len(head) == 1 else {}
+                    self._lead(late, last, t, c * v)
+            if not late or late is out:
+                return
+            head, terms, c = head[:-1], late, 1
+        _axpy(out, terms, c)
 
     def _times(self, terms: Terms, word: Monomial) -> Terms:
         """Normal form of terms*word, inserting one factor at a time.
@@ -505,8 +535,7 @@ class LieContext:
         """a*b, as the sum over a's terms c*m of c * m*b, by ``_into``."""
         self._own(a, b)
         out: Terms = {}
-        for m, c in a.terms.items():
-            self._into(out, m, b.terms, c)
+        a._mul_into(out, b.terms, 1)
         return self._element(out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
@@ -538,10 +567,53 @@ class LieContext:
                 if z >= 0:
                     self._into(out, head, self._act_word(z, tail), c)
                 else:
-                    self._into(out, head, self._lead(z, tail), c)
+                    self._enter(out, head, z, tail, c)
             if central:
                 _axpy(out, {head + tail: central}, 1)
         return out
+
+    def _enter(
+        self, out: Terms, head: Monomial, z: LoopGen, tail: Monomial, c
+    ) -> None:
+        """out += c * head z tail for a letter z < 0 between normal-ordered
+        words: the word itself when it is normal-ordered, else z enters
+        tail from the left, by ``_lead`` unless it passes no letter, and
+        head goes in by ``_into``."""
+        if tail and z > tail[0]:
+            moved: Terms = {}
+            self._lead(moved, z, tail, 1)
+        elif head and z < head[-1]:
+            moved = {(z,) + tail: 1}
+        else:
+            w = head + (z,) + tail
+            v = out.get(w, 0) + c
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+            return
+        self._into(out, head, moved, c)
+
+    def _derive(self, out: Terms, terms: Terms, step: int, c) -> None:
+        """out += c * D(terms) for the vacuum derivation D: X[r] -> step * r
+        X[r+step], applied factor by factor: the term v m and position idx
+        add step * r * c * v m[:idx] * (z m[idx+1:]) for the shifted letter
+        z, which enters the tail by ``_enter`` or acts on it (``_act_word``),
+        so no word the vacuum kills is built."""
+        # g + stride is a bare int with the fields of the shifted letter;
+        # int.__new__ makes it a LoopGen again without re-checking them
+        stride = step << 32
+        for m, v in terms.items():
+            for idx, g in enumerate(m):
+                k = step * (g >> 32)
+                if not k:
+                    continue
+                z = int.__new__(LoopGen, g + stride)
+                head, tail, k = m[:idx], m[idx + 1 :], k * c * v
+                if z >= 0:
+                    self._into(out, head, self._act_word(z, tail), k)
+                else:
+                    self._enter(out, head, z, tail, k)
 
     def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:
         """[a, b] for each b in bs, each by the Leibniz walk over b's trie
@@ -608,28 +680,13 @@ def get_context(p: Pyramid, mode: str) -> LieContext:
 
 
 def _shift_depth(v: Element, step: int, name: str) -> Element:
-    """The derivation X[r] -> step * r X[r+step] of the vacuum module,
-    applied factor by factor: the term c m and position idx add
-    step * r * c m[:idx] * (z m[idx+1:]) for the shifted letter z, with
-    z entering its tail from the left (``_lead``) or, raised to depth
-    >= 0, acting on it (``_act_word``), so no word the vacuum kills is
-    built."""
+    """The derivation X[r] -> step * r X[r+step] of the vacuum module
+    (``LieContext._derive``) as an element."""
     ctx = v.ctx
     if ctx.mode != "affine":
         raise ValueError(f"the {name} derivation lives on the vacuum module")
-    # g + stride is a bare int with the fields of the shifted letter;
-    # int.__new__ makes it a LoopGen again without re-checking them
-    stride = step << 32
     out: Terms = {}
-    for m, c in v.terms.items():
-        for idx, g in enumerate(m):
-            k = step * (g >> 32) * c
-            if not k:
-                continue
-            z = int.__new__(LoopGen, g + stride)
-            tail = m[idx + 1 :]
-            terms = ctx._act_word(z, tail) if z >= 0 else ctx._lead(z, tail)
-            ctx._into(out, m[:idx], terms, k)
+    ctx._derive(out, v.terms, step, 1)
     return ctx._element(out)
 
 

@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
-from .detcalc import UXElem, column_determinant, ux_matrix
+from .detcalc import UXElem, ux_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, Sparse, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
@@ -157,9 +157,11 @@ def center_determinant(p: Pyramid) -> UXElem:
     delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
     fin = get_context(p, "finite")
     matrix = ux_matrix(
-        p, fin.gen, diag=lambda i, s: s.scale((p.n - i) * p.lambdas[i - 1])
+        p,
+        fin.gen,
+        diag=lambda i, out, s, c: _axpy(out, s, c * (p.n - i) * p.lambdas[i - 1]),
     )
-    return column_determinant(matrix, UXElem({(0, 0): fin.one()}))
+    return ux_determinant(matrix, lambda t: Element(fin, t))
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
@@ -252,8 +254,7 @@ def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
     """All nonzero x^{n-k} u^r coefficients of the commutative
     determinant with entries in the symmetric algebra."""
     matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
-    d = column_determinant(matrix, UXElem({(0, 0): SymPoly.const(1)}))
-    return d.coefficient_table(p.n)
+    return ux_determinant(matrix, SymPoly).coefficient_table(p.n)
 
 
 def _rank(rows: List[List[Fraction]]) -> int:

@@ -121,7 +121,9 @@ def bracket_combo(p, combo, b):
 
 def column_determinant_bruteforce(matrix, unit):
     """Sum over sigma of sgn(sigma) times the composition of entries,
-    rightmost column applied first."""
+    rightmost column applied first.  A determinant is a map key -> terms
+    as in ``column_determinant``; each entry adds its image of the
+    composition so far into a fresh map."""
     n = len(matrix)
     out: dict = {}
     for perm in itertools.permutations(range(n)):
@@ -132,9 +134,12 @@ def column_determinant_bruteforce(matrix, unit):
                     sign = -sign
         v = unit
         for col in reversed(range(n)):
-            v = matrix[perm[col]][col](v)
-        _axpy(out, v.terms, sign)
-    return unit._like(out)
+            image: dict = {}
+            matrix[perm[col]][col](image, v, 1)
+            v = image
+        for k, terms in v.items():
+            _axpy(out.setdefault(k, {}), terms, sign)
+    return {k: terms for k, terms in out.items() if terms}
 
 
 # -- the skew tau product, one step of tau at a time
@@ -183,14 +188,24 @@ def naive_tau_matrix(p, right=False):
     and each entry multiplying its argument on the right."""
     ctx = get_context(p, "affine")
 
+    def adder(product):
+        # the calling convention of column_determinant around a product
+        # of tau polynomials: out += sign * product(inner)
+        def add(out, inner, sign):
+            got = product(Sparse({e: Element(ctx, t) for e, t in inner.items()}))
+            for e, c in got.terms.items():
+                _axpy(out.setdefault(e, {}), c.terms, sign)
+
+        return add
+
     def entry(i, j):
         lj = p.lambdas[j - 1]
         terms = {lj - 1 - r: ctx.gen(i, j, r, depth=-1) for r in p.window(i, j)}
         if i == j:
             terms[lj] = ctx.one()
         if right:
-            return lambda inner: naive_tau_product_right(inner, terms)
-        return lambda inner: naive_tau_product(terms, inner)
+            return adder(lambda inner: naive_tau_product_right(inner, terms))
+        return adder(lambda inner: naive_tau_product(terms, inner))
 
     rows = range(1, p.n + 1)
     cols = rows[::-1] if right else rows

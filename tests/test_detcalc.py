@@ -20,17 +20,30 @@ from sugawara.shift import SymPoly, center_determinant, symbols
 from oracles import column_determinant_bruteforce, naive_tau_matrix
 
 
+def raw(v):
+    """A carrier of carriers as a determinant map: key -> terms."""
+    return {k: c.terms for k, c in v.terms.items()}
+
+
+def image(entry, inner):
+    """entry applied to the carrier inner, as the same kind of carrier."""
+    out = {}
+    entry(out, raw(inner), 1)
+    coeff = next(iter(inner.terms.values()))
+    return type(inner)({k: coeff._like(t) for k, t in out.items()})
+
+
 def test_entry_windows():
     p = Pyramid((1, 2))
     m = build_entry_matrix(p)
     ctx = get_context(p, "affine")
     one = UXElem({(0, 0): ctx.one()})
     # (1,2) entry: window lambda_2 - lambda_1 .. lambda_2 - 1 = {1}, no x
-    assert m[0][1](one) == UXElem({(1, 0): ctx.gen(1, 2, 1, depth=-1)})
+    assert image(m[0][1], one) == UXElem({(1, 0): ctx.gen(1, 2, 1, depth=-1)})
     q = Pyramid((2, 2))
     mq = build_entry_matrix(q)
     qctx = get_context(q, "affine")
-    assert mq[1][0](UXElem({(0, 0): qctx.one()})) == UXElem(
+    assert image(mq[1][0], UXElem({(0, 0): qctx.one()})) == UXElem(
         {(0, 0): qctx.gen(2, 1, 0, depth=-1), (1, 0): qctx.gen(2, 1, 1, depth=-1)}
     )
     # a diagonal entry adds x s and lambda_i T(s) to its product with s
@@ -44,12 +57,11 @@ def test_entry_windows():
             mult = UXElem(
                 {(r, 0): ctx.gen(i, i, r, depth=-1) for r in p.window(i, i)}
             )
-            assert m[i - 1][i - 1](UXElem({(0, 0): ctx.one()})) == mult + UXElem(
-                {(0, 1): ctx.one()}
-            )
+            one = UXElem({(0, 0): ctx.one()})
+            assert image(m[i - 1][i - 1], one) == mult + UXElem({(0, 1): ctx.one()})
             want = mult * s + UXElem({(0, 1): v})
             want = want + UXElem({(0, 0): p.lambdas[i - 1] * translation_T(v)})
-            assert m[i - 1][i - 1](s) == want
+            assert image(m[i - 1][i - 1], s) == want
 
 
 def test_apply_entry_diagonal_to_one():
@@ -57,7 +69,7 @@ def test_apply_entry_diagonal_to_one():
     ctx = get_context(p, "affine")
     m = build_entry_matrix(p)
     one = UXElem({(0, 0): ctx.one()})
-    out = m[0][0](one)
+    out = image(m[0][0], one)
     # T kills 1, so x + E_11(u) remains
     assert out == UXElem({(0, 1): ctx.one(), (0, 0): ctx.gen(1, 1, 0, depth=-1)})
 
@@ -67,7 +79,7 @@ def test_apply_entry_translation():
     ctx = get_context(p, "affine")
     x = ctx.gen(1, 1, 0, depth=-1)
     entry_diag = build_entry_matrix(p)[0][0]
-    out = entry_diag(UXElem({(0, 0): x}))
+    out = image(entry_diag, UXElem({(0, 0): x}))
     assert out.terms[(0, 1)] == x
     assert out.terms[(0, 0)] == ctx.gen(1, 1, 0, depth=-2) + ctx.gen(
         1, 1, 0, depth=-1
@@ -115,26 +127,29 @@ def test_cdet_u_degree_bound():
 
 def _determinant_setup(kind, p):
     """(matrix, unit, value the package computes) for one of the four
-    determinants built on the shared column recursion."""
-    ctx = get_context(p, "affine")
+    determinants built on the shared column recursion, unit and value as
+    determinant maps key -> terms."""
     fin = get_context(p, "finite")
+    unit = {(0, 0): {(): 1}}
     if kind == "cdet":
-        return build_entry_matrix(p), UXElem({(0, 0): ctx.one()}), cdet(p)
+        return build_entry_matrix(p), unit, raw(cdet(p))
     if kind == "tau":
         # the columns are reversed: the recursion's signs differ by that
         # of the reversal
         sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
-        return build_tau_matrix(p), Sparse({0: ctx.one()}), cdet_tau(p).scale(sign)
+        return build_tau_matrix(p), {0: {(): 1}}, raw(cdet_tau(p).scale(sign))
     if kind == "center":
         # the diagonal constant as a product with a scalar element
-        const = lambda i: UXElem({(0, 0): fin.one().scale((p.n - i) * p.lambdas[i - 1])})
-        matrix = ux_matrix(p, fin.gen, diag=lambda i, s: const(i) * s)
-        return matrix, UXElem({(0, 0): fin.one()}), center_determinant(p)
+        const = lambda i: fin.one().scale((p.n - i) * p.lambdas[i - 1])
+        matrix = ux_matrix(
+            p, fin.gen, diag=lambda i, out, s, c: const(i)._mul_into(out, s, c)
+        )
+        return matrix, unit, raw(center_determinant(p))
     matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
     sym = symbols(p)
     value = UXElem({(r, p.n - k): poly for (k, r), poly in sym.items()})
     value = value + UXElem({(0, p.n): SymPoly.const(1)})
-    return matrix, UXElem({(0, 0): SymPoly.const(1)}), value
+    return matrix, unit, raw(value)
 
 
 _ORACLE_SHAPES = [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 1, 2), (1, 2, 3)]
@@ -169,7 +184,54 @@ def test_cdet_matches_permutation_oracle(kind, lam):
         # in column order, which needs no sign
         right = naive_tau_matrix(p, right=True)
         assert column_determinant_bruteforce(right, unit) == value
-        assert column_determinant_bruteforce(naive_tau_matrix(p), unit) == cdet_tau(p)
+        left = naive_tau_matrix(p)
+        assert column_determinant_bruteforce(left, unit) == raw(cdet_tau(p))
+
+
+@pytest.mark.parametrize("kind", ["cdet", "tau", "center", "symbols"])
+def test_entries_add_their_signed_image_into_prefilled_buckets(kind):
+    # an entry adds sign times its image into the caller's buckets: a
+    # bucket it does not reach keeps its terms, one it reaches takes the
+    # sum, and a bucket whose sum cancels is left empty; inner is only
+    # read
+    p = Pyramid((1, 2, 2))
+    matrix, unit, _ = _determinant_setup(kind, p)
+    n = p.n
+    inners = [unit]
+    for i in range(n):
+        one_column = {}
+        matrix[i][n - 1](one_column, unit, 1)
+        inners.append(one_column)
+    cancelled = 0
+    for (i, j), inner, sign in itertools.product(
+        itertools.product(range(n), repeat=2), inners, (1, -1)
+    ):
+        fresh = {}
+        matrix[i][j](fresh, inner, 1)
+        other = inners[(i + j) % len(inners)]
+        out = {k: dict(t) for k, t in other.items()}
+        # every bucket the entry reaches holds a term, so an entry that
+        # replaced a bucket would lose it
+        for k in fresh:
+            out.setdefault(k, {}).setdefault((), 1)
+        out[("elsewhere",)] = dict(next(iter(unit.values())))
+        if fresh:
+            k = sorted(fresh, key=repr)[0]
+            out[k] = {m: -sign * v for m, v in fresh[k].items()}
+        before = {k: dict(t) for k, t in out.items()}
+        kept = {k: dict(t) for k, t in inner.items()}
+        matrix[i][j](out, inner, sign)
+        assert inner == kept
+        want = {k: dict(t) for k, t in before.items()}
+        for k, t in fresh.items():
+            for m, v in t.items():
+                w = want.setdefault(k, {})
+                w[m] = w.get(m, 0) + sign * v
+        want = {k: {m: v for m, v in t.items() if v} for k, t in want.items()}
+        nonzero = lambda det: {k: t for k, t in det.items() if t}
+        assert nonzero(out) == nonzero(want)
+        cancelled += any(before[k] and not out.get(k) for k in before)
+    assert cancelled >= 10
 
 
 def test_tau_matrix_shapes():
@@ -180,10 +242,10 @@ def test_tau_matrix_shapes():
     # the columns are reversed: m[i][c] is the entry (i+1, n-c), and one
     # applied to the unit is its own tau polynomial
     a = ctx.gen(1, 1, 0, depth=-1)
-    assert m[0][1](one) == Sparse({1: ctx.one(), 0: a})
+    assert image(m[0][1], one) == Sparse({1: ctx.one(), 0: a})
     # i<j entry tops out at tau^(lambda_i - 1)
-    assert m[0][0](one) == Sparse({0: ctx.gen(1, 2, 1, depth=-1)})
-    assert m[1][0](one) == Sparse(
+    assert image(m[0][0], one) == Sparse({0: ctx.gen(1, 2, 1, depth=-1)})
+    assert image(m[1][0], one) == Sparse(
         {
             2: ctx.one(),
             1: ctx.gen(2, 2, 0, depth=-1),
@@ -193,7 +255,7 @@ def test_tau_matrix_shapes():
     # an entry multiplies on the right, moving B's tau through its letter:
     # B tau * (tau + A) = B tau^2 + B A tau + B T(A)
     b = ctx.gen(2, 2, 0, depth=-1)
-    assert m[0][1](Sparse({1: b})) == Sparse(
+    assert image(m[0][1], Sparse({1: b})) == Sparse(
         {2: b, 1: b * a, 0: b * ctx.gen(1, 1, 0, depth=-2)}
     )
 
@@ -257,7 +319,7 @@ def test_tau_entries_match_the_naive_skew_product(lam):
     for _ in range(4):
         inner = random_inner()
         for i, j in itertools.product(range(p.n), repeat=2):
-            assert fast[i][j](inner) == naive[i][j](inner)
+            assert image(fast[i][j], inner) == image(naive[i][j], inner)
 
 
 def test_term_counts_stay_bounded():

@@ -13,10 +13,10 @@ The rewriting hot path reads letters as ints: it calls none of the
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
 request pays for what its import pulls in.
 
-No ``Sparse`` subclass but ``Element`` defines its own ``__mul__``: a
-carrier's product is the convolution over its ``_join``, and the engine's
-product is ``LieContext.mul``; any other product is an operator, built
-where it is applied.
+No ``Sparse`` subclass but ``Element`` defines its own ``__mul__`` or
+product hook ``_mul_into``: a carrier's product is the convolution over
+its ``_join``, and the engine's product is ``LieContext.mul``; any other
+product is an operator, built where it is applied.
 """
 
 import ast
@@ -121,8 +121,8 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 HOT_PATH = (
     "_suffix", "_lead", "_into", "_times", "_leibniz", "_act_word",
-    "_shift_depth", "commutators", "_bracket_terms", "loop_bracket",
-    "_make_bracket",
+    "_enter", "_derive", "_mul_into", "commutators", "_bracket_terms",
+    "loop_bracket", "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 
@@ -166,9 +166,12 @@ def test_scan_sees_letter_field_reads(tmp_path):
     )
 
 
+PRODUCTS = {"__mul__", "_mul_into"}
+
+
 def sparse_products(paths):
-    """(class, file, line) of every ``__mul__`` defined or assigned in a
-    class that derives, directly or not, from ``Sparse``."""
+    """(class, file, line) of every ``__mul__`` or ``_mul_into`` defined or
+    assigned in a class that derives, directly or not, from ``Sparse``."""
     classes = {}
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -191,16 +194,19 @@ def sparse_products(paths):
                 targets = [t.id for t in sub.targets if isinstance(t, ast.Name)]
             else:
                 continue
-            if "__mul__" in targets:
+            if PRODUCTS & set(targets):
                 found.append((name, path.name, sub.lineno))
     return found
 
 
 def test_no_sparse_carrier_keeps_its_own_product():
     found = sparse_products(sorted((ROOT / "src").rglob("*.py")))
-    assert ("Element", "pbw.py") in {(name, file) for name, file, _ in found}
+    # Element keeps both: the PBW product and its hook
+    assert [(name, file) for name, file, _ in found if name == "Element"] == [
+        ("Element", "pbw.py")
+    ] * 2
     found = [f"{file}:{line}: {name}" for name, file, line in found if name != "Element"]
-    assert not found, "Sparse subclasses with their own __mul__:\n" + "\n".join(found)
+    assert not found, "Sparse subclasses with their own product:\n" + "\n".join(found)
 
 
 def test_scan_sees_sparse_products(tmp_path):
@@ -214,10 +220,15 @@ def test_scan_sees_sparse_products(tmp_path):
         "    def scale(self, s): pass\n"
         "class Other:\n"
         "    def __mul__(self, other): pass\n"
+        "class Hooked(Plain):\n"
+        "    def _mul_into(self, out, terms, c): pass\n"
+        "class Unrelated:\n"
+        "    def _mul_into(self, out, terms, c): pass\n"
     )
     assert sparse_products([path]) == [
         ("Carrier", "sample.py", 2),
         ("Deeper", "sample.py", 4),
+        ("Hooked", "sample.py", 10),
     ]
 
 

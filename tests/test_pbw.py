@@ -590,12 +590,15 @@ def _sorted_word(rng, letters, lo, hi):
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_lead_against_naive_rewriter(mode):
     # one letter g times a normal-ordered word t, compared in full: no
-    # vacuum quotient, since _lead applies none
+    # vacuum quotient, since _lead applies none.  Each case is added once
+    # into an empty dict and once, times a random scalar, into a
+    # prefilled one, whose entry for the main word sometimes cancels it
     rng = random.Random(29)
+    fill = random.Random(37)  # its own draws, so the cases stay the same
     p = Pyramid((2, 3))
     ctx = LieContext(p, mode)
     letters = _kernel_letters(p, mode)
-    seen = dict.fromkeys(["below", "inside", "above", "equal", "central"], 0)
+    seen = dict.fromkeys(["below", "inside", "above", "equal", "central", "cancel"], 0)
     for _ in range(300):
         t = _sorted_word(rng, letters, 1, 4)
         # g equal to a letter y of t, y's partner in the form, or any letter
@@ -609,7 +612,24 @@ def test_lead_against_naive_rewriter(mode):
         else:
             g = rng.choice(letters)
         want = naive_normal_order(ctx, (g,) + t, quotient=False)[0]
-        assert ctx._lead(g, t) == want
+        fresh = {}
+        ctx._lead(fresh, g, t, 1)
+        assert fresh == want
+        c = fill.choice([1, -1, 3, Fraction(-2, 3)])
+        main = tuple(sorted((g,) + t))
+        out = {
+            m: fill.choice([1, -c * v]) for m, v in want.items() if fill.random() < 0.5
+        }
+        out[(fill.choice(letters),)] = 5
+        if fill.random() < 0.3:
+            out[main] = -c
+        before = dict(out)
+        ctx._lead(out, g, t, c)
+        expect = dict(before)
+        for m, v in want.items():
+            expect[m] = expect.get(m, 0) + c * v
+        assert out == {m: v for m, v in expect.items() if v}
+        seen["cancel"] += main in before and main not in out
         passed = [y for y in t if y <= g]
         seen["below"] += not passed
         seen["inside"] += 0 < len(passed) < len(t)
@@ -619,6 +639,50 @@ def test_lead_against_naive_rewriter(mode):
     assert min(n for key, n in seen.items() if key != "central") >= 30
     # opposite depths reach the central term in affine mode only
     assert (seen["central"] >= 5) == (mode == "affine")
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_into_merges_late_terms_that_lead_to_one_word(mode):
+    # two terms t1, t2 that start below head's last letter g, such that
+    # g*t1 and g*t2 share a word: _into sums that word in one dict before
+    # the rest of head goes in, and the merged sum must be the full
+    # product
+    rng = random.Random(41)
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, mode)
+    letters = _kernel_letters(p, mode)
+    merged = 0
+    for _ in range(40):
+        head = _sorted_word(rng, letters, 2, 3)
+        g = head[-1]
+        pool = sorted(rng.sample(letters, 6))
+        words = itertools.chain(
+            ((x,) for x in letters), itertools.combinations_with_replacement(pool, 2)
+        )
+        leads = {}
+        for t in words:
+            if t[0] < g:
+                leads[t] = {}
+                ctx._lead(leads[t], g, t, 1)
+        pairs = [
+            (t1, t2)
+            for t1, t2 in itertools.combinations(leads, 2)
+            if leads[t1].keys() & leads[t2].keys()
+        ]
+        if not pairs:
+            continue
+        merged += 1
+        t1, t2 = rng.choice(pairs)
+        terms = {t1: rng.choice([1, -2]), t2: Fraction(1, 3), (g,): 2}
+        terms[_sorted_word(rng, letters, 1, 2)] = -1
+        c = rng.choice([1, -1, Fraction(3, 2)])
+        want = naive_sum(
+            ctx, [(head + t, c * v) for t, v in terms.items()], quotient=False
+        )
+        out = {}
+        ctx._into(out, head, terms, c)
+        assert out == want
+    assert merged >= 15
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])

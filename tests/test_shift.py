@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sugawara.detcalc import UXElem, column_determinant, ux_matrix
 from sugawara.jsonout import to_json
-from sugawara.pbw import LoopGen, exact, get_context
+from sugawara.pbw import Element, LoopGen, _axpy, exact, get_context
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import (
     SymPoly,
@@ -232,12 +232,11 @@ def test_automorphism_shifts_the_diagonal_of_the_center_determinant(lam):
     # (n-i) lambda_i of the center determinant into (n-i+c) lambda_i
     p = Pyramid(lam)
     fin = get_context(p, "finite")
-    unit = UXElem({(0, 0): fin.one()})
     gens = center_generators(p)
     for c in (-1, Fraction(1, 2), 2):
-        shifted = lambda i, s: s.scale((p.n - i + c) * p.lambdas[i - 1])
-        det = column_determinant(ux_matrix(p, fin.gen, diag=shifted), unit)
-        table = det.coefficient_table(p.n)
+        shifted = lambda i, out, s, k: _axpy(out, s, k * (p.n - i + c) * p.lambdas[i - 1])
+        det = column_determinant(ux_matrix(p, fin.gen, diag=shifted), {(0, 0): {(): 1}})
+        table = UXElem({key: Element(fin, t) for key, t in det.items()}).coefficient_table(p.n)
         for k, r, elem in gens:
             want = table.get((k, r), fin.zero())
             assert apply_automorphism(p, elem, c) == want, (c, k, r)

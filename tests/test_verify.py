@@ -155,6 +155,29 @@ def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
     assert 0 < len(ctx._insert_memo) <= 271
 
 
+def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
+    # the column recursion sums raw terms and wraps each coefficient of
+    # the result once: a recursion that sums Elements, or a product or
+    # translation that wraps its result, builds thousands
+    clear_caches()
+    built = []
+    init, like = pbw.Element.__init__, pbw.Element._like
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_like(self, terms):
+        built.append(1)
+        return like(self, terms)
+
+    monkeypatch.setattr(pbw.Element, "__init__", counted_init)
+    monkeypatch.setattr(pbw.Element, "_like", counted_like)
+    assert main(["--pyramid", "1,2,3,4,5", "vectors"]) == 0
+    capsys.readouterr()
+    assert 0 < len(built) <= 102
+
+
 def test_clear_caches_empties_the_process_caches(capsys):
     p = Pyramid((1, 2))
     assert main(["--pyramid", "1,2", "verify"]) == 0
