@@ -32,50 +32,42 @@ the pyramid bracket, the one check of both symbols.  Any other pair
 lifts the depth-0 entry of its symbols, the low 32 bits of its letters,
 to its depth by int arithmetic.
 
-The rewriting core is right-insertion of one generator ``g`` into a
-normal-ordered word ``w``.  Split ``w = a b`` with every factor of ``a``
-at most ``g`` and every factor of ``b`` above it.  Only ``b * g`` is
-memoized, so words that differ below ``g`` share one entry; it is
-computed from ``b[:-1] * g`` and the bracket of the displaced pair.  The
-memo keeps ``b * g`` only for a ``b`` of at most ``MEMO_LETTERS``
-letters; a longer ``b`` is recomputed from its memoized prefix.  A
-term of ``b * g`` that starts at or above the last factor of ``a`` is
-joined to ``a`` by concatenation, any other takes the letters of ``a``
-from the left, as a product does.  This terminates by the usual
-filtration argument: bracket terms are shorter words.
-
-Every product adds into its caller's dict: nothing returns a product
-to be summed again.  A product adds c * m * t, for each monomial m of
-its left operand and each term t of its right operand, with ``_into``,
-by the same join: a t that starts at or above the last letter g of m is
-concatenated, and any other takes g from the left with ``_lead``.
-Those late terms are summed in one dict, which then takes the rest of
-m the same way.  ``_lead`` adds g*t into a dict, moving g right past
-the letters of t at most g, t[:p] with p = bisect_right(t, g):
+The rewriting core inserts one letter from the left into a
+normal-ordered word.  Every product adds into its caller's dict:
+nothing returns a product to be summed again.  A product adds c * m * t,
+for each monomial m of its left operand and each term t of its right
+operand, with ``_into``: a t that starts at or above the last letter g
+of m is concatenated, and any other takes g from the left with
+``_lead``.  Those late terms are summed in one dict, which then takes
+the rest of m the same way.  ``_lead`` adds g*t into a dict, moving g
+right past the letters of t at most g, t[:p] with p = bisect_right(t, g):
 
     g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:].
 
-Each term w of t[:i] * z, for a letter z of the bracket, is joined to
-t[i+1:] by the same order test: concatenated when w ends at or below
-t[i+1], inserted factor by factor otherwise.  A carrier's product hook
-``_mul_into`` adds c * self*terms into a dict; for an :class:`Element`
-it is one ``_into`` call per term, and ``mul`` goes through it.  The
-action of a mode X[s], s >= 0, on a vacuum-module state commutes X[s]
-rightwards through each monomial until it meets the vacuum, so the
-terms the vacuum kills are never built.  The vacuum derivations T and
-Delta (``_derive``, which adds into a dict too) shift one letter z at
-a time: z enters the rest of its word from the left, or, raised to
-depth >= 0, acts on it, so they build no killed word either.  A letter
-that enters where the word stays normal-ordered is the word itself,
-with no product (``_enter``).
+Each letter z of a bracket goes between t[:i] and t[i+1:] by
+``_enter``: the word itself when it is normal-ordered, with no product,
+else z enters t[i+1:] from the left and t[:i] goes in by ``_into``.
+This terminates by the usual filtration argument: bracket terms are
+shorter words.  A carrier's product hook ``_mul_into`` adds
+c * self*terms into a dict; for an :class:`Element` it is one ``_into``
+call per term, and ``mul`` goes through it.  ``combine`` normal-orders
+an arbitrary word by the same insertion, one letter at a time from its
+right end.  The action of a mode X[s], s >= 0, on a vacuum-module state
+commutes X[s] rightwards through each monomial until it meets the
+vacuum, so the terms the vacuum kills are never built.  The vacuum
+derivations T and Delta (``_derive``, which adds into a dict too) shift
+one letter z at a time: z enters the rest of its word by ``_enter``, or,
+raised to depth >= 0, acts on it, so they build no killed word either.
 
 Only the commutator walks a trie.  It walks the trie of its right
-operand by the Leibniz rule [a, P*y] = [a, P]*y + P*[a, y], where each
-node carries its prefix P, a normal-ordered word, and [a, P].  The
+operand read from the right, by the Leibniz rule
+[a, y*S] = y*[a, S] + [a, y]*S, where each node carries its suffix S, a
+normal-ordered word, and [a, S].  Both products insert from the left:
+y enters [a, S], and S takes the letters of each term of [a, y].  The
 brackets [a, y] with the letters of b are computed once per left
 operand, shared by all the right operands it is paired with, and each
 by the same walk over a's trie:
-right-ad by y is a derivation too, [Q*x, y] = [Q, y]*x + Q*[x, y].
+right-ad by y is a derivation too, [x*S, y] = x*[S, y] + [x, y]*S.
 Every term either walk builds already has a bracket in it, so the
 top-length terms that a*b and b*a share, and that cancel in their
 difference, are never built.
@@ -143,10 +135,6 @@ class LoopGen(int):
 
 Monomial = Tuple[LoopGen, ...]
 Terms = Dict[Monomial, Fraction]
-
-# Longest b whose b*g the insert memo keeps.  Short suffixes take most of
-# the hits; the long ones filled most of the memory.
-MEMO_LETTERS = 2
 
 # The one value of every empty loop bracket, so the core skips a letter
 # pair by an identity test.
@@ -313,7 +301,6 @@ class LieContext:
         self.key = (pyramid.lambdas, mode)
         # row h holds [h, g] under key g, so a lookup builds no pair key
         self._loop_bracket_cache: Dict[LoopGen, Dict[LoopGen, tuple]] = defaultdict(dict)
-        self._insert_memo: Dict[Tuple[Monomial, LoopGen], Dict[Monomial, Fraction]] = {}
 
     # -- element constructors
 
@@ -381,25 +368,6 @@ class LieContext:
         central = hd * lie_form(self.pyramid, h.gen, g.gen)
         return (sym[0], central) if sym[0] or central else _EMPTY
 
-    def _suffix(self, b: Monomial, g: LoopGen) -> Terms:
-        """Normal form of b*g where every letter of b exceeds g, memoized
-        when b has at most MEMO_LETTERS letters."""
-        key = (b, g)
-        hit = self._insert_memo.get(key)
-        if hit is not None:
-            return hit
-        h, rest = b[-1], b[:-1]
-        # b*g = (rest*g)*h + rest*[h, g]
-        out = self._times(self._suffix(rest, g) if rest else {(g,): 1}, (h,))
-        terms, central = self.loop_bracket(h, g)
-        for z, c in terms:
-            _axpy(out, self._times({rest: 1}, (z,)), c)
-        if central:
-            _axpy(out, {rest: central}, 1)
-        if len(b) <= MEMO_LETTERS:
-            self._insert_memo[key] = out
-        return out
-
     def _lead(self, out: Terms, g: LoopGen, t: Monomial, c) -> None:
         """out += c * g*t for a normal-ordered t.  g passes the letters
         t[:p] at most g, p = bisect_right(t, g), with a bracket at each:
@@ -421,19 +389,7 @@ class LieContext:
             terms, central = hit
             head, rest = t[:i], t[i + 1 :]
             for z, k in terms:
-                k *= c
-                for w, v in self._times({head: 1}, (z,)).items():
-                    # w ends at or below rest's first letter: w + rest is
-                    # normal-ordered, else rest goes in factor by factor
-                    if not rest or not w or w[-1] <= rest[0]:
-                        m = w + rest
-                        v = out.get(m, 0) + k * v
-                        if v:
-                            out[m] = v
-                        else:
-                            out.pop(m, None)
-                    else:
-                        _axpy(out, self._times({w: 1}, rest), k * v)
+                self._enter(out, head, z, rest, k * c)
             if central:
                 _axpy(out, {head + rest: central}, c)
 
@@ -465,44 +421,29 @@ class LieContext:
             head, terms, c = head[:-1], late, 1
         _axpy(out, terms, c)
 
-    def _times(self, terms: Terms, word: Monomial) -> Terms:
-        """Normal form of terms*word, inserting one factor at a time.
-        Empty terms give a new empty dict, never the argument itself."""
-        if not terms:
-            return {}
-        for g in word:
-            # appending g keeps distinct monomials distinct, so those terms
-            # are placed before any reordered one is accumulated
-            out = {}
-            late = []
-            for m, c in terms.items():
-                if not m or m[-1] <= g:
-                    out[m + (g,)] = c
-                else:
-                    late.append((m, c))
-            for m, c in late:
-                # m[-1] > g: split m = head + b, b the letters above g
-                k = bisect_right(m, g)
-                self._into(out, m[:k], self._suffix(m[k:], g), c)
-            terms = out
-        return terms
-
     def combine(self, pieces: Iterable[Tuple[Iterable[LoopGen], Fraction]]) -> Element:
-        """Normal-ordered sum of arbitrary words with coefficients.  No
+        """Normal-ordered sum of arbitrary words with coefficients: the
+        letters before a word's longest normal-ordered suffix enter it
+        from the left, one at a time by ``_into``, the nearest first.  No
         letter is checked: the callers pass checked letters, ``word`` and
         ``element_from_obj`` by ``loop``, and the shift layer's
         ``rho_chi`` and ``apply_automorphism`` the symbols of an element
         of this pyramid.  The vacuum derivations do not come here: they
-        insert each shifted letter by ``_into``."""
+        insert each shifted letter by ``_enter``."""
         out: Dict[Monomial, Fraction] = {}
         for word, coeff in pieces:
             if not coeff:
                 continue
             word = tuple(word)
-            k = 1  # word[:k] is the longest normal-ordered prefix
-            while k < len(word) and word[k - 1] <= word[k]:
-                k += 1
-            _axpy(out, self._times({word[:k]: 1}, word[k:]), coeff)
+            k = max(len(word) - 1, 0)  # word[k:] is normal-ordered
+            while k > 0 and word[k - 1] <= word[k]:
+                k -= 1
+            terms = {word[k:]: 1}
+            for g in reversed(word[:k]):
+                nxt: Terms = {}
+                self._into(nxt, (g,), terms, 1)
+                terms = nxt
+            _axpy(out, terms, coeff)
         return self._element(out)
 
     def word(self, factors: Iterable[LoopGen], coeff: Fraction = 1) -> Element:
@@ -522,11 +463,12 @@ class LieContext:
 
     @staticmethod
     def _trie(terms: Terms) -> dict:
-        """The monomials of terms as a trie (None marks a word's end)."""
+        """The monomials of terms as a trie read from the right, so a path
+        spells a word's suffixes (None marks a word's start)."""
         trie: dict = {}
         for m, c in terms.items():
             node = trie
-            for x in m:
+            for x in reversed(m):
                 node = node.setdefault(x, {})
             node[None] = c
         return trie
@@ -575,10 +517,12 @@ class LieContext:
     def _enter(
         self, out: Terms, head: Monomial, z: LoopGen, tail: Monomial, c
     ) -> None:
-        """out += c * head z tail for a letter z < 0 between normal-ordered
+        """out += c * head z tail for a letter z between normal-ordered
         words: the word itself when it is normal-ordered, else z enters
         tail from the left, by ``_lead`` unless it passes no letter, and
-        head goes in by ``_into``."""
+        head goes in by ``_into``.  ``_lead`` places each bracket letter
+        this way, and the action and ``_derive`` each shifted letter below
+        depth 0."""
         if tail and z > tail[0]:
             moved: Terms = {}
             self._lead(moved, z, tail, 1)
@@ -616,10 +560,11 @@ class LieContext:
                     self._enter(out, head, z, tail, k)
 
     def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:
-        """[a, b] for each b in bs, each by the Leibniz walk over b's trie
-        (see the module docstring).  The letter brackets [a, y] are shared
-        by all the bs, and each is the Leibniz walk over a's trie with the
-        letter table {x: [x, y]}, since right-ad by y is a derivation."""
+        """[a, b] for each b in bs, each by the Leibniz walk over b's trie,
+        read from the right (see the module docstring).  The letter
+        brackets [a, y] are shared by all the bs, and each is the Leibniz
+        walk over a's trie with the letter table {x: [x, y]}, since
+        right-ad by y is a derivation.  ``_into`` only reads these tables."""
         self._own(a, a)  # a against itself: only whether it lives here
         a_trie = self._trie(a.terms)
         a_letters = dict.fromkeys(chain.from_iterable(a.terms))
@@ -647,20 +592,29 @@ class LieContext:
         return out
 
     def _leibniz(
-        self, node: dict, head: Monomial, cur: Terms, ad: Dict[LoopGen, Terms], out: Terms
+        self, node: dict, tail: Monomial, cur: Terms, ad: Dict[LoopGen, Terms], out: Terms
     ) -> None:
-        """out += D(head*w) for the words w of the trie below node and a
-        derivation D, where cur = D(head) and ad[y] = D(y): the next letter
-        y gives D(head*y) = D(head)*y + head*D(y).  D is [a, .] or, with
-        ad[x] = [x, y], the right-ad [., y]."""
+        """out += D(w*tail) for the words w read from the right on the trie
+        below node and a derivation D, where cur = D(tail) and ad[y] = D(y):
+        the next letter y gives D(y*tail) = y*D(tail) + D(y)*tail.  D is
+        [a, .] or, with ad[x] = [x, y], the right-ad [., y]."""
+        word = None
         for y, child in node.items():
             if y is None:
                 _axpy(out, cur, child)
             else:
-                nxt = self._times(cur, (y,)) if cur else {}
-                if ad[y]:
-                    self._into(nxt, head, ad[y], 1)
-                self._leibniz(child, head + (y,), nxt, ad, out)
+                nxt: Terms = {}
+                if cur:
+                    self._into(nxt, (y,), cur, 1)
+                dy = ad[y]
+                if dy:
+                    # one {tail: 1} per node, built only for a nonzero D(y):
+                    # in finite mode most nodes have none
+                    if word is None:
+                        word = {tail: 1}
+                    for m, v in dy.items():
+                        self._into(nxt, m, word, v)
+                self._leibniz(child, (y,) + tail, nxt, ad, out)
 
 
 _CONTEXTS: Dict[Tuple[Tuple[int, ...], str], LieContext] = {}

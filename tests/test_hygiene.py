@@ -120,9 +120,9 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_suffix", "_lead", "_into", "_times", "_leibniz", "_act_word",
-    "_enter", "_derive", "_mul_into", "commutators", "_bracket_terms",
-    "loop_bracket", "_make_bracket",
+    "_lead", "_into", "_leibniz", "_act_word", "_enter", "_derive",
+    "_mul_into", "commutators", "_bracket_terms", "loop_bracket",
+    "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 

@@ -718,30 +718,22 @@ def test_into_adds_to_what_out_holds(mode):
 
 
 def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
-    # _into reads terms that others share (memo entries, ad[y] in
-    # commutators): each memo entry, copied when it is stored, must read
-    # the same after a whole verify has used it
+    # _into reads terms that others share (the {S: 1} of a trie node and
+    # the ad[y] tables in commutators, a memo per left operand): every
+    # terms argument must read the same after the call as before it
     clear_caches()
-    stored = {}
-    suffix = LieContext._suffix
+    into = LieContext._into
+    checked = []
 
-    def spy(self, b, g):
-        out = suffix(self, b, g)
-        key = (self.key, b, g)
-        if key not in stored and (b, g) in self._insert_memo:
-            stored[key] = dict(out)
-        return out
+    def spy(self, out, head, terms, c):
+        before = dict(terms)
+        into(self, out, head, terms, c)
+        checked.append(terms == before)
 
-    monkeypatch.setattr(LieContext, "_suffix", spy)
+    monkeypatch.setattr(LieContext, "_into", spy)
     assert main(["--pyramid", "2,2,2", "verify"]) == 0
     capsys.readouterr()
-    memo = {
-        (ctx.key,) + key: terms
-        for ctx in _CONTEXTS.values()
-        for key, terms in ctx._insert_memo.items()
-    }
-    assert len(memo) > 30
-    assert memo == stored
+    assert len(checked) > 1000 and all(checked)
 
 
 _WORDS = st.lists(
@@ -1146,26 +1138,26 @@ _FIELDS = st.lists(st.tuples(st.integers(0, 6), st.sampled_from((-2, -1, 0, 1)))
     lam=st.sampled_from([(2, 3), (1, 1, 2), (2, 2)]),
     mode=st.sampled_from(["finite", "affine"]),
     pieces=st.lists(st.tuples(_FIELDS, _SCALARS), max_size=4),
-    word=_FIELDS,
+    cancel=st.booleans(),
 )
-def test_times_matches_combine(lam, mode, pieces, word):
-    # terms is any sum of normal-ordered words, the empty sum included;
-    # equal words with opposite scalars cancel before the product
+def test_times_matches_combine(lam, mode, pieces, cancel):
+    # combine normal-orders a sum of unsorted words, the empty word and
+    # the empty sum included; with cancel, the first piece comes again
+    # with the opposite scalar and the two cancel
     p = Pyramid(lam)
     ctx = get_context(p, mode)
-    terms = {}
-    for fields, c in pieces:
-        _axpy(terms, {tuple(sorted(_letters(p, mode, fields))): 1}, c)
-    w = _letters(p, mode, word)
-    got = ctx._times(dict(terms), w)
-    assert ctx._element(got) == ctx.combine((m + w, c) for m, c in terms.items())
+    pieces = [(_letters(p, mode, fields), c) for fields, c in pieces]
+    if cancel and pieces:
+        pieces.append((pieces[0][0], -pieces[0][1]))
+    got = ctx.combine(pieces).terms
+    assert got == naive_sum(ctx, pieces)
     assert all(got.values())
 
 
 def test_times_drops_a_cancelled_one_term_result():
-    # m1 = (g, v) gives k*(g, x) for x = [v, g]; m2 = (x,) commutes with g
-    # and gives the one term (g, x).  With m2's coefficient -k the term
-    # cancels in the inline sum of the reordering path.
+    # (g, v, g) with g < v gives k*(g, x) for x = [v, g]; (x, g) is the
+    # one word (g, x), since x lies above g and commutes with it.  With
+    # the coefficient -k the term cancels in combine's sum.
     p = Pyramid((1, 2, 2))
     ctx = get_context(p, "finite")
     letters = sorted(LoopGen(0, *g) for g in p.basis())
@@ -1177,23 +1169,12 @@ def test_times_drops_a_cancelled_one_term_result():
         (x, k), = inner
         if x <= g or ctx.loop_bracket(x, g)[0]:
             continue
-        terms = {(g, v): 1, (x,): -k}
-        got = ctx._times(terms, (g,))
+        pieces = [((g, v, g), 1), ((x, g), -k)]
+        got = ctx.combine(pieces).terms
         assert (g, x) not in got
-        assert got == ctx.combine([((g, v, g), 1), ((x, g), -k)]).terms
-        assert got == naive_sum(ctx, [((g, v, g), 1), ((x, g), -k)])
+        assert got == naive_sum(ctx, pieces)
         found += 1
     assert found
-
-
-@pytest.mark.parametrize("word", [(), (LoopGen(0, 1, 1, 0),)], ids=["empty_word", "one_letter"])
-def test_times_of_empty_terms_is_a_new_dict(word):
-    ctx = get_context(Pyramid((1, 1)), "finite")
-    empty = {}
-    out = ctx._times(empty, word)
-    assert out == {} and out is not empty
-    out[()] = 1
-    assert empty == {}
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2)])
@@ -1282,11 +1263,11 @@ def test_each_loop_bracket_is_built_once(monkeypatch, capsys):
     # the finite context sees each symbol pair once, in one table
     assert entries == p.dim() ** 2
 
-    # shift uses both contexts, and each holds one bracket table and the memo
+    # shift uses both contexts, and each holds one table, the bracket table
     clear_caches()
     assert main(["--pyramid", "1,2", "--z", "2", "shift"]) == 0
     capsys.readouterr()
     assert sorted(key for _, key in _CONTEXTS) == ["affine", "finite"]
     for ctx in _CONTEXTS.values():
         tables = [name for name, v in vars(ctx).items() if isinstance(v, dict)]
-        assert sorted(tables) == ["_insert_memo", "_loop_bracket_cache"]
+        assert tables == ["_loop_bracket_cache"]

@@ -99,60 +99,25 @@ def test_reports_never_share_their_cases():
 
 
 
-@pytest.mark.parametrize(
-    "lam", [(2, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (2, 2, 2, 2)]
-)
-def test_insert_memo_keeps_short_suffixes_only(capsys, monkeypatch, lam):
-    # from a clean start, so that no earlier test has filled the contexts;
-    # verify on 2,2 and 1,1,2 memoizes one-letter suffixes only, the others
-    # reach two-letter ones, and 2,2,2,2 inserts past a suffix longer than
-    # MEMO_LETTERS too, which the memo must not keep
-    clear_caches()
-    called = []
-    suffix = pbw.LieContext._suffix
-
-    def spy(self, b, g):
-        called.append(len(b))
-        return suffix(self, b, g)
-
-    monkeypatch.setattr(pbw.LieContext, "_suffix", spy)
-    assert main(["--pyramid", ",".join(map(str, lam)), "verify"]) == 0
-    capsys.readouterr()
-    lengths = set()
-    for mode in ("affine", "finite"):
-        lengths.update(len(b) for b, g in get_context(Pyramid(lam), mode)._insert_memo)
-    assert lengths and all(1 <= n <= pbw.MEMO_LETTERS for n in lengths)
-    if lam in ((2, 2), (1, 1, 2)):
-        assert lengths == {1} == set(called)
-    else:
-        assert 2 in lengths
-    if lam == (2, 2, 2, 2):
-        assert max(called) > pbw.MEMO_LETTERS
-
-
 def test_verify_memo_footprint_on_2_2_2_2(capsys):
-    # deterministic counts from a clean start: left insertion by _lead,
-    # in products, the vacuum derivations and the action, keeps the
-    # insert memo small; a kernel that regrows the memo fails here.  The
-    # bracket table holds the brackets of the tau products' deeper right
-    # letters T^k(E[-1]) too
+    # a deterministic count from a clean start: the bracket table is the
+    # one table a context fills, and it holds the brackets of the tau
+    # products' deeper right letters T^k(E[-1]) too
     clear_caches()
     assert main(["--pyramid", "2,2,2,2", "verify"]) == 0
     capsys.readouterr()
     ctx = get_context(Pyramid((2, 2, 2, 2)), "affine")
-    assert 0 < len(ctx._insert_memo) <= 1039
     assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11944
 
 
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
-    # the vector table's translations insert each lowered letter from the
-    # left: a T that rewrote its words through combine, letter by letter,
-    # would fill about twelve times this memo
+    # the vector table fills the bracket table with the letter pairs its
+    # products and translations meet, and nothing else
     clear_caches()
     assert main(["--pyramid", "1,2,3,4,5", "vectors"]) == 0
     capsys.readouterr()
     ctx = get_context(Pyramid((1, 2, 3, 4, 5)), "affine")
-    assert 0 < len(ctx._insert_memo) <= 271
+    assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 3612
 
 
 def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
