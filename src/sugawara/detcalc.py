@@ -149,7 +149,7 @@ def cdet(p: Pyramid) -> UXElem:
     polynomial in x with coefficients in the vacuum module tensored with
     polynomials in u."""
     ctx = get_context(p, "affine")
-    return ux_determinant(build_entry_matrix(p), lambda t: Element(ctx, t))
+    return ux_determinant(build_entry_matrix(p), lambda t: Element.wrap(ctx, t))
 
 
 # -- the tau presentation
@@ -204,4 +204,4 @@ def cdet_tau(p: Pyramid) -> Sparse:
     ctx = get_context(p, "affine")
     sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
     det = column_determinant(build_tau_matrix(p), {0: {(): sign}})
-    return Sparse({e: Element(ctx, t) for e, t in det.items()})
+    return Sparse({e: Element.wrap(ctx, t) for e, t in det.items()})

@@ -161,7 +161,7 @@ def center_determinant(p: Pyramid) -> UXElem:
         fin.gen,
         diag=lambda i, out, s, c: _axpy(out, s, c * (p.n - i) * p.lambdas[i - 1]),
     )
-    return ux_determinant(matrix, lambda t: Element(fin, t))
+    return ux_determinant(matrix, lambda t: Element.wrap(fin, t))
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:

@@ -9,6 +9,7 @@ one operand is a ``Fraction(...)`` call, since ``int / int`` is a float.
 
 The rewriting hot path reads letters as ints: it calls none of the
 ``LoopGen`` field properties, each of which is a Python-level call.
+The commutator walk reads no ``mode``: one walk serves both contexts.
 
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
 request pays for what its import pulls in.
@@ -24,6 +25,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from sugawara.pbw import LieContext
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,9 +130,9 @@ HOT_PATH = (
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 
 
-def letter_field_reads(path: Path, names):
+def letter_field_reads(path: Path, names, fields=LETTER_FIELDS):
     """The functions named ``names`` found in ``path``, and every
-    (function, line, attribute) read of a letter field inside them."""
+    (function, line, attribute) read of one of ``fields`` inside them."""
     tree = ast.parse(path.read_text(), filename=str(path))
     seen, found = set(), []
     for node in ast.walk(tree):
@@ -138,7 +141,7 @@ def letter_field_reads(path: Path, names):
             found += [
                 (node.name, sub.lineno, sub.attr)
                 for sub in ast.walk(node)
-                if isinstance(sub, ast.Attribute) and sub.attr in LETTER_FIELDS
+                if isinstance(sub, ast.Attribute) and sub.attr in fields
             ]
     return seen, sorted(found)
 
@@ -151,6 +154,16 @@ def test_hot_path_reads_no_letter_fields():
     )
 
 
+def test_commutator_walk_has_no_mode_branch():
+    # one walk for both contexts: no branch on the mode, and no second
+    # (trie) walk beside it
+    names = ("commutators", "_leibniz")
+    seen, found = letter_field_reads(ROOT / "src" / "sugawara" / "pbw.py", names, {"mode"})
+    assert seen == set(names)
+    assert not found, f"mode reads in the commutator walk: {found}"
+    assert not hasattr(LieContext, "_trie")
+
+
 def test_scan_sees_letter_field_reads(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(
@@ -159,10 +172,17 @@ def test_scan_sees_letter_field_reads(tmp_path):
         "\n"
         "def other(g):\n"
         "    return g.i\n"
+        "\n"
+        "def _walk(self):\n"
+        "    return self.mode == 'affine'\n"
     )
     assert letter_field_reads(path, ("_times", "_walk")) == (
-        {"_times"},
+        {"_times", "_walk"},
         [("_times", 2, "depth"), ("_times", 2, "r")],
+    )
+    assert letter_field_reads(path, ("_times", "_walk"), {"mode"}) == (
+        {"_times", "_walk"},
+        [("_walk", 8, "mode")],
     )
 
 

@@ -16,6 +16,7 @@ from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.pbw import (
     _CONTEXTS,
     _EMPTY,
+    _GROUP,
     Element,
     LieContext,
     LoopGen,
@@ -237,6 +238,44 @@ def test_commutators_keep_the_central_term():
     got = ctx.commutators(a, bs)
     assert got == [two_product_commutator(ctx, a, b) for b in bs]
     assert got[0] == ctx.one().scale(-1) - ctx.gen(2, 2, 0, depth=-1).scale(2)
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_commutators_split_large_groups(mode, monkeypatch):
+    # more than _GROUP words that share a prefix are split by their next
+    # letter: b's words share prefixes, and a word that is a prefix of
+    # others ends inside a group; a left operand of many words groups in
+    # the walk that builds the letter brackets [a, y] too
+    ctx = get_context(Pyramid((1, 2)), mode)
+    depths = (0,) if mode == "finite" else (-1, -2)
+    letters = sorted(LoopGen(d, *g) for d in depths for g in ctx.pyramid.basis())[:4]
+
+    def sorted_words(k, n):
+        # every sorted word of 1..n of the first k letters, x before x*y
+        out = []
+        for size in range(1, n + 1):
+            out += itertools.combinations_with_replacement(letters[:k], size)
+        return out
+
+    b = ctx.combine(
+        (w, Fraction((-1) ** k * (k + 1), 3)) for k, w in enumerate(sorted_words(4, 4))
+    )
+    a = ctx.combine((w, (-1) ** k * (k + 1)) for k, w in enumerate(sorted_words(3, 3)))
+    assert len(a.terms) > _GROUP and len(b.terms) > _GROUP
+    bs = [b, b + ctx.one().scale(Fraction(7, 2)), ctx.zero(), a]
+    leibniz, seen = LieContext._leibniz, []
+
+    def spy(self, words, d, lo, hi, ad, out):
+        if d and hi - lo > _GROUP:
+            seen.append((len(words), len(words[hi - 1][0]) == d))
+        leibniz(self, words, d, lo, hi, ad, out)
+
+    monkeypatch.setattr(LieContext, "_leibniz", spy)
+    got = ctx.commutators(a, bs)
+    assert got == [two_product_commutator(ctx, a, v) for v in bs]
+    assert got[0] and got[1] == got[0] and not got[2] and not got[3]
+    # both walks split a group below the root, and a word ended in one
+    assert (len(a.terms), True) in seen and (len(b.terms), True) in seen
 
 
 @pytest.mark.parametrize(
@@ -718,8 +757,8 @@ def test_into_adds_to_what_out_holds(mode):
 
 
 def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
-    # _into reads terms that others share (the {S: 1} of a trie node and
-    # the ad[y] tables in commutators, a memo per left operand): every
+    # _into reads terms that others share (the words below a letter in the
+    # commutator walk and its ad[y] tables, a memo per left operand): every
     # terms argument must read the same after the call as before it
     clear_caches()
     into = LieContext._into
@@ -766,7 +805,8 @@ def test_mul_associative_property(lam, mode, words):
     lam=st.sampled_from([(2, 3), (1, 1, 2), (2, 2)]),
     mode=st.sampled_from(["finite", "affine"]),
     a_words=st.lists(_WORDS, min_size=1, max_size=3),
-    b_words=st.lists(st.lists(_WORDS, min_size=1, max_size=2), min_size=1, max_size=4),
+    # up to 12 words, so a b can cross the word-by-word cutoff _GROUP
+    b_words=st.lists(st.lists(_WORDS, min_size=1, max_size=12), min_size=1, max_size=3),
 )
 def test_commutators_property(lam, mode, a_words, b_words):
     p = Pyramid(lam)

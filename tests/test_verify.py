@@ -110,6 +110,24 @@ def test_verify_memo_footprint_on_2_2_2_2(capsys):
     assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11944
 
 
+def test_commutativity_lead_count_on_2_2_2_2(monkeypatch):
+    # a deterministic count from a clean start: the bottom-up walk sums
+    # each prefix group's bracket before its letter enters it, and the
+    # walk that bracketed each path of b's words on its own took 85,459
+    clear_caches()
+    p = Pyramid((2, 2, 2, 2))
+    labeled = [(f"phi[{k},{r}]", e) for k, r, e in phi_table(p).selected_entries()]
+    lead, calls = pbw.LieContext._lead, []
+
+    def counted(self, *args):
+        calls.append(1)
+        lead(self, *args)
+
+    monkeypatch.setattr(pbw.LieContext, "_lead", counted)
+    assert commutativity_check(labeled, get_context(p, "affine")).passed()
+    assert len(calls) == 70601
+
+
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
     # the vector table fills the bracket table with the letter pairs its
     # products and translations meet, and nothing else
@@ -123,21 +141,22 @@ def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
 def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
     # the column recursion sums raw terms and wraps each coefficient of
     # the result once: a recursion that sums Elements, or a product or
-    # translation that wraps its result, builds thousands
+    # translation that wraps its result, builds thousands.  Every Element
+    # is built by the constructor or by ``wrap``, which ``_like`` calls
     clear_caches()
     built = []
-    init, like = pbw.Element.__init__, pbw.Element._like
+    init, wrap = pbw.Element.__init__, pbw.Element.wrap.__func__
 
     def counted_init(self, *args):
         built.append(1)
         init(self, *args)
 
-    def counted_like(self, terms):
+    def counted_wrap(cls, ctx, terms):
         built.append(1)
-        return like(self, terms)
+        return wrap(cls, ctx, terms)
 
     monkeypatch.setattr(pbw.Element, "__init__", counted_init)
-    monkeypatch.setattr(pbw.Element, "_like", counted_like)
+    monkeypatch.setattr(pbw.Element, "wrap", classmethod(counted_wrap))
     assert main(["--pyramid", "1,2,3,4,5", "vectors"]) == 0
     capsys.readouterr()
     assert 0 < len(built) <= 102
