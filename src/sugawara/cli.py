@@ -395,7 +395,7 @@ def entry() -> None:
     code = main()
     # The output is written in full.  Frozen objects are left out of the
     # collections the interpreter runs as it shuts down, which would only
-    # walk the memo and the vector tables before they are freed.
+    # walk the bracket table and the vector tables before they are freed.
     gc.freeze()
     sys.exit(code)
 

@@ -54,10 +54,13 @@ call per term, and ``mul`` goes through it.  ``combine`` normal-orders
 an arbitrary word by the same insertion, one letter at a time from its
 right end.  The action of a mode X[s], s >= 0, on a vacuum-module state
 commutes X[s] rightwards through each monomial until it meets the
-vacuum, so the terms the vacuum kills are never built.  The vacuum
-derivations T and Delta (``_derive``, which adds into a dict too) shift
-one letter z at a time: z enters the rest of its word by ``_enter``, or,
-raised to depth >= 0, acts on it, so they build no killed word either.
+vacuum, so the terms the vacuum kills are never built.  ``acts`` applies
+many modes to one state, whose letters it indexes by their places once:
+a mode looks each distinct letter up once, not once per occurrence, and
+most letters commute with it.  The vacuum derivations T and Delta
+(``_derive``, which adds into a dict too) shift one letter z at a time:
+z enters the rest of its word by ``_enter``, or, raised to depth >= 0,
+acts on it, so they build no killed word either.
 
 The commutator walks the words of its right operand in decreasing order
 (in increasing order, its transient sums on 1,1,1,1,1 peak over a third
@@ -81,7 +84,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .pyramid import GenId, Pyramid, bracket as lie_bracket, form as lie_form
 
@@ -486,10 +489,33 @@ class LieContext:
         if g.depth < 0:
             raise ValueError("act needs depth >= 0; use mul for module elements")
         self.pyramid.check(g.gen)
-        out: Terms = {}
+        return next(self.acts([g], v))
+
+    def acts(self, gs: Iterable[LoopGen], v: Element) -> Iterator[Element]:
+        """act(g, v) for each g in gs, in order, each built when asked for.
+        No mode is checked: ``act`` checks one."""
+        places: Dict[LoopGen, list] = defaultdict(list)
         for m, c in v.terms.items():
-            _axpy(out, self._act_word(g, m), c)
-        return self._element(out)
+            for idx, y in enumerate(m):
+                places[y].append((m, idx, c))
+        for g in gs:
+            out: Terms = {}
+            row = self._loop_bracket_cache[g]
+            for y, at in places.items():
+                hit = row.get(y) or self.loop_bracket(g, y)
+                if hit is _EMPTY:
+                    continue
+                terms, central = hit
+                for m, idx, c in at:
+                    head, tail = m[:idx], m[idx + 1 :]
+                    for z, k in terms:
+                        if z >= 0:
+                            self._into(out, head, self._act_word(z, tail), k * c)
+                        else:
+                            self._enter(out, head, z, tail, k * c)
+                    if central:
+                        _axpy(out, {head + tail: central}, c)
+            yield self._element(out)
 
     def _act_word(self, g: LoopGen, m: Monomial) -> Terms:
         """X[s]*m|0> for s >= 0 and normal-ordered m: X[s] is commuted to
@@ -630,7 +656,7 @@ _CONTEXTS: Dict[Tuple[Tuple[int, ...], str], LieContext] = {}
 
 
 def get_context(p: Pyramid, mode: str) -> LieContext:
-    """Shared per-(pyramid, mode) context, so rewrite caches accumulate."""
+    """Shared per-(pyramid, mode) context, so its bracket table accumulates."""
     key = (p.lambdas, mode)
     ctx = _CONTEXTS.get(key)
     if ctx is None:

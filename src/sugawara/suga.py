@@ -76,8 +76,8 @@ def phi_table(p: Pyramid) -> SugaTable:
 def clear_caches() -> None:
     """Empty the two caches that live as long as the process: the vector
     tables of :func:`phi_table` and the shared rewriting contexts with
-    their memos.  For a library caller that loops over many pyramids;
-    later results are the same, only recomputed."""
+    their bracket tables.  For a library caller that loops over many
+    pyramids; later results are the same, only recomputed."""
     phi_table.cache_clear()
     _CONTEXTS.clear()
 

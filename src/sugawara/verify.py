@@ -19,16 +19,17 @@ from .suga import phi_table
 
 def annihilation_check(p: Pyramid) -> Report:
     """act(X[s], phi_k^(r)) = 0 for every basis X, every selected (k, r)
-    and 0 <= s <= k (beyond that it holds by grading)."""
+    and 0 <= s <= k (beyond that it holds by grading).  Each phi takes
+    all its modes in one :meth:`~sugawara.pbw.LieContext.acts` call,
+    which looks each of its distinct letters up once per mode."""
     ctx = get_context(p, "affine")
     table = phi_table(p)
     report = Report("annihilation", str(p))
     for k, r, elem in table.selected_entries():
-        for g in p.basis():
-            for s in range(k + 1):
-                key = {"generator": g.text(), "s": s, "k": k, "r": r}
-                res = ctx.act(LoopGen(s, g.i, g.j, g.r), elem)
-                report.add(key, res)
+        cases = [(g, s) for g in p.basis() for s in range(k + 1)]
+        modes = [LoopGen(s, g.i, g.j, g.r) for g, s in cases]
+        for (g, s), res in zip(cases, ctx.acts(modes, elem)):
+            report.add({"generator": g.text(), "s": s, "k": k, "r": r}, res)
     return report
 
 
@@ -85,19 +86,23 @@ def sample_states(p: Pyramid, seed: int) -> List[Tuple[str, Element]]:
 def raising_recursion_check(p: Pyramid, seed: int = 0) -> Report:
     """Operator identity s E[i,i,shift][s+1] = [Delta, E[i,i,shift][s]]
     on the vacuum module for s = 1, 2, checked against
-    :func:`sample_states`."""
+    :func:`sample_states`.  Each state v takes X[1], X[2], X[3] in one
+    :meth:`~sugawara.pbw.LieContext.acts` call and Delta(v) takes X[1],
+    X[2] in another, so X[2] acts on v once for both s."""
     ctx = get_context(p, "affine")
-    samples = sample_states(p, seed)
+    samples = [(label, v, delta(v)) for label, v in sample_states(p, seed)]
     report = Report("raising-recursion", str(p), seed=seed)
     for i in range(1, p.n + 1):
-        for shift in range(p.lambdas[i - 1]):
+        for shift in p.window(i, i):
+            x = [LoopGen(s, i, i, shift) for s in (1, 2, 3)]
+            acted = [
+                (label, list(ctx.acts(x, v)), list(ctx.acts(x[:2], dv)))
+                for label, v, dv in samples
+            ]
             for s in (1, 2):
-                lower = LoopGen(s, i, i, shift)
-                upper = LoopGen(s + 1, i, i, shift)
-                for label, v in samples:
-                    lhs = s * ctx.act(upper, v)
-                    rhs = delta(ctx.act(lower, v)) - ctx.act(lower, delta(v))
-                    diff = lhs - rhs
+                for label, on_v, on_dv in acted:
+                    # s X[s+1] v against Delta(X[s] v) - X[s] Delta(v)
+                    diff = s * on_v[s] - (delta(on_v[s - 1]) - on_dv[s - 1])
                     key = {"i": i, "p": shift, "s": s, "state": label}
                     report.add(key, diff)
     return report

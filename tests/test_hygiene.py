@@ -123,7 +123,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_lead", "_into", "_leibniz", "_act_word", "_enter", "_derive",
+    "_lead", "_into", "_leibniz", "_act_word", "acts", "_enter", "_derive",
     "_mul_into", "commutators", "_bracket_terms", "loop_bracket",
     "_make_bracket",
 )

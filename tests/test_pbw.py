@@ -568,6 +568,42 @@ def test_act_against_naive_rewriter(lam):
     assert central >= 5
 
 
+@pytest.mark.parametrize("lam", [(2, 3), (1, 1, 2), (2, 2)])
+def test_acts_against_naive_rewriter(lam):
+    # one acts call takes modes of mixed depth; each result is the naive
+    # normal form of its own mode on the state, yielded in the modes' order
+    rng = random.Random(37)
+    p = Pyramid(lam)
+    ctx = get_context(p, "affine")
+    basis = p.basis()
+    paired = [x for x in basis if any(form(p, x, y) for y in basis)]
+    nonzero = central = 0
+    for trial in range(10):
+        v = random_element(ctx, rng, n_terms=3)
+        modes = [LoopGen(s, *rng.choice(basis)) for s in (0, 1, 2, 3, 1, 2)]
+        for _ in range(2):
+            # a partner Y[-s] with <X, Y> != 0 in the state, so the
+            # central term s <X, Y> is reached, alone and after Y[-1]
+            s, x = rng.randint(1, 3), rng.choice(paired)
+            y = rng.choice([y for y in basis if form(p, x, y)])
+            modes.append(LoopGen(s, *x))
+            partner = LoopGen(-s, *y)
+            v = v + ctx.word([partner]) + ctx.word([LoopGen(-1, *y), partner])
+        rng.shuffle(modes)
+        results = list(ctx.acts(modes, v))
+        assert len(results) == len(modes)
+        for g, got in zip(modes, results):
+            if any(
+                y.depth == -g.depth and form(p, g.gen, y.gen) for m in v.terms for y in m
+            ):
+                central += 1
+            want = naive_sum(ctx, [((g,) + m, c) for m, c in v.terms.items()])
+            assert got.terms == want
+            nonzero += bool(want)
+    assert nonzero >= 20
+    assert central >= 5
+
+
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_mul_against_naive_rewriter(mode):
     rng = random.Random(17)

@@ -128,6 +128,24 @@ def test_commutativity_lead_count_on_2_2_2_2(monkeypatch):
     assert len(calls) == 70601
 
 
+def test_annihilation_act_word_count_on_2_2_2_2(monkeypatch):
+    # a deterministic count from a clean start: each phi takes its modes
+    # in one acts call, which looks each distinct letter up once per mode
+    # and calls _act_word only past a letter that does not commute; an
+    # act call per mode, with an _act_word call per word, made 78,594
+    clear_caches()
+    p = Pyramid((2, 2, 2, 2))
+    act_word, calls = pbw.LieContext._act_word, []
+
+    def counted(self, *args):
+        calls.append(1)
+        return act_word(self, *args)
+
+    monkeypatch.setattr(pbw.LieContext, "_act_word", counted)
+    assert annihilation_check(p).passed()
+    assert len(calls) == 35042
+
+
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
     # the vector table fills the bracket table with the letter pairs its
     # products and translations meet, and nothing else
