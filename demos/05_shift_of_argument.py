@@ -29,7 +29,7 @@ table = phi_table(p)
 for k, r, elem in table.selected_entries():
     series = rho_chi(elem, chi)
     print(f"rho(phi[{k},{r}]):")
-    for e, elem in sorted(series.terms.items(), reverse=True):
+    for e, elem in sorted(series.items(), reverse=True):
         print(f"   z^{e}: {element_text(elem)}")
 print()
 

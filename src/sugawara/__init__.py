@@ -23,7 +23,6 @@ from .pbw import (
     weight_component,
 )
 from .detcalc import (
-    UXElem,
     build_entry_matrix,
     build_tau_matrix,
     cdet,

@@ -378,6 +378,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Every input was parsed under the int-to-str digit limit; a result
+    # computed from them, such as z^-2, may exceed it and is written too.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if cfg.fmt == "json":
             write_json(obj, _write_stdout)
@@ -388,6 +392,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # flush at exit does not raise again, and exit as SIGPIPE would.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the shell's status for a death by SIGPIPE
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0 if all(r.passed() for r in reports) else 1
 
 

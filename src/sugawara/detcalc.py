@@ -17,20 +17,19 @@ The recursion works on raw terms: a determinant is a map from a key (a
 (u, x) or tau exponent) to the ``terms`` dict of its coefficient, and an
 entry adds its signed image into the caller's buckets, through the
 coefficients' product hook ``_mul_into`` or the raw derivation
-``LieContext._derive``.  No carrier is built or copied on the way; each
-determinant wraps the coefficients of its result once.
-:func:`ux_matrix` builds the three u, x matrices, whose results are
-:class:`UXElem`, a :class:`~sugawara.pbw.Sparse` subclass that sets the
-join of its (u, x) keys.
+``LieContext._derive``.  No coefficient is built or copied on the way;
+each determinant wraps the coefficients of its result once, and returns
+a plain dict: :func:`ux_matrix` builds the three u, x matrices, whose
+results map (u, x) exponents to coefficients, read by
+:func:`coefficient_table`.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
 right through a word costs a binomial sum of translation derivatives.
 Its entries are operators too, keyed by tau power, and its result a
-plain :class:`~sugawara.pbw.Sparse` map from tau power to coefficient.
-They multiply on the right, with the columns reversed, so tau only ever
-moves through an entry's own letters, never through a determinant built
-so far.
+plain dict from tau power to coefficient.  They multiply on the right,
+with the columns reversed, so tau only ever moves through an entry's
+own letters, never through a determinant built so far.
 """
 
 from __future__ import annotations
@@ -39,34 +38,24 @@ import itertools
 from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .pbw import Element, Sparse, _axpy, get_context
+from .pbw import Element, _axpy, get_context
 from .pyramid import Pyramid
 
+UX = Tuple[int, int]
 
-class UXElem(Sparse):
-    """Polynomial in commuting u, x: (u, x) exponents -> coefficient."""
 
-    __slots__ = ()
-
-    @staticmethod
-    def _join(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-        return (a[0] + b[0], a[1] + b[1])
-
-    def x_coefficient(self, x: int) -> Dict[int, object]:
-        """Map u-exponent -> coefficient of x^x u^u."""
-        return {u: c for (u, xx), c in self.terms.items() if xx == x}
-
-    def coefficient_table(self, n: int) -> Dict[Tuple[int, int], object]:
-        """Map (k, r) -> coefficient of x^(n-k) u^r, for k = 1..n."""
-        return {(n - x, u): c for (u, x), c in self.terms.items() if x < n}
+def coefficient_table(det: Dict[UX, object], n: int) -> Dict[UX, object]:
+    """Map (k, r) -> coefficient of x^(n-k) u^r in the (u, x) map det,
+    for k = 1..n."""
+    return {(n - x, u): c for (u, x), c in det.items() if x < n}
 
 
 def column_determinant(
     matrix: List[list], unit: Dict[object, dict]
 ) -> Dict[object, dict]:
     """Column determinant by a column recursion over row subsets, on raw
-    terms: a determinant is a map key -> terms, a ``Sparse`` carrier's
-    key with the ``terms`` dict of its coefficient.
+    terms: a determinant is a map key -> terms, the ``terms`` dict of
+    the coefficient at each key.
 
     ``matrix[i][c](out, inner, sign)`` (0-based) adds sign times the
     image of ``inner``, the determinant of the columns to its right,
@@ -126,11 +115,12 @@ def ux_matrix(
     return [[entry(i, j) for j in rows] for i in rows]
 
 
-def ux_determinant(matrix: List[List[Callable]], wrap: Callable) -> UXElem:
-    """The column determinant of a u, x matrix from the unit, each of its
-    coefficients' terms wrapped once by ``wrap``, a carrier constructor."""
+def ux_determinant(matrix: List[List[Callable]], wrap: Callable) -> Dict[UX, object]:
+    """The column determinant of a u, x matrix from the unit, as a map
+    (u, x) -> coefficient, each coefficient's terms wrapped once by
+    ``wrap``."""
     det = column_determinant(matrix, {(0, 0): {(): 1}})
-    return UXElem({k: wrap(t) for k, t in det.items()})
+    return {k: wrap(t) for k, t in det.items()}
 
 
 def build_entry_matrix(p: Pyramid) -> List[List[Callable]]:
@@ -144,10 +134,10 @@ def build_entry_matrix(p: Pyramid) -> List[List[Callable]]:
     )
 
 
-def cdet(p: Pyramid) -> UXElem:
-    """The column determinant of the pyramid's operator matrix, as a
-    polynomial in x with coefficients in the vacuum module tensored with
-    polynomials in u."""
+def cdet(p: Pyramid) -> Dict[UX, Element]:
+    """The column determinant of the pyramid's operator matrix, a
+    polynomial in u and x with vacuum-module coefficients, as a map
+    (u, x) -> coefficient."""
     ctx = get_context(p, "affine")
     return ux_determinant(build_entry_matrix(p), lambda t: Element.wrap(ctx, t))
 
@@ -194,7 +184,7 @@ def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
     return [[entry(i, j) for j in reversed(rows)] for i in rows]
 
 
-def cdet_tau(p: Pyramid) -> Sparse:
+def cdet_tau(p: Pyramid) -> Dict[int, Element]:
     """Column determinant in the skew ring, as tau power -> coefficient;
     the result is monic of degree N in tau and its lower coefficients are
     the phi-circle elements of the alternative presentation.  The tau
@@ -204,4 +194,4 @@ def cdet_tau(p: Pyramid) -> Sparse:
     ctx = get_context(p, "affine")
     sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
     det = column_determinant(build_tau_matrix(p), {0: {(): sign}})
-    return Sparse({e: Element.wrap(ctx, t) for e, t in det.items()})
+    return {e: Element.wrap(ctx, t) for e, t in det.items()}

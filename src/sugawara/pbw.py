@@ -17,10 +17,10 @@ order is the canonical key (depth, i, j, r), so the core hashes and
 compares plain ints.  With that key every nonnegative-depth factor of a
 normal-ordered word sits in a trailing run, so the vacuum quotient is a
 suffix test, the sign of the last letter.  An :class:`Element`
-(monomial -> exact rational) sits on :class:`Sparse`, the base of every
-carrier of the package, and replaces only its product by the PBW
-product.  The rewriting core below works on raw dicts; it and every
-carrier sum through one kernel, :func:`_axpy`.
+(monomial -> exact rational) takes its sum and scale from
+:class:`Sparse`, a zero-free map with rational coefficients, and brings
+the PBW product.  The rewriting core below works on raw dicts; it and
+every ``Sparse`` sum add through one kernel, :func:`_axpy`.
 
 Letter brackets are kept in rows: ``_loop_bracket_cache[h][g]`` is
 [h, g], so the core fetches h's row once and looks a letter up in it
@@ -48,13 +48,13 @@ Each letter z of a bracket goes between t[:i] and t[i+1:] by
 ``_enter``: the word itself when it is normal-ordered, with no product,
 else z enters t[i+1:] from the left and t[:i] goes in by ``_into``.
 This terminates by the usual filtration argument: bracket terms are
-shorter words.  A carrier's product hook ``_mul_into`` adds
-c * self*terms into a dict; for an :class:`Element` it is one ``_into``
-call per term, and ``mul`` goes through it.  ``combine`` normal-orders
-an arbitrary word by the same insertion, one letter at a time from its
-right end.  The action of a mode X[s], s >= 0, on a vacuum-module state
-commutes X[s] rightwards through each monomial until it meets the
-vacuum, so the terms the vacuum kills are never built.  ``acts`` applies
+shorter words.  An element's product hook ``_mul_into`` adds
+c * self*terms into a dict, one ``_into`` call per term of self, and
+``mul`` goes through it.  ``combine`` normal-orders an arbitrary word
+by the same insertion, one letter at a time from its right end.  The
+action of a mode X[s], s >= 0, on a vacuum-module state commutes X[s]
+rightwards through each monomial until it meets the vacuum, so the
+terms the vacuum kills are never built.  ``acts`` applies
 many modes to one state, whose letters it indexes by their places once:
 a mode looks each distinct letter up once, not once per occurrence, and
 most letters commute with it.  The vacuum derivations T and Delta
@@ -80,6 +80,8 @@ difference, are never built.
 
 from __future__ import annotations
 
+import re
+import sys
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -163,16 +165,11 @@ def _axpy(out: Terms, terms: Terms, c) -> None:
 
 
 class Sparse:
-    """Sparse map key -> coefficient with zero coefficients dropped.
-
-    Coefficients may be :class:`Element` values, rationals or other
-    carriers; they need +, *, truth value and scalar ``s * c``.  Every
-    sum goes through :func:`_axpy`, which starts an absent key from the
-    empty sum ``0``, so a carrier coefficient takes ``0 + v`` as ``v``.
-    The product adds into a dict through the hook ``_mul_into``, the
-    convolution over ``_join``, which a subclass sets to the monoid law
-    of its keys; only :class:`Element` replaces the hook.  Every result
-    is built by ``_like``, so a subclass with state beyond ``terms``
+    """Sparse map key -> rational coefficient with zero coefficients
+    dropped: the sum, scale and equality of :class:`Element` and
+    :class:`~sugawara.shift.SymPoly`, each of which brings its own
+    product.  Every sum goes through :func:`_axpy`.  Every result is
+    built by ``_like``, so a subclass with state beyond ``terms``
     carries it over.  Only the constructor filters zeros: ``_like`` is
     never handed one, since every sum removes a zero it makes and a
     nonzero scalar keeps a coefficient nonzero.
@@ -199,25 +196,6 @@ class Sparse:
         _axpy(out, other.terms, 1)
         return self._like(out)
 
-    def __radd__(self, other):
-        # 0 + v, the empty sum an absent key starts from in _axpy
-        return self if other == 0 else NotImplemented
-
-    def _mul_into(self, out: dict, terms: dict, c) -> None:
-        """out += c * self*terms, the product hook: for a key -> coefficient
-        map terms, the convolution over ``_join``.  Each term of self adds
-        one shifted copy of terms, which needs ``_join`` to be
-        cancellative: for a fixed ka, distinct kb give distinct keys."""
-        join = self._join
-        for ka, ca in self.terms.items():
-            _axpy(out, {join(ka, kb): cb for kb, cb in terms.items()}, c * ca)
-
-    def __mul__(self, other):
-        """self*other by the product hook ``_mul_into``."""
-        out: dict = {}
-        self._mul_into(out, other.terms, 1)
-        return self._like(out)
-
     def __neg__(self):
         return self.scale(-1)
 
@@ -230,7 +208,7 @@ class Sparse:
             return self
         return self._like({k: s * c for k, c in self.terms.items()} if s else {})
 
-    # s * v for a scalar s, so that carriers nest as coefficients
+    # s * v for a scalar s
     __rmul__ = scale
 
     def __eq__(self, other) -> bool:
@@ -702,15 +680,39 @@ def weight_component(v: Element, w: int) -> Element:
 # -- text and JSON forms
 
 
+# The significant digits of a str value's decimal exponent, which
+# Fraction expands as 10**exp before the value's size can be checked.
+_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
+
+
 def exact(v):
     """Exact value of a str or int input: an int when it is integral, else
-    a Fraction.  A float or bool is refused: 0.1 is not 1/10."""
+    a Fraction.  A float or bool is refused: 0.1 is not 1/10.
+
+    So is a value whose numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` allows, since no str could write
+    it.  A str whose exponent has two digits more than the limit has is
+    refused before Fraction expands 10**exp: such an |exp| exceeds ten
+    times the limit, which puts any nonzero mantissa of at most limit
+    digits out of range."""
     if isinstance(v, bool) or not isinstance(v, (str, int)):
         raise ValueError(f"{v!r} must be a string or an integer")
+    limit = sys.get_int_max_str_digits()
+    if limit and isinstance(v, str):
+        e = _EXPONENT.search(v)
+        width = len(str(limit)) + 1
+        if e and len(e.group(1).replace("_", "")) > width:
+            raise ValueError(f"the exponent has more than {width} digits")
     try:
         q = Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"{v!r} has a zero denominator") from None
+    # 8**limit < 10**limit: a value of at most 3 * limit bits is short enough
+    big = max(abs(q.numerator), q.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(
+            f"the value has more than {limit} digits in its numerator or denominator"
+        )
     return q.numerator if q.denominator == 1 else q
 
 

@@ -18,25 +18,17 @@ independence; all linear algebra is fraction-exact, no floating point.
 
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
-from .detcalc import UXElem, ux_determinant, ux_matrix
+from .detcalc import UX, coefficient_table, ux_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, Sparse, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
 
 Chi = Dict[GenId, Fraction]
-
-
-class ZSeries(Sparse):
-    """Laurent polynomial in z: z-exponent -> finite-mode element."""
-
-    __slots__ = ()
-    _join = operator.add
 
 
 def check_chi(p: Pyramid, chi: Chi) -> Chi:
@@ -91,9 +83,10 @@ def _drop_constants(
             yield word, c * k
 
 
-def rho_chi(v: Element, chi: Chi) -> ZSeries:
+def rho_chi(v: Element, chi: Chi) -> Dict[int, Element]:
     """Evaluation homomorphism into the enveloping algebra with a formal
-    z-grading: returns the series of finite-mode elements in z.
+    z-grading: returns the Laurent polynomial in z as a map z exponent ->
+    nonzero finite-mode element.
 
     Each depth -1 factor may either stay (contributing X z^{-1}) or be
     replaced by the constant chi(X); deeper factors only stay.
@@ -104,7 +97,7 @@ def rho_chi(v: Element, chi: Chi) -> ZSeries:
     check_chi(p, chi)
     fin = get_context(p, "finite")
     def const(g: LoopGen) -> Fraction:
-        return chi.get(g.gen) if g.depth == -1 else 0
+        return chi.get(g.gen, 0) if g.depth == -1 else 0
 
     pieces: Dict[int, list] = {}
     for m, c in v.terms.items():
@@ -112,14 +105,14 @@ def rho_chi(v: Element, chi: Chi) -> ZSeries:
             zexp = sum(g.depth for g in word)
             word = [LoopGen(0, g.i, g.j, g.r) for g in word]
             pieces.setdefault(zexp, []).append((word, c * k))
-    return ZSeries({e: fin.combine(words) for e, words in pieces.items()})
+    return {e: elem for e, words in pieces.items() if (elem := fin.combine(words))}
 
 
-def zseries_eval(p: Pyramid, series: ZSeries, z: Fraction) -> Element:
+def zseries_eval(p: Pyramid, series: Dict[int, Element], z: Fraction) -> Element:
     if not z:
         raise ValueError("z must be nonzero")
     out: dict = {}
-    for e, elem in series.terms.items():
+    for e, elem in series.items():
         _axpy(out, elem.terms, Fraction(z) ** e)
     return Element(get_context(p, "finite"), out)
 
@@ -145,14 +138,14 @@ def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
     for k, r, elem in table.selected_entries():
         series = rho_chi(elem, chi)
         for m in range(k):
-            out.append(AChiGen(k, r, m, series.terms.get(m - k, fin.zero())))
+            out.append(AChiGen(k, r, m, series.get(m - k, fin.zero())))
     return out
 
 
 # -- center generators from the shifted determinant
 
 
-def center_determinant(p: Pyramid) -> UXElem:
+def center_determinant(p: Pyramid) -> Dict[UX, Element]:
     """Finite-mode determinant with entries
     delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
     fin = get_context(p, "finite")
@@ -167,7 +160,7 @@ def center_determinant(p: Pyramid) -> UXElem:
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
     """The N central elements of the enveloping algebra: x^{n-k} u^r
     coefficients of the shifted determinant at the selected indices."""
-    table = center_determinant(p).coefficient_table(p.n)
+    table = coefficient_table(center_determinant(p), p.n)
     fin = get_context(p, "finite")
     return [(k, r, table.get((k, r), fin.zero())) for k, r in selected_pairs(p)]
 
@@ -212,11 +205,18 @@ class SymPoly(Sparse):
     def var(cls, g: GenId) -> "SymPoly":
         return cls({((g, 1),): 1})
 
-    @staticmethod
-    def _join(a: tuple, b: tuple) -> tuple:
-        exps = dict(a)
-        _axpy(exps, dict(b), 1)
-        return tuple(sorted(exps.items()))
+    def _mul_into(self, out: dict, terms: dict, c) -> None:
+        """out += c * self*terms, the exponents of each product added."""
+        for a, ca in self.terms.items():
+            for b, cb in terms.items():
+                exps = dict(a)
+                _axpy(exps, dict(b), 1)
+                _axpy(out, {tuple(sorted(exps.items())): cb}, c * ca)
+
+    def __mul__(self, other: "SymPoly") -> "SymPoly":
+        out: dict = {}
+        self._mul_into(out, other.terms, 1)
+        return self._like(out)
 
     def diff(self, g: GenId) -> "SymPoly":
         # lowering the exponent of g keeps distinct monomials distinct
@@ -254,7 +254,7 @@ def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
     """All nonzero x^{n-k} u^r coefficients of the commutative
     determinant with entries in the symmetric algebra."""
     matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
-    return ux_determinant(matrix, SymPoly).coefficient_table(p.n)
+    return coefficient_table(ux_determinant(matrix, SymPoly), p.n)
 
 
 def _rank(rows: List[List[Fraction]]) -> int:

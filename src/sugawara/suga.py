@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
-from .detcalc import cdet, cdet_tau
+from .detcalc import cdet, cdet_tau, coefficient_table
 from .pbw import (
     _CONTEXTS,
     Element,
@@ -69,8 +69,8 @@ def selected_pairs(p: Pyramid) -> Tuple[Tuple[int, int], ...]:
 def phi_table(p: Pyramid) -> SugaTable:
     d = cdet(p)
     ctx = get_context(p, "affine")
-    assert d.x_coefficient(p.n) == {0: ctx.one()}, "determinant must be monic in x"
-    return SugaTable(p, d.coefficient_table(p.n), selected_pairs(p))
+    assert d.get((0, p.n)) == ctx.one(), "determinant must be monic in x"
+    return SugaTable(p, coefficient_table(d, p.n), selected_pairs(p))
 
 
 def clear_caches() -> None:
@@ -122,7 +122,7 @@ def tau_cross_check(p: Pyramid) -> Report:
     zero = get_context(p, "affine").zero()
     report = Report("tau-cross-check", str(p))
     for k, r, elem in table.selected_entries():
-        circ = tau.terms.get(p.big_n - r - k, zero)
+        circ = tau.get(p.big_n - r - k, zero)
         diff = weight_component(circ, r) - elem
         top = max(map(monomial_weight, circ.terms), default=0)
         if diff.is_zero() and top > r:

@@ -7,7 +7,9 @@ gl_N, the column determinant as a straight permutation sum, the skew
 tau product one step of tau at a time, the commutator as two full
 products, the small shapes from their closed forms, the all-ones tower
 from the ladder constants, and the top-letter parts of the generators
-from the commutative symbols.
+from the commutative symbols.  The package returns its u, x, tau and z
+polynomials as plain dicts, with no arithmetic of their own; the sums
+and products of them that tests need go term by term here.
 
 The corollaries are read on top-letter parts.  A degree-k vector of the
 vacuum module has no word longer than k letters, and the words with
@@ -21,13 +23,13 @@ their difference has only shorter words.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 from sugawara.pbw import (
     Element,
-    Sparse,
     _axpy,
     delta,
     get_context,
@@ -62,6 +64,44 @@ def monomial_degree(m):
 def random_chi(p, seed):
     """A seeded functional: the nonzero values of ``random_point``."""
     return {g: c for g, c in random_point(p, seed).items() if c}
+
+
+# -- polynomials in commuting variables as key -> coefficient dicts
+
+
+def _add(out, k, c):
+    """out[k] += c, for coefficients that have no sum with 0."""
+    out[k] = out[k] + c if k in out else c
+
+
+def nonzero(poly):
+    return {k: c for k, c in poly.items() if c}
+
+
+def poly_sum(*polys):
+    """The sum of key -> coefficient dicts, keys whose sum cancels dropped."""
+    out = {}
+    for poly in polys:
+        for k, c in poly.items():
+            _add(out, k, c)
+    return nonzero(out)
+
+
+def poly_product(a, b, join=operator.add):
+    """The product of key -> coefficient dicts whose keys multiply by
+    ``join``: every pair of terms adds ca * cb at join(ka, kb), and keys
+    whose sum cancels are dropped at the end.  With the default join, a
+    product of Laurent polynomials in z keyed by exponent."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            _add(out, join(ka, kb), ca * cb)
+    return nonzero(out)
+
+
+def ux_join(a, b):
+    """The product of monomials u^a[0] x^a[1] and u^b[0] x^b[1]."""
+    return (a[0] + b[0], a[1] + b[1])
 
 
 # -- the embedding into gl_N
@@ -149,8 +189,8 @@ def tau_step(terms):
     """tau * sum_b B_b tau^b, by tau (B tau^b) = B tau^(b+1) + T(B) tau^b."""
     out: dict = {}
     for b, cb in terms.items():
-        _axpy(out, {b + 1: cb}, 1)
-        _axpy(out, {b: translation_T(cb)}, 1)
+        _add(out, b + 1, cb)
+        _add(out, b, translation_T(cb))
     return out
 
 
@@ -160,11 +200,12 @@ def naive_tau_product(left, inner):
     binomial sum."""
     out: dict = {}
     for a, ca in left.items():
-        moved = inner.terms
+        moved = inner
         for _ in range(a):
             moved = tau_step(moved)
-        _axpy(out, {b: ca * cb for b, cb in moved.items()}, 1)
-    return Sparse(out)
+        for b, cb in moved.items():
+            _add(out, b, ca * cb)
+    return nonzero(out)
 
 
 def naive_tau_product_right(inner, right):
@@ -172,13 +213,14 @@ def naive_tau_product_right(inner, right):
     tau^b of ``inner`` moves right through A_a tau^a one step at a time,
     with no binomial sum."""
     out: dict = {}
-    for b, cb in inner.terms.items():
+    for b, cb in inner.items():
         for a, ca in right.items():
             moved = {a: ca}
             for _ in range(b):
                 moved = tau_step(moved)
-            _axpy(out, {e: cb * ce for e, ce in moved.items()}, 1)
-    return Sparse(out)
+            for e, ce in moved.items():
+                _add(out, e, cb * ce)
+    return nonzero(out)
 
 
 def naive_tau_matrix(p, right=False):
@@ -192,8 +234,8 @@ def naive_tau_matrix(p, right=False):
         # the calling convention of column_determinant around a product
         # of tau polynomials: out += sign * product(inner)
         def add(out, inner, sign):
-            got = product(Sparse({e: Element(ctx, t) for e, t in inner.items()}))
-            for e, c in got.terms.items():
+            got = product({e: Element(ctx, t) for e, t in inner.items()})
+            for e, c in got.items():
                 _axpy(out.setdefault(e, {}), c.terms, sign)
 
         return add

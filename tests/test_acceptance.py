@@ -49,6 +49,7 @@ from oracles import (
     minimal_nilpotent_check,
     per_level_counts,
     phi_2_formula_check,
+    poly_product,
     random_chi,
 )
 
@@ -256,6 +257,6 @@ def test_criterion_10_engine_properties():
                 )
             )
         a, b = words
-        if rho_chi(a * b, chi) != rho_chi(a, chi) * rho_chi(b, chi):
+        if rho_chi(a * b, chi) != poly_product(rho_chi(a, chi), rho_chi(b, chi)):
             ok = False
     _finish(10, ok, "engine properties (oracle, Jacobi, operators, cdet, rho)")

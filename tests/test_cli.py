@@ -179,6 +179,45 @@ def test_zero_denominator_is_a_usage_error(capsys, tmp_path, argv):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--z", "1e5000", "shift"],
+        ["--chi", "CHI", "shift"],
+        ["--automorphism-c", "1e5000", "center"],
+        ["--z", "1e999999999", "shift"],
+    ],
+    ids=["z", "chi", "automorphism", "exponent"],
+)
+def test_values_beyond_the_digit_limit_exit_2(tmp_path, argv):
+    # a value no str could write is a usage error, refused before it is
+    # computed with: 10**999999999 is never expanded
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps({"E[1,1,0]": "1e5000"}))
+    argv = [str(chi_file) if a == "CHI" else a for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "sugawara.cli", "--pyramid", "1,1", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=10,
+    )
+    err = done.stderr.decode()
+    assert (done.returncode, done.stdout) == (2, b""), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_results_beyond_the_digit_limit_are_written(capsys):
+    # z = 10^2500 is read under the int-to-str digit limit; z^-2 is
+    # beyond it and written exactly, and the limit is restored
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "--pyramid", "1,1", "--z", "1e2500", "shift")
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    evaluated = json.loads(out)["evaluated"]
+    coeffs = {t["coeff"] for item in evaluated for t in item["element"]}
+    assert "1/1" + "0" * 5000 in coeffs
+
+
 @pytest.mark.parametrize("lam", ["1,1", "1,2", "2,2", "1,1,2", "1,2,3"])
 def test_integral_automorphism_keeps_int_coefficients(lam):
     args = build_parser().parse_args(

@@ -14,10 +14,11 @@ The commutator walk reads no ``mode``: one walk serves both contexts.
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
 request pays for what its import pulls in.
 
-No ``Sparse`` subclass but ``Element`` defines its own ``__mul__`` or
-product hook ``_mul_into``: a carrier's product is the convolution over
-its ``_join``, and the engine's product is ``LieContext.mul``; any other
-product is an operator, built where it is applied.
+``Sparse`` is the sum, scale and equality of exactly two classes,
+``Element`` and ``SymPoly``, each of which brings its own product and
+product hook ``_mul_into``.  The base has no product, and no ``_join``
+key law is left: a determinant or z-series is a plain dict, and any
+other product is an operator, built where it is applied.
 """
 
 import ast
@@ -186,12 +187,9 @@ def test_scan_sees_letter_field_reads(tmp_path):
     )
 
 
-PRODUCTS = {"__mul__", "_mul_into"}
-
-
-def sparse_products(paths):
-    """(class, file, line) of every ``__mul__`` or ``_mul_into`` defined or
-    assigned in a class that derives, directly or not, from ``Sparse``."""
+def sparse_classes(paths):
+    """{class: (file, names its body defines or assigns)} for ``Sparse``
+    and every class that derives from it, directly or not."""
     classes = {}
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -204,51 +202,77 @@ def sparse_products(paths):
         new = {name for name, (bases, _, _) in classes.items() if bases & derived}
         grew = not new <= derived
         derived |= new
-    found = []
-    for name in sorted(derived - {"Sparse"}):
+    found = {}
+    for name in sorted(derived & set(classes)):
         _, path, node = classes[name]
+        names = set()
         for sub in node.body:
             if isinstance(sub, ast.FunctionDef):
-                targets = [sub.name]
+                names.add(sub.name)
             elif isinstance(sub, ast.Assign):
-                targets = [t.id for t in sub.targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            if PRODUCTS & set(targets):
-                found.append((name, path.name, sub.lineno))
+                names.update(t.id for t in sub.targets if isinstance(t, ast.Name))
+        found[name] = (path.name, names)
     return found
 
 
-def test_no_sparse_carrier_keeps_its_own_product():
-    found = sparse_products(sorted((ROOT / "src").rglob("*.py")))
-    # Element keeps both: the PBW product and its hook
-    assert [(name, file) for name, file, _ in found if name == "Element"] == [
-        ("Element", "pbw.py")
-    ] * 2
-    found = [f"{file}:{line}: {name}" for name, file, line in found if name != "Element"]
-    assert not found, "Sparse subclasses with their own product:\n" + "\n".join(found)
+def identifier_sites(paths, ident):
+    """(file, line) of every def, name, attribute or argument spelled
+    ``ident``."""
+    sites = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            spelled = (
+                getattr(node, "name", None)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
+                else getattr(node, "id", None)
+                or getattr(node, "attr", None)
+                or getattr(node, "arg", None)
+            )
+            if spelled == ident:
+                sites.append((path.name, node.lineno))
+    return sites
+
+
+def test_sparse_classes_are_element_and_sympoly():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    classes = sparse_classes(paths)
+    assert {name: file for name, (file, _) in classes.items()} == {
+        "Sparse": "pbw.py",
+        "Element": "pbw.py",
+        "SymPoly": "shift.py",
+    }
+    # the base sums, scales and compares; each subclass brings its product
+    assert not classes["Sparse"][1] & {"__mul__", "_mul_into", "__radd__", "_join"}
+    for name in ("Element", "SymPoly"):
+        assert {"__mul__", "_mul_into"} <= classes[name][1], name
+    assert identifier_sites(paths, "_join") == []
 
 
 def test_scan_sees_sparse_products(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(
+        "class Sparse:\n"
+        "    def _mul_into(self, out, terms, c): pass\n"
         "class Carrier(pbw.Sparse):\n"
         "    def __mul__(self, other): pass\n"
         "class Deeper(Carrier):\n"
-        "    __mul__ = None\n"
-        "class Plain(Carrier):\n"
-        "    def scale(self, s): pass\n"
+        "    _join = staticmethod(max)\n"
         "class Other:\n"
         "    def __mul__(self, other): pass\n"
-        "class Hooked(Plain):\n"
-        "    def _mul_into(self, out, terms, c): pass\n"
-        "class Unrelated:\n"
-        "    def _mul_into(self, out, terms, c): pass\n"
+        "def helper(_join):\n"
+        "    return x._join(_join)\n"
     )
-    assert sparse_products([path]) == [
-        ("Carrier", "sample.py", 2),
-        ("Deeper", "sample.py", 4),
-        ("Hooked", "sample.py", 10),
+    assert sparse_classes([path]) == {
+        "Sparse": ("sample.py", {"_mul_into"}),
+        "Carrier": ("sample.py", {"__mul__"}),
+        "Deeper": ("sample.py", {"_join"}),
+    }
+    assert identifier_sites([path], "_join") == [
+        ("sample.py", 6),
+        ("sample.py", 9),
+        ("sample.py", 10),
+        ("sample.py", 10),
     ]
 
 

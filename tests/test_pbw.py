@@ -4,13 +4,13 @@ import json
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sugawara.cli import main
-from sugawara.detcalc import UXElem
 from sugawara.jsonout import to_json
 from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.pbw import (
@@ -34,7 +34,6 @@ from sugawara.pbw import (
 )
 from sugawara.shift import (
     SymPoly,
-    ZSeries,
     a_chi_generators,
     center_generators,
     zseries_eval,
@@ -42,7 +41,15 @@ from sugawara.shift import (
 from sugawara.suga import clear_caches, phi_table
 from sugawara.verify import annihilation_check, centrality_check
 
-from oracles import degree_d, gen_or_zero, monomial_degree, random_chi, two_product_commutator
+from oracles import (
+    degree_d,
+    gen_or_zero,
+    monomial_degree,
+    poly_product,
+    poly_sum,
+    random_chi,
+    two_product_commutator,
+)
 from test_acceptance import ALL_PYRAMIDS
 
 
@@ -907,29 +914,6 @@ def test_element_arithmetic_against_dict_oracle(mode, seeds, mix, s):
     other = get_context(p, "affine" if mode == "finite" else "finite")
     assert a != Element(other, a.terms)
 
-    # UX polynomials with element coefficients scale them through s * c
-    ux = UXElem({(0, 0): a, (1, 2): b})
-    want = {k: _dict_axpy({}, c.terms, s) for k, c in ux.terms.items()}
-    for got in (ux.scale(s), s * ux):
-        assert {k: c.terms for k, c in got.terms.items()} == {
-            k: t for k, t in want.items() if t
-        }
-        assert all(c.ctx is ctx for c in got.terms.values())
-    total = ux + UXElem({(0, 0): b})
-    assert total.terms[(0, 0)].terms == _dict_axpy(a.terms, b.terms, 1)
-    assert (ux - ux).is_zero() and (ux + (-ux)) == UXElem({})
-
-
-def _convolution_oracle(a, b, join):
-    """Per-pair product of two carriers: every (ka, kb) pair adds ca * cb
-    at join(ka, kb), and keys whose sum cancels are dropped at the end."""
-    out = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            k = join(ka, kb)
-            out[k] = out[k] + ca * cb if k in out else ca * cb
-    return {k: c for k, c in out.items() if c}
-
 
 def _merge_exponents(a, b):
     exps = dict(a)
@@ -938,12 +922,6 @@ def _merge_exponents(a, b):
     return tuple(sorted(exps.items()))
 
 
-_UX_KEYS = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    min_size=1,
-    max_size=3,
-    unique=True,
-)
 _Z_KEYS = st.lists(st.integers(-3, 1), min_size=1, max_size=3, unique=True)
 # words over basis indices; repeated letters raise the exponent
 _SYM_WORDS = st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=3)
@@ -952,23 +930,17 @@ _SYM_WORDS = st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_s
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seeds=st.lists(st.integers(0, 2**16), min_size=4, max_size=4),
-    ux_keys=st.tuples(_UX_KEYS, _UX_KEYS),
     z_keys=st.tuples(_Z_KEYS, _Z_KEYS),
     sym_words=st.tuples(_SYM_WORDS, _SYM_WORDS),
     z=st.sampled_from([2, Fraction(-1, 3), 1, -1]),
 )
-def test_carrier_sums_and_products_against_pair_oracle(
-    seeds, ux_keys, z_keys, sym_words, z
-):
+def test_carrier_sums_and_products_against_pair_oracle(seeds, z_keys, sym_words, z):
     p = Pyramid((1, 2))
     fin = get_context(p, "finite")
     basis = p.basis()
     coeffs = [random_element(fin, random.Random(k), depths=(0,)) for k in seeds]
     assume(not any(c.is_zero() for c in coeffs))
-    e, f, g, h = coeffs
-
-    def carrier(cls, keys, shift):
-        return cls({k: coeffs[(i + shift) % 4] for i, k in enumerate(keys)})
+    e, f, _, h = coeffs
 
     def sym(words, shift):
         terms = {}
@@ -979,48 +951,44 @@ def test_carrier_sums_and_products_against_pair_oracle(
             terms[m] = terms.get(m, 0) + Fraction(seeds[(i + shift) % 4] % 7 - 3, 2)
         return SymPoly(terms)
 
-    # (1 + t) c0 times (t - 1) c1: the two t terms cancel exactly
-    def cancelling(cls, unit, t, c0, c1):
-        return cls({unit: c0, t: c0}), cls({unit: -c1, t: c1})
-
-    cases = [
-        (carrier(UXElem, ux_keys[0], 0), carrier(UXElem, ux_keys[1], 1), UXElem._join),
-        (carrier(ZSeries, z_keys[0], 2), carrier(ZSeries, z_keys[1], 3), operator.add),
-        (sym(sym_words[0], 0), sym(sym_words[1], 1), _merge_exponents),
-    ]
+    # SymPoly, the one Sparse class besides Element; (1 + x) 3 times
+    # (x - 1) (-1/2): the two x terms cancel exactly
     x0 = ((basis[0], 1),)
-    cases += [
-        (*cancelling(UXElem, (0, 0), (1, 0), e, g), UXElem._join),
-        (*cancelling(ZSeries, 0, -1, f, h), operator.add),
-        (*cancelling(SymPoly, (), x0, 3, Fraction(-1, 2)), _merge_exponents),
+    cases = [
+        (sym(sym_words[0], 0), sym(sym_words[1], 1)),
+        (SymPoly({(): 3, x0: 3}), SymPoly({(): Fraction(1, 2), x0: Fraction(-1, 2)})),
     ]
-    for a, b, join in cases:
-        total = dict(a.terms)
-        for k, c in b.terms.items():
-            total[k] = total[k] + c if k in total else c
-        assert (a + b).terms == {k: c for k, c in total.items() if c}
-        assert (a * b).terms == _convolution_oracle(a, b, join)
-        assert ((a + b) * (a - b)).terms == _convolution_oracle(a + b, a - b, join)
+    for a, b in cases:
+        assert (a + b).terms == poly_sum(a.terms, b.terms)
+        assert (a * b).terms == poly_product(a.terms, b.terms, _merge_exponents)
+        assert ((a + b) * (a - b)).terms == poly_product(
+            (a + b).terms, (a - b).terms, _merge_exponents
+        )
         assert (a * b + a.scale(-1) * b).is_zero()
-    for a, b, _ in cases[3:]:
-        assert len((a * b).terms) == 2 and not (a * b).is_zero()
+    a, b = cases[1]
+    assert len((a * b).terms) == 2 and not (a * b).is_zero()
 
-    # zseries_eval is the repeated-+ sum of its z-scaled components
-    (za, zb, _), (zc, zd, _) = cases[1], cases[4]
-    for series in (za, za * zb, zc, zd):
+    # zseries_eval is the repeated-+ sum of its z-scaled components, on
+    # z-series keyed by exponent and on their products; the z^-1 terms of
+    # zc * zd cancel
+    za, zb = (
+        {k: coeffs[(i + shift) % 4] for i, k in enumerate(keys)}
+        for keys, shift in zip(z_keys, (2, 3))
+    )
+    zc, zd = {0: f, -1: f}, {0: -h, -1: h}
+    for series in (za, poly_product(za, zb), zc, zd, poly_product(zc, zd)):
         total = fin.zero()
-        for k, elem in series.terms.items():
+        for k, elem in series.items():
             total = total + Fraction(z) ** k * elem
         assert zseries_eval(p, series, z) == total
-    ones = ZSeries({0: e, 1: e.scale(-1)})
+    ones = {0: e, 1: e.scale(-1)}
     assert zseries_eval(p, ones, 1).is_zero()
 
-    # the empty sum _axpy starts an absent key from, and the unit scale,
-    # hand back the carrier itself
+    # the unit scale hands back the carrier itself
     one = get_context(p, "affine").one()
-    for v in [e, one, *(c for a, b, _ in cases for c in (a, b))]:
+    for v in [e, one, *(c for pair in cases for c in pair)]:
         assert isinstance(v, Sparse)
-        assert 0 + v is v and v.scale(1) is v and 1 * v is v
+        assert v.scale(1) is v and 1 * v is v
 
 
 @pytest.mark.parametrize(
@@ -1053,6 +1021,22 @@ def test_exact_refuses_inexact_and_non_text_values(value):
 def test_exact_refuses_unparsable_text(value):
     with pytest.raises(ValueError):
         exact(value)
+
+
+def test_exact_refuses_values_beyond_the_digit_limit():
+    # no str could write such a value; a huge exponent is refused before
+    # Fraction expands it as 10**exp, a zero mantissa's too
+    limit = sys.get_int_max_str_digits()
+    assert exact(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert exact(f"-1e-{limit - 1}") == Fraction(-1, 10 ** (limit - 1))
+    for value in (f"1e{limit}", f"7e-{limit}", f"0.3e{limit + 1}", -(10**limit)):
+        with pytest.raises(ValueError, match=f"more than {limit} digits in its"):
+            exact(value)
+    width = len(str(limit)) + 1
+    assert exact("0e" + "9" * width) == 0
+    for value in ("1e" + "1" * (width + 1), "0E-0" + "9" * (width + 1), "5e1_" + "0" * width):
+        with pytest.raises(ValueError, match=f"exponent has more than {width} digits"):
+            exact(value)
 
 
 def test_coefficient_text_of_int_and_fraction():
