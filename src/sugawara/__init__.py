@@ -39,7 +39,6 @@ from .suga import (
 )
 from .shift import (
     AChiGen,
-    SymPoly,
     a_chi_generators,
     apply_automorphism,
     center_generators,

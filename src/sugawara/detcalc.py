@@ -1,9 +1,9 @@
 """Operator-valued matrices and their column determinants.
 
 The central object is a polynomial in two commuting variables u, x whose
-coefficients live in an algebra (vacuum-module elements, enveloping
-algebra elements, or commutative polynomials).  A matrix entry is the
-operator it applies, over the vacuum module
+coefficients live in an algebra (vacuum-module elements or enveloping
+algebra elements).  A matrix entry is the operator it applies, over the
+vacuum module
 
     delta_ij * (x + lambda_i * T) + sum_r E[i,j,r][-1] u^r,
 
@@ -11,15 +11,15 @@ and the column determinant applies each entry to the determinant of the
 columns to its right, rightmost column first.  One column recursion over
 row subsets (2^n * n states instead of n! products) evaluates every
 determinant of the package: this one, the tau presentation below, and
-the center and symbol determinants of :mod:`sugawara.shift`.
+the center determinant of :mod:`sugawara.shift`.
 
 The recursion works on raw terms: a determinant is a map from a key (a
 (u, x) or tau exponent) to the ``terms`` dict of its coefficient, and an
-entry adds its signed image into the caller's buckets, through the
-coefficients' product hook ``_mul_into`` or the raw derivation
+entry adds its signed image into the caller's buckets, by the raw
+product ``LieContext._into`` or the raw derivation
 ``LieContext._derive``.  No coefficient is built or copied on the way;
 each determinant wraps the coefficients of its result once, and returns
-a plain dict: :func:`ux_matrix` builds the three u, x matrices, whose
+a plain dict: :func:`ux_matrix` builds the two u, x matrices, whose
 results map (u, x) exponents to coefficients, read by
 :func:`coefficient_table`.
 
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .pbw import Element, _axpy, get_context
+from .pbw import Element, LieContext, _axpy, get_context
 from .pyramid import Pyramid
 
 UX = Tuple[int, int]
@@ -84,30 +84,30 @@ def column_determinant(
 
 
 def ux_matrix(
-    p: Pyramid, symbol: Callable, diag: Optional[Callable] = None
+    p: Pyramid, ctx: LieContext, depth: int, diag: Callable
 ) -> List[List[Callable]]:
-    """Operators delta_ij (x + diag(i, .)) + sum_r symbol(i,j,r) u^r on
-    determinants keyed by (u, x) exponents.
+    """Operators delta_ij (x + diag(i, .)) + sum_r E[i,j,r][depth] u^r on
+    determinants keyed by (u, x) exponents, with coefficients in ctx.
 
     u and x commute with everything, so the image of each bucket s is
-    symbol(i,j,r) s in the bucket shifted by u^r, through the symbol's
-    product hook ``_mul_into``; on the diagonal it is also s in the
+    E[i,j,r][depth] s in the bucket shifted by u^r, the letter taking s
+    from the left by one ``_into``; on the diagonal it is also s in the
     bucket shifted by x, and ``diag(i, out, s, c)``, which adds
     c diag_i(s) into the unshifted bucket ``out``.
     """
+    into = ctx._into
 
     def entry(i: int, j: int) -> Callable:
-        mults = [(r, symbol(i, j, r)) for r in p.window(i, j)]
+        heads = [(r, (ctx.loop(i, j, r, depth),)) for r in p.window(i, j)]
         on_diag = i == j
 
         def apply(out: dict, inner: dict, sign: int) -> None:
             for (u, x), s in inner.items():
-                for r, e in mults:
-                    e._mul_into(out.setdefault((u + r, x), {}), s, sign)
+                for r, head in heads:
+                    into(out.setdefault((u + r, x), {}), head, s, sign)
                 if on_diag:
                     _axpy(out.setdefault((u, x + 1), {}), s, sign)
-                    if diag is not None:
-                        diag(i, out.setdefault((u, x), {}), s, sign)
+                    diag(i, out.setdefault((u, x), {}), s, sign)
 
         return apply
 
@@ -115,12 +115,11 @@ def ux_matrix(
     return [[entry(i, j) for j in rows] for i in rows]
 
 
-def ux_determinant(matrix: List[List[Callable]], wrap: Callable) -> Dict[UX, object]:
-    """The column determinant of a u, x matrix from the unit, as a map
-    (u, x) -> coefficient, each coefficient's terms wrapped once by
-    ``wrap``."""
+def ux_determinant(matrix: List[List[Callable]], ctx: LieContext) -> Dict[UX, Element]:
+    """The column determinant of a u, x matrix over ctx from the unit, as
+    a map (u, x) -> coefficient, each coefficient's terms wrapped once."""
     det = column_determinant(matrix, {(0, 0): {(): 1}})
-    return {k: wrap(t) for k, t in det.items()}
+    return {k: Element.wrap(ctx, t) for k, t in det.items()}
 
 
 def build_entry_matrix(p: Pyramid) -> List[List[Callable]]:
@@ -128,9 +127,7 @@ def build_entry_matrix(p: Pyramid) -> List[List[Callable]]:
     T acting on the coefficients by the raw derivation."""
     ctx = get_context(p, "affine")
     return ux_matrix(
-        p,
-        lambda i, j, r: ctx.gen(i, j, r, depth=-1),
-        diag=lambda i, out, s, c: ctx._derive(out, s, -1, c * p.lambdas[i - 1]),
+        p, ctx, -1, lambda i, out, s, c: ctx._derive(out, s, -1, c * p.lambdas[i - 1])
     )
 
 
@@ -138,8 +135,7 @@ def cdet(p: Pyramid) -> Dict[UX, Element]:
     """The column determinant of the pyramid's operator matrix, a
     polynomial in u and x with vacuum-module coefficients, as a map
     (u, x) -> coefficient."""
-    ctx = get_context(p, "affine")
-    return ux_determinant(build_entry_matrix(p), lambda t: Element.wrap(ctx, t))
+    return ux_determinant(build_entry_matrix(p), get_context(p, "affine"))
 
 
 # -- the tau presentation

@@ -16,11 +16,10 @@ Monomials are tuples of :class:`LoopGen` letters, each an ``int`` whose
 order is the canonical key (depth, i, j, r), so the core hashes and
 compares plain ints.  With that key every nonnegative-depth factor of a
 normal-ordered word sits in a trailing run, so the vacuum quotient is a
-suffix test, the sign of the last letter.  An :class:`Element`
-(monomial -> exact rational) takes its sum and scale from
-:class:`Sparse`, a zero-free map with rational coefficients, and brings
-the PBW product.  The rewriting core below works on raw dicts; it and
-every ``Sparse`` sum add through one kernel, :func:`_axpy`.
+suffix test, the sign of the last letter.  An :class:`Element` is a
+zero-free map monomial -> exact rational with the PBW product.  The
+rewriting core below works on raw dicts; it and every sum of elements
+add through one kernel, :func:`_axpy`.
 
 Letter brackets are kept in rows: ``_loop_bracket_cache[h][g]`` is
 [h, g], so the core fetches h's row once and looks a letter up in it
@@ -48,13 +47,12 @@ Each letter z of a bracket goes between t[:i] and t[i+1:] by
 ``_enter``: the word itself when it is normal-ordered, with no product,
 else z enters t[i+1:] from the left and t[:i] goes in by ``_into``.
 This terminates by the usual filtration argument: bracket terms are
-shorter words.  An element's product hook ``_mul_into`` adds
-c * self*terms into a dict, one ``_into`` call per term of self, and
-``mul`` goes through it.  ``combine`` normal-orders an arbitrary word
-by the same insertion, one letter at a time from its right end.  The
-action of a mode X[s], s >= 0, on a vacuum-module state commutes X[s]
-rightwards through each monomial until it meets the vacuum, so the
-terms the vacuum kills are never built.  ``acts`` applies
+shorter words.  ``mul`` adds each term of its left operand times its
+right operand by one ``_into`` call.  ``combine`` normal-orders an
+arbitrary word by the same insertion, one letter at a time from its
+right end.  The action of a mode X[s], s >= 0, on a vacuum-module state
+commutes X[s] rightwards through each monomial until it meets the
+vacuum, so the terms the vacuum kills are never built.  ``acts`` applies
 many modes to one state, whose letters it indexes by their places once:
 a mode looks each distinct letter up once, not once per occurrence, and
 most letters commute with it.  The vacuum derivations T and Delta
@@ -164,71 +162,22 @@ def _axpy(out: Terms, terms: Terms, c) -> None:
             out.pop(m, None)
 
 
-class Sparse:
-    """Sparse map key -> rational coefficient with zero coefficients
-    dropped: the sum, scale and equality of :class:`Element` and
-    :class:`~sugawara.shift.SymPoly`, each of which brings its own
-    product.  Every sum goes through :func:`_axpy`.  Every result is
-    built by ``_like``, so a subclass with state beyond ``terms``
-    carries it over.  Only the constructor filters zeros: ``_like`` is
-    never handed one, since every sum removes a zero it makes and a
-    nonzero scalar keeps a coefficient nonzero.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[object, object]):
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def _like(self, terms: dict):
-        out = object.__new__(type(self))
-        out.terms = terms
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _axpy(out, other.terms, 1)
-        return self._like(out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        # terms are never mutated, so scaling by 1 can share them
-        if s == 1:
-            return self
-        return self._like({k: s * c for k, c in self.terms.items()} if s else {})
-
-    # s * v for a scalar s
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-
-class Element(Sparse):
-    """Exact linear combination of normal-ordered monomials.
+class Element:
+    """Exact linear combination of normal-ordered monomials, with zero
+    coefficients dropped.
 
     Immutable by convention: operations return fresh elements and never
     mutate ``terms``.  Arithmetic requires both operands to live in the
-    same context; the product is the PBW product of that context.
+    same context; the product is the PBW product of that context.  Every
+    sum goes through :func:`_axpy`.  Only the constructor filters zeros:
+    ``wrap`` is never handed one, since every sum removes a zero it makes
+    and a nonzero scalar keeps a coefficient nonzero.
     """
 
-    __slots__ = ("ctx",)
+    __slots__ = ("terms", "ctx")
 
     def __init__(self, ctx: "LieContext", terms: Dict[Monomial, Fraction]):
-        super().__init__(terms)
+        self.terms = {m: c for m, c in terms.items() if c}
         self.ctx = ctx
 
     @classmethod
@@ -239,27 +188,41 @@ class Element(Sparse):
         out.terms, out.ctx = terms, ctx
         return out
 
-    def _like(self, terms: Terms) -> "Element":
-        return self.wrap(self.ctx, terms)
-
     def _compat(self, other: "Element") -> None:
         if self.ctx.key != other.ctx.key:
             raise ValueError(
                 f"mixed contexts: {self.ctx.key} vs {other.ctx.key}"
             )
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         self._compat(other)
-        return super().__add__(other)
+        out = dict(self.terms)
+        _axpy(out, other.terms, 1)
+        return self.wrap(self.ctx, out)
 
-    def _mul_into(self, out: Terms, terms: Terms, c) -> None:
-        """out += c * self*terms by the PBW product: one ``_into`` per
-        term of self."""
-        into = self.ctx._into
-        for m, v in self.terms.items():
-            into(out, m, terms, c * v)
+    def __neg__(self) -> "Element":
+        return self.scale(-1)
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + (-other)
+
+    def scale(self, s) -> "Element":
+        # terms are never mutated, so scaling by 1 can share them
+        if s == 1:
+            return self
+        terms = {m: s * c for m, c in self.terms.items()} if s else {}
+        return self.wrap(self.ctx, terms)
+
+    # s * v for a scalar s
+    __rmul__ = scale
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -457,7 +420,8 @@ class LieContext:
         """a*b, as the sum over a's terms c*m of c * m*b, by ``_into``."""
         self._own(a, b)
         out: Terms = {}
-        a._mul_into(out, b.terms, 1)
+        for m, v in a.terms.items():
+            self._into(out, m, b.terms, v)
         return self._element(out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
@@ -680,6 +644,10 @@ def weight_component(v: Element, w: int) -> Element:
 # -- text and JSON forms
 
 
+# A run of digits, each of which Fraction reads by one int(): the
+# integer part, the fraction part, the denominator or the exponent.
+_RUN = re.compile(r"[\d_]+")
+
 # The significant digits of a str value's decimal exponent, which
 # Fraction expands as 10**exp before the value's size can be checked.
 _EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
@@ -691,14 +659,20 @@ def exact(v):
 
     So is a value whose numerator or denominator has more digits than
     ``sys.get_int_max_str_digits()`` allows, since no str could write
-    it.  A str whose exponent has two digits more than the limit has is
-    refused before Fraction expands 10**exp: such an |exp| exceeds ten
-    times the limit, which puts any nonzero mantissa of at most limit
-    digits out of range."""
+    it.  Two kinds of str are refused before Fraction parses them, each
+    of which int() would refuse only after Fraction computed
+    10**len(fraction part) or 10**exp.  One is a str with a run of more
+    digits than the limit, underscores not counted, leading zeros
+    counted: the runs are the ones Fraction reads by int().  The other
+    is a str whose exponent has two digits more than the limit has: such
+    an |exp| exceeds ten times the limit, which puts any nonzero
+    mantissa of at most limit digits out of range."""
     if isinstance(v, bool) or not isinstance(v, (str, int)):
         raise ValueError(f"{v!r} must be a string or an integer")
     limit = sys.get_int_max_str_digits()
     if limit and isinstance(v, str):
+        if any(len(run) - run.count("_") > limit for run in _RUN.findall(v)):
+            raise ValueError(f"the value has a run of more than {limit} digits")
         e = _EXPONENT.search(v)
         width = len(str(limit)) + 1
         if e and len(e.group(1).replace("_", "")) > width:

@@ -11,19 +11,21 @@ subalgebra; at chi = 0 that subalgebra is the center of the enveloping
 algebra, and the center generators are also produced directly from a
 column determinant with shifted diagonal.
 
-The commutative shadows of the same determinant (symbols in the
-symmetric algebra) give an exact-rank Jacobian surrogate for algebraic
-independence; all linear algebra is fraction-exact, no floating point.
+The symbols of the vectors, their top words read as commutative
+monomials in the symmetric algebra, give an exact-rank Jacobian
+surrogate for algebraic independence; all linear algebra is
+fraction-exact, no floating point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .detcalc import UX, coefficient_table, ux_determinant, ux_matrix
-from .pbw import Element, LoopGen, Monomial, Sparse, _axpy, get_context
+from .pbw import Element, LoopGen, Monomial, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
 from .suga import phi_table, selected_pairs
@@ -150,11 +152,9 @@ def center_determinant(p: Pyramid) -> Dict[UX, Element]:
     delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
     fin = get_context(p, "finite")
     matrix = ux_matrix(
-        p,
-        fin.gen,
-        diag=lambda i, out, s, c: _axpy(out, s, c * (p.n - i) * p.lambdas[i - 1]),
+        p, fin, 0, lambda i, out, s, c: _axpy(out, s, c * (p.n - i) * p.lambdas[i - 1])
     )
-    return ux_determinant(matrix, lambda t: Element.wrap(fin, t))
+    return ux_determinant(matrix, fin)
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
@@ -191,70 +191,42 @@ def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
 # -- commutative symbols and the exact-rank independence surrogate
 
 
-class SymPoly(Sparse):
-    """Sparse commutative polynomial in the basis symbols, with exact
-    rational coefficients; monomials are sorted (GenId, exponent) tuples."""
-
-    __slots__ = ()
-
-    @classmethod
-    def const(cls, c) -> "SymPoly":
-        return cls({(): c})
-
-    @classmethod
-    def var(cls, g: GenId) -> "SymPoly":
-        return cls({((g, 1),): 1})
-
-    def _mul_into(self, out: dict, terms: dict, c) -> None:
-        """out += c * self*terms, the exponents of each product added."""
-        for a, ca in self.terms.items():
-            for b, cb in terms.items():
-                exps = dict(a)
-                _axpy(exps, dict(b), 1)
-                _axpy(out, {tuple(sorted(exps.items())): cb}, c * ca)
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        out: dict = {}
-        self._mul_into(out, other.terms, 1)
-        return self._like(out)
-
-    def diff(self, g: GenId) -> "SymPoly":
-        # lowering the exponent of g keeps distinct monomials distinct
-        out: Dict[tuple, Fraction] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.pop(g, 0)
-            if e:
-                if e > 1:
-                    exps[g] = e - 1
-                out[tuple(sorted(exps.items()))] = e * c
-        return SymPoly(out)
-
-    def evaluate(self, point: Dict[GenId, Fraction]) -> Fraction:
-        total = 0
-        for m, c in self.terms.items():
-            for g, e in m:
-                c *= point.get(g, 0) ** e
-            total += c
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<SymPoly 0>"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            word = " ".join(
-                g.text() + (f"^{e}" if e > 1 else "") for g, e in m
-            )
-            bits.append(f"{Fraction(c)} {word}".strip())
-        return "<SymPoly " + " + ".join(bits) + ">"
+Symbol = Dict[Tuple[Tuple[GenId, int], ...], Fraction]
 
 
-def symbols(p: Pyramid) -> Dict[Tuple[int, int], SymPoly]:
-    """All nonzero x^{n-k} u^r coefficients of the commutative
-    determinant with entries in the symmetric algebra."""
-    matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
-    return coefficient_table(ux_determinant(matrix, SymPoly), p.n)
+def symbols(p: Pyramid) -> Dict[Tuple[int, int], Symbol]:
+    """All nonzero symbols of the vectors: the k-letter words of each
+    phi_k^(r), each read as a commutative monomial, a sorted tuple of
+    (GenId, exponent).  Every letter of such a word is at depth -1 and
+    the letters are sorted, so an exponent is the length of a run."""
+    gens: Dict[LoopGen, GenId] = {}
+    out = {}
+    for (k, r), elem in phi_table(p).entries.items():
+        poly = {}
+        for m, c in elem.terms.items():
+            if len(m) == k:
+                for g in m:
+                    if g not in gens:
+                        gens[g] = g.gen
+                poly[tuple((gens[g], len(list(run))) for g, run in groupby(m))] = c
+        if poly:
+            out[(k, r)] = poly
+    return out
+
+
+def _gradient(poly: Symbol, point: Dict[GenId, Fraction]) -> Dict[GenId, Fraction]:
+    """The partial derivatives of poly at the point, by one pass over its
+    terms; a symbol absent from the result has derivative 0."""
+    grad: Dict[GenId, Fraction] = {}
+    for m, c in poly.items():
+        values = [point.get(g, 0) ** e for g, e in m]
+        for i, (g, e) in enumerate(m):
+            d = c * e * point.get(g, 0) ** (e - 1)
+            for j, v in enumerate(values):
+                if j != i:
+                    d *= v
+            grad[g] = grad.get(g, 0) + d
+    return grad
 
 
 def _rank(rows: List[List[Fraction]]) -> int:
@@ -280,7 +252,7 @@ def _rank(rows: List[List[Fraction]]) -> int:
 
 def jacobian_rank(
     p: Pyramid,
-    sym: Dict[Tuple[int, int], SymPoly],
+    sym: Dict[Tuple[int, int], Symbol],
     point: Dict[GenId, Fraction],
 ) -> int:
     """Exact rank of the (selected symbols) x (basis) matrix of partial
@@ -288,6 +260,6 @@ def jacobian_rank(
     basis = p.basis()
     rows = []
     for k, r in selected_pairs(p):
-        poly = sym.get((k, r), SymPoly.const(0))
-        rows.append([poly.diff(g).evaluate(point) for g in basis])
+        grad = _gradient(sym.get((k, r), {}), point)
+        rows.append([grad.get(g, 0) for g in basis])
     return _rank(rows)

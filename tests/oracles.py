@@ -8,8 +8,9 @@ tau product one step of tau at a time, the commutator as two full
 products, the small shapes from their closed forms, the all-ones tower
 from the ladder constants, and the top-letter parts of the generators
 from the commutative symbols.  The package returns its u, x, tau and z
-polynomials as plain dicts, with no arithmetic of their own; the sums
-and products of them that tests need go term by term here.
+polynomials and its commutative symbols as plain dicts, with no
+arithmetic of their own; the sums, products and derivatives of them that
+tests need go term by term here.
 
 The corollaries are read on top-letter parts.  A degree-k vector of the
 vacuum module has no word longer than k letters, and the words with
@@ -38,7 +39,7 @@ from sugawara.pbw import (
 )
 from sugawara.pyramid import GenId, Pyramid, bracket
 from sugawara.reports import Report
-from sugawara.shift import SymPoly, a_chi_generators, center_generators, random_point, symbols
+from sugawara.shift import a_chi_generators, center_generators, random_point, symbols
 from sugawara.suga import ladder_coefficient, phi_table, selected_pairs, selection_bounds
 
 
@@ -102,6 +103,29 @@ def poly_product(a, b, join=operator.add):
 def ux_join(a, b):
     """The product of monomials u^a[0] x^a[1] and u^b[0] x^b[1]."""
     return (a[0] + b[0], a[1] + b[1])
+
+
+def monomial_join(a, b):
+    """The product of commutative monomials in the basis symbols, sorted
+    ((GenId, exponent), ...) tuples: the exponents of a shared symbol add."""
+    exps = dict(a)
+    for g, e in b:
+        exps[g] = exps.get(g, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def poly_diff(poly, g):
+    """d/dg of a polynomial keyed by such monomials; lowering the
+    exponent of g keeps distinct monomials distinct."""
+    out = {}
+    for m, c in poly.items():
+        exps = dict(m)
+        e = exps.pop(g, 0)
+        if e:
+            if e > 1:
+                exps[g] = e - 1
+            out[tuple(sorted(exps.items()))] = e * c
+    return out
 
 
 # -- the embedding into gl_N
@@ -391,20 +415,16 @@ def top_part(elem, length):
         if len(m) == length:
             key = tuple(sorted(Counter(g.gen for g in m).items()))
             _axpy(out, {key: c}, 1)
-    return SymPoly(out)
+    return out
 
 
 def symbol_cases(p):
-    """Oracle (a): the top part of phi_k^(r) and of the center generator
-    Phi_k^(r) is the symbol of (k, r).  Maps each case to (want, got)."""
+    """Oracle (a): the top part of the center generator Phi_k^(r) is the
+    symbol of (k, r), the top part of phi_k^(r).  Maps each case to
+    (want, got)."""
     sym = symbols(p)
-    table = phi_table(p)
-    cases = {}
-    for k, r, elem in table.selected_entries():
-        cases[("phi", k, r)] = (sym[(k, r)], top_part(elem, k))
-    for k, r, elem in center_generators(p):
-        cases[("Phi", k, r)] = (sym[(k, r)], top_part(elem, k))
-    return cases
+    gens = center_generators(p)
+    return {(k, r): (sym[(k, r)], top_part(elem, k)) for k, r, elem in gens}
 
 
 def brown_brundan_cases(p):
@@ -434,7 +454,9 @@ def shift_limit_cases(p, chi):
     for g in a_chi_generators(p, chi):
         want = sym[(g.k, g.r)]
         for _ in range(g.m):
-            want = sum((c * want.diff(x) for x, c in chi.items()), SymPoly({}))
-        want = want.scale(Fraction(1, factorial(g.m)))
+            want = poly_sum(
+                *({m: c * v for m, v in poly_diff(want, x).items()} for x, c in chi.items())
+            )
+        want = {m: Fraction(c, factorial(g.m)) for m, c in want.items()}
         cases[(g.k, g.r, g.m)] = (want, top_part(g.element, g.k - g.m))
     return cases

@@ -218,6 +218,28 @@ def test_results_beyond_the_digit_limit_are_written(capsys):
     assert "1/1" + "0" * 5000 in coeffs
 
 
+def test_results_beyond_the_digit_limit_read_back_with_the_limit_lifted(capsys):
+    # under the limit, exact refuses the 5001-digit denominator of z^-2
+    # before Fraction parses it; with the limit lifted, the elements read
+    # back and write the same bytes again
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "--pyramid", "1,1", "--z", "1e2500", "shift")
+    assert code == 0
+    obj = json.loads(out)
+    items = obj["generators"] + obj["evaluated"]
+    fin = get_context(Pyramid((1, 1)), "finite")
+    with pytest.raises(ValueError, match=f"a run of more than {limit} digits"):
+        for item in items:
+            element_from_obj(fin, item["element"])
+    sys.set_int_max_str_digits(0)
+    try:
+        for item in items:
+            item["element"] = element_from_obj(fin, item["element"])
+        assert jsonout.to_json(obj) == out
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("lam", ["1,1", "1,2", "2,2", "1,1,2", "1,2,3"])
 def test_integral_automorphism_keeps_int_coefficients(lam):
     args = build_parser().parse_args(

@@ -12,12 +12,13 @@ from sugawara.detcalc import (
     column_determinant,
     ux_matrix,
 )
-from sugawara.pbw import get_context, translation_T, weight_component
+from sugawara.pbw import Element, _axpy, get_context, translation_T, weight_component
 from sugawara.pyramid import GenId, Pyramid
-from sugawara.shift import SymPoly, center_determinant, symbols
+from sugawara.shift import center_determinant, symbols
 
 from oracles import (
     column_determinant_bruteforce,
+    monomial_join,
     naive_tau_matrix,
     poly_product,
     poly_sum,
@@ -34,8 +35,8 @@ def image(entry, inner):
     """entry applied to the map key -> coefficient inner, as such a map."""
     out = {}
     entry(out, raw(inner), 1)
-    coeff = next(iter(inner.values()))
-    return {k: coeff._like(t) for k, t in out.items() if t}
+    ctx = next(iter(inner.values())).ctx
+    return {k: Element.wrap(ctx, t) for k, t in out.items() if t}
 
 
 def x_coefficient(det, x):
@@ -137,9 +138,32 @@ def test_cdet_u_degree_bound():
                 assert u <= max_selected_r
 
 
+def symbol_matrix(p):
+    """delta_ij x + sum_r E[i,j,r] u^r with commuting E[i,j,r], as
+    determinant entries on (u, x) maps of commutative polynomials: the
+    commutative determinant, built apart from the vectors whose top words
+    ``symbols`` reads."""
+
+    def entry(i, j):
+        def apply(out, inner, sign):
+            for (u, x), s in inner.items():
+                for r in p.window(i, j):
+                    var = {((GenId(i, j, r), 1),): sign}
+                    product = poly_product(var, s, monomial_join)
+                    _axpy(out.setdefault((u + r, x), {}), product, 1)
+                if i == j:
+                    _axpy(out.setdefault((u, x + 1), {}), s, sign)
+
+        return apply
+
+    rows = range(1, p.n + 1)
+    return [[entry(i, j) for j in rows] for i in rows]
+
+
 def _determinant_setup(kind, p):
-    """(matrix, unit, value the package computes) for one of the four
-    determinants built on the shared column recursion, unit and value as
+    """(matrix, unit, value the package computes) for one of the three
+    determinants built on the shared column recursion, and for the
+    commutative one of :func:`symbol_matrix`, unit and value as
     determinant maps key -> terms."""
     fin = get_context(p, "finite")
     unit = {(0, 0): {(): 1}}
@@ -152,17 +176,15 @@ def _determinant_setup(kind, p):
         value = {e: c.scale(sign) for e, c in cdet_tau(p).items()}
         return build_tau_matrix(p), {0: {(): 1}}, raw(value)
     if kind == "center":
-        # the diagonal constant as a product with a scalar element
-        const = lambda i: fin.one().scale((p.n - i) * p.lambdas[i - 1])
-        matrix = ux_matrix(
-            p, fin.gen, diag=lambda i, out, s, c: const(i)._mul_into(out, s, c)
-        )
+        # the diagonal constant, scaled term by term
+        const = lambda i: (p.n - i) * p.lambdas[i - 1]
+        diag = lambda i, out, s, c: _axpy(out, {m: const(i) * v for m, v in s.items()}, c)
+        matrix = ux_matrix(p, fin, 0, diag)
         return matrix, unit, raw(center_determinant(p))
-    matrix = ux_matrix(p, lambda i, j, r: SymPoly.var(GenId(i, j, r)))
-    sym = symbols(p)
-    value = {(r, p.n - k): poly for (k, r), poly in sym.items()}
-    value = poly_sum(value, {(0, p.n): SymPoly.const(1)})
-    return matrix, unit, raw(value)
+    # the vectors' symbols are the x^(n-k) u^r coefficients
+    value = {(r, p.n - k): poly for (k, r), poly in symbols(p).items()}
+    value[(0, p.n)] = {(): 1}
+    return symbol_matrix(p), unit, value
 
 
 _ORACLE_SHAPES = [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 1, 2), (1, 2, 3)]

@@ -14,10 +14,9 @@ The commutator walk reads no ``mode``: one walk serves both contexts.
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
 request pays for what its import pulls in.
 
-``Sparse`` is the sum, scale and equality of exactly two classes,
-``Element`` and ``SymPoly``, each of which brings its own product and
-product hook ``_mul_into``.  The base has no product, and no ``_join``
-key law is left: a determinant or z-series is a plain dict, and any
+``Element`` is the one coefficient carrier: no ``Sparse`` base, no
+``SymPoly``, no product hook ``_mul_into`` and no ``_join`` key law is
+left.  A determinant, a z-series or a symbol is a plain dict, and any
 other product is an operator, built where it is applied.
 """
 
@@ -125,8 +124,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 HOT_PATH = (
     "_lead", "_into", "_leibniz", "_act_word", "acts", "_enter", "_derive",
-    "_mul_into", "commutators", "_bracket_terms", "loop_bracket",
-    "_make_bracket",
+    "commutators", "_bracket_terms", "loop_bracket", "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 
@@ -187,34 +185,6 @@ def test_scan_sees_letter_field_reads(tmp_path):
     )
 
 
-def sparse_classes(paths):
-    """{class: (file, names its body defines or assigns)} for ``Sparse``
-    and every class that derives from it, directly or not."""
-    classes = {}
-    for path in paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                bases = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
-                classes[node.name] = (bases, path, node)
-    derived, grew = {"Sparse"}, True
-    while grew:
-        new = {name for name, (bases, _, _) in classes.items() if bases & derived}
-        grew = not new <= derived
-        derived |= new
-    found = {}
-    for name in sorted(derived & set(classes)):
-        _, path, node = classes[name]
-        names = set()
-        for sub in node.body:
-            if isinstance(sub, ast.FunctionDef):
-                names.add(sub.name)
-            elif isinstance(sub, ast.Assign):
-                names.update(t.id for t in sub.targets if isinstance(t, ast.Name))
-        found[name] = (path.name, names)
-    return found
-
-
 def identifier_sites(paths, ident):
     """(file, line) of every def, name, attribute or argument spelled
     ``ident``."""
@@ -234,46 +204,32 @@ def identifier_sites(paths, ident):
     return sites
 
 
-def test_sparse_classes_are_element_and_sympoly():
+def test_element_is_the_one_carrier():
     paths = sorted((ROOT / "src").rglob("*.py"))
-    classes = sparse_classes(paths)
-    assert {name: file for name, (file, _) in classes.items()} == {
-        "Sparse": "pbw.py",
-        "Element": "pbw.py",
-        "SymPoly": "shift.py",
-    }
-    # the base sums, scales and compares; each subclass brings its product
-    assert not classes["Sparse"][1] & {"__mul__", "_mul_into", "__radd__", "_join"}
-    for name in ("Element", "SymPoly"):
-        assert {"__mul__", "_mul_into"} <= classes[name][1], name
-    assert identifier_sites(paths, "_join") == []
+    for ident in ("Sparse", "SymPoly", "_mul_into", "_join"):
+        assert identifier_sites(paths, ident) == [], ident
 
 
 def test_scan_sees_sparse_products(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(
-        "class Sparse:\n"
+        "from .pbw import Sparse\n"
+        "class SymPoly(pbw.Sparse):\n"
         "    def _mul_into(self, out, terms, c): pass\n"
-        "class Carrier(pbw.Sparse):\n"
-        "    def __mul__(self, other): pass\n"
-        "class Deeper(Carrier):\n"
-        "    _join = staticmethod(max)\n"
         "class Other:\n"
         "    def __mul__(self, other): pass\n"
         "def helper(_join):\n"
         "    return x._join(_join)\n"
     )
-    assert sparse_classes([path]) == {
-        "Sparse": ("sample.py", {"_mul_into"}),
-        "Carrier": ("sample.py", {"__mul__"}),
-        "Deeper": ("sample.py", {"_join"}),
-    }
+    assert identifier_sites([path], "Sparse") == [("sample.py", 1), ("sample.py", 2)]
+    assert identifier_sites([path], "SymPoly") == [("sample.py", 2)]
+    assert identifier_sites([path], "_mul_into") == [("sample.py", 3)]
     assert identifier_sites([path], "_join") == [
         ("sample.py", 6),
-        ("sample.py", 9),
-        ("sample.py", 10),
-        ("sample.py", 10),
+        ("sample.py", 7),
+        ("sample.py", 7),
     ]
+    assert identifier_sites([path], "__mul__") == [("sample.py", 5)]
 
 
 # Prints the modules that ``import sugawara.cli`` adds to sys.modules.

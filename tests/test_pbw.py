@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sugawara import pbw
 from sugawara.cli import main
 from sugawara.jsonout import to_json
 from sugawara.pyramid import Pyramid, bracket, form
@@ -20,7 +21,6 @@ from sugawara.pbw import (
     Element,
     LieContext,
     LoopGen,
-    Sparse,
     _axpy,
     _coeff_str,
     delta,
@@ -33,7 +33,6 @@ from sugawara.pbw import (
     translation_T,
 )
 from sugawara.shift import (
-    SymPoly,
     a_chi_generators,
     center_generators,
     zseries_eval,
@@ -46,7 +45,6 @@ from oracles import (
     gen_or_zero,
     monomial_degree,
     poly_product,
-    poly_sum,
     random_chi,
     two_product_commutator,
 )
@@ -915,58 +913,21 @@ def test_element_arithmetic_against_dict_oracle(mode, seeds, mix, s):
     assert a != Element(other, a.terms)
 
 
-def _merge_exponents(a, b):
-    exps = dict(a)
-    for g, e in b:
-        exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 _Z_KEYS = st.lists(st.integers(-3, 1), min_size=1, max_size=3, unique=True)
-# words over basis indices; repeated letters raise the exponent
-_SYM_WORDS = st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seeds=st.lists(st.integers(0, 2**16), min_size=4, max_size=4),
     z_keys=st.tuples(_Z_KEYS, _Z_KEYS),
-    sym_words=st.tuples(_SYM_WORDS, _SYM_WORDS),
     z=st.sampled_from([2, Fraction(-1, 3), 1, -1]),
 )
-def test_carrier_sums_and_products_against_pair_oracle(seeds, z_keys, sym_words, z):
+def test_carrier_sums_and_products_against_pair_oracle(seeds, z_keys, z):
     p = Pyramid((1, 2))
     fin = get_context(p, "finite")
-    basis = p.basis()
     coeffs = [random_element(fin, random.Random(k), depths=(0,)) for k in seeds]
     assume(not any(c.is_zero() for c in coeffs))
     e, f, _, h = coeffs
-
-    def sym(words, shift):
-        terms = {}
-        for i, word in enumerate(words):
-            m = ()
-            for b in word:
-                m = _merge_exponents(m, ((basis[b], 1),))
-            terms[m] = terms.get(m, 0) + Fraction(seeds[(i + shift) % 4] % 7 - 3, 2)
-        return SymPoly(terms)
-
-    # SymPoly, the one Sparse class besides Element; (1 + x) 3 times
-    # (x - 1) (-1/2): the two x terms cancel exactly
-    x0 = ((basis[0], 1),)
-    cases = [
-        (sym(sym_words[0], 0), sym(sym_words[1], 1)),
-        (SymPoly({(): 3, x0: 3}), SymPoly({(): Fraction(1, 2), x0: Fraction(-1, 2)})),
-    ]
-    for a, b in cases:
-        assert (a + b).terms == poly_sum(a.terms, b.terms)
-        assert (a * b).terms == poly_product(a.terms, b.terms, _merge_exponents)
-        assert ((a + b) * (a - b)).terms == poly_product(
-            (a + b).terms, (a - b).terms, _merge_exponents
-        )
-        assert (a * b + a.scale(-1) * b).is_zero()
-    a, b = cases[1]
-    assert len((a * b).terms) == 2 and not (a * b).is_zero()
 
     # zseries_eval is the repeated-+ sum of its z-scaled components, on
     # z-series keyed by exponent and on their products; the z^-1 terms of
@@ -984,10 +945,9 @@ def test_carrier_sums_and_products_against_pair_oracle(seeds, z_keys, sym_words,
     ones = {0: e, 1: e.scale(-1)}
     assert zseries_eval(p, ones, 1).is_zero()
 
-    # the unit scale hands back the carrier itself
+    # the unit scale hands back the element itself
     one = get_context(p, "affine").one()
-    for v in [e, one, *(c for pair in cases for c in pair)]:
-        assert isinstance(v, Sparse)
+    for v in [e, one]:
         assert v.scale(1) is v and 1 * v is v
 
 
@@ -1036,6 +996,32 @@ def test_exact_refuses_values_beyond_the_digit_limit():
     assert exact("0e" + "9" * width) == 0
     for value in ("1e" + "1" * (width + 1), "0E-0" + "9" * (width + 1), "5e1_" + "0" * width):
         with pytest.raises(ValueError, match=f"exponent has more than {width} digits"):
+            exact(value)
+
+
+def test_exact_refuses_long_digit_runs_before_parsing(monkeypatch):
+    # a run of digits longer than the limit is refused before Fraction
+    # computes 10**len(fraction part); the accepted set is the parse's
+    limit = sys.get_int_max_str_digits()
+    runs = f"a run of more than {limit} digits"
+    digits = "7" * limit
+    assert exact(digits) == int(digits)
+    assert exact("1_" + digits[1:]) == int("1" + digits[1:])
+    assert exact("0." + digits[1:]) == Fraction(int(digits[1:]), 10 ** (limit - 1))
+    assert exact("1/" + digits) == Fraction(1, int(digits))
+    with pytest.raises(ValueError, match=f"more than {limit} digits in its"):
+        exact("0." + digits)
+    # none of these reaches the parse
+    monkeypatch.setattr(pbw, "Fraction", None)
+    for value in (
+        digits + "7",
+        "0" + digits,
+        "7_" + digits,
+        "0." + digits + "7",
+        "1/" + digits + "7",
+        "0." + "1" * 2_000_000,
+    ):
+        with pytest.raises(ValueError, match=runs):
             exact(value)
 
 

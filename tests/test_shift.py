@@ -9,7 +9,7 @@ from sugawara.jsonout import to_json
 from sugawara.pbw import Element, LoopGen, _axpy, exact, get_context
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import (
-    SymPoly,
+    _gradient,
     _rank,
     a_chi_generators,
     apply_automorphism,
@@ -27,6 +27,7 @@ from sugawara.suga import phi_table
 from oracles import (
     brown_brundan_cases,
     gen_or_zero,
+    poly_diff,
     poly_product,
     random_chi,
     shift_limit_cases,
@@ -243,7 +244,7 @@ def test_automorphism_shifts_the_diagonal_of_the_center_determinant(lam):
     gens = center_generators(p)
     for c in (-1, Fraction(1, 2), 2):
         shifted = lambda i, out, s, k: _axpy(out, s, k * (p.n - i + c) * p.lambdas[i - 1])
-        det = column_determinant(ux_matrix(p, fin.gen, diag=shifted), {(0, 0): {(): 1}})
+        det = column_determinant(ux_matrix(p, fin, 0, shifted), {(0, 0): {(): 1}})
         table = coefficient_table({key: Element(fin, t) for key, t in det.items()}, p.n)
         for k, r, elem in gens:
             want = table.get((k, r), fin.zero())
@@ -253,31 +254,38 @@ def test_automorphism_shifts_the_diagonal_of_the_center_determinant(lam):
 def test_symbols_gl2():
     p = Pyramid((1, 1))
     sym = symbols(p)
-    v = lambda i, j: SymPoly.var(GenId(i, j, 0))
-    assert sym[(1, 0)] == v(1, 1) + v(2, 2)
-    assert sym[(2, 0)] == v(1, 1) * v(2, 2) - v(1, 2) * v(2, 1)
+    v = lambda i, j: (GenId(i, j, 0), 1)
+    assert sym == {
+        (1, 0): {(v(1, 1),): 1, (v(2, 2),): 1},
+        (2, 0): {(v(1, 1), v(2, 2)): 1, (v(1, 2), v(2, 1)): -1},
+    }
 
 
-def test_sympoly_product_merges_exponents():
-    g, h = GenId(1, 1, 0), GenId(2, 2, 0)
-    a, b = SymPoly.var(g), SymPoly.var(h)
-    square = (a + b) * (b + a)
-    assert square.terms == {((g, 2),): 1, ((g, 1), (h, 1)): 2, ((h, 2),): 1}
-    assert square.diff(g) == 2 * a + 2 * b
-    assert square.evaluate({g: Fraction(3), h: Fraction(-1)}) == 4
+def _evaluate(poly, point):
+    total = 0
+    for m, c in poly.items():
+        for g, e in m:
+            c *= point.get(g, 0) ** e
+        total += c
+    return total
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 2), (1, 1, 2)])
 def test_symbols_evaluate_in_ints_at_int_points(lam):
+    # the gradient is each partial derivative evaluated term by term, in
+    # ints at an int point; (g + h)^2 has exponents above 1
     p = Pyramid(lam)
     point = random_point(p, 3)
     as_fractions = {g: Fraction(v) for g, v in point.items()}
-    for poly in symbols(p).values():
-        for g in p.basis():
-            d = poly.diff(g)
-            got = d.evaluate(point)
-            assert type(got) is int
-            assert got == d.evaluate(as_fractions)
+    g, h = GenId(1, 1, 0), GenId(2, 2, 0)
+    square = {((g, 2),): 1, ((g, 1), (h, 1)): 2, ((h, 2),): 1}
+    assert _gradient(square, {g: 3, h: -1}) == {g: 4, h: 4}
+    for poly in [square, *symbols(p).values()]:
+        grad = _gradient(poly, point)
+        assert all(type(d) is int for d in grad.values())
+        assert grad == _gradient(poly, as_fractions)
+        for x in p.basis():
+            assert grad.get(x, 0) == _evaluate(poly_diff(poly, x), point)
 
 
 def test_jacobian_example_gl2():

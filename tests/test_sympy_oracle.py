@@ -1,5 +1,11 @@
-"""sympy as an independent oracle for the commutative symbol determinant
-and the exact Jacobian rank (sympy is a test-only dependency)."""
+"""sympy as an independent oracle for the symbols and the exact Jacobian
+rank (sympy is a test-only dependency).
+
+The package reads the symbols off the vectors it has built: the k-letter
+words of phi_k^(r), as commutative monomials.  Here they are compared
+with sympy's determinant of the commutative matrix, which shares nothing
+with the vector table, and the Jacobian rank with sympy's rank of its
+Jacobian, at full-rank and at degenerate points."""
 
 import random
 from fractions import Fraction
@@ -47,7 +53,7 @@ def test_symbols_match_sympy_determinant(lam):
     for key, poly in symbols(p).items():
         want[key] = sum(
             rational(c) * sympy.Mul(*(var[g] ** e for g, e in m))
-            for m, c in poly.terms.items()
+            for m, c in poly.items()
         )
     assert got.keys() == want.keys()
     for key in want:

@@ -160,7 +160,7 @@ def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
     # the column recursion sums raw terms and wraps each coefficient of
     # the result once: a recursion that sums Elements, or a product or
     # translation that wraps its result, builds thousands.  Every Element
-    # is built by the constructor or by ``wrap``, which ``_like`` calls
+    # is built by the constructor or by ``wrap``
     clear_caches()
     built = []
     init, wrap = pbw.Element.__init__, pbw.Element.wrap.__func__
