@@ -14,12 +14,10 @@ Two contexts share one rewriting core:
 
 Monomials are tuples of :class:`LoopGen` letters, each an ``int`` whose
 order is the canonical key (depth, i, j, r), so the core hashes and
-compares plain ints.  With that key every nonnegative-depth factor of a
-normal-ordered word sits in a trailing run, so the vacuum quotient is a
-suffix test, the sign of the last letter.  An :class:`Element` is a
-zero-free map monomial -> exact rational with the PBW product.  The
-rewriting core below works on raw dicts; it and every sum of elements
-add through one kernel, :func:`_axpy`.
+compares plain ints.  An :class:`Element` is a map monomial -> exact
+rational with the PBW product, with no zero and no word the vacuum
+kills.  The rewriting core below works on raw dicts; it and every sum
+of elements add through one kernel, :func:`_axpy`.
 
 Letter brackets are kept in rows: ``_loop_bracket_cache[h][g]`` is
 [h, g], so the core fetches h's row once and looks a letter up in it
@@ -50,15 +48,19 @@ This terminates by the usual filtration argument: bracket terms are
 shorter words.  ``mul`` adds each term of its left operand times its
 right operand by one ``_into`` call.  ``combine`` normal-orders an
 arbitrary word by the same insertion, one letter at a time from its
-right end.  The action of a mode X[s], s >= 0, on a vacuum-module state
-commutes X[s] rightwards through each monomial until it meets the
-vacuum, so the terms the vacuum kills are never built.  ``acts`` applies
-many modes to one state, whose letters it indexes by their places once:
-a mode looks each distinct letter up once, not once per occurrence, and
-most letters commute with it.  The vacuum derivations T and Delta
-(``_derive``, which adds into a dict too) shift one letter z at a time:
-z enters the rest of its word by ``_enter``, or, raised to depth >= 0,
-acts on it, so they build no killed word either.
+right end.  The action of X[s], s >= 0, and the vacuum derivations T
+and Delta (``_derive``) place each letter they make by ``_enter``.
+``acts`` indexes a state's letters by their places once, so a mode
+looks each distinct letter up once, not once per occurrence.
+
+The vacuum quotient is one rule of the kernels.  The depth >= 0 letters
+of a normal-ordered word are its last ones, so no kernel adds a word
+with a letter at or above ``_kill``, depth 0 in affine mode and above
+every letter in finite mode: ``_lead`` leaves out t[:p] g t[p:] for
+such a g, ``_enter`` such a z with no tail, and ``_into`` the empty
+term under a head that ends in one.  ``Element`` drops the words that
+end in such a letter, so a kernel's right operand is a vacuum word and
+a letter of depth >= 0 moves right until the vacuum kills it.
 
 The commutator walks the words of its right operand in decreasing order
 (in increasing order, its transient sums on 1,1,1,1,1 peak over a third
@@ -164,20 +166,23 @@ def _axpy(out: Terms, terms: Terms, c) -> None:
 
 class Element:
     """Exact linear combination of normal-ordered monomials, with zero
-    coefficients dropped.
+    coefficients dropped, and the words that end at or above the
+    context's ``_kill``, which the vacuum kills in affine mode.
 
     Immutable by convention: operations return fresh elements and never
     mutate ``terms``.  Arithmetic requires both operands to live in the
     same context; the product is the PBW product of that context.  Every
-    sum goes through :func:`_axpy`.  Only the constructor filters zeros:
-    ``wrap`` is never handed one, since every sum removes a zero it makes
-    and a nonzero scalar keeps a coefficient nonzero.
+    sum goes through :func:`_axpy`.  Only the constructor filters:
+    ``wrap`` is never handed a zero or a killed word, since every sum
+    removes a zero it makes, a nonzero scalar keeps a coefficient
+    nonzero, and no element holds a killed word.
     """
 
     __slots__ = ("terms", "ctx")
 
     def __init__(self, ctx: "LieContext", terms: Dict[Monomial, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c}
+        kill = ctx._kill
+        self.terms = {m: c for m, c in terms.items() if c and (not m or m[-1] < kill)}
         self.ctx = ctx
 
     @classmethod
@@ -254,6 +259,8 @@ class LieContext:
         self.pyramid = pyramid
         self.mode = mode
         self.key = (pyramid.lambdas, mode)
+        # the least letter the vacuum kills: depth 0; no finite letter is as high
+        self._kill = 0 if mode == "affine" else 1 << 32
         # row h holds [h, g] under key g, so a lookup builds no pair key
         self._loop_bracket_cache: Dict[LoopGen, Dict[LoopGen, tuple]] = defaultdict(dict)
 
@@ -275,15 +282,9 @@ class LieContext:
         return LoopGen(depth, i, j, r)
 
     def gen(self, i: int, j: int, r: int, depth: int = 0) -> Element:
-        """Single-generator element (X[depth] applied to the vacuum in
-        affine mode, so nonnegative depths give zero there)."""
-        g = self.loop(i, j, r, depth)
-        return self._element({(g,): 1})
-
-    def _element(self, terms: Dict[Monomial, Fraction]) -> Element:
-        if self.mode == "affine":
-            terms = {m: c for m, c in terms.items() if not (m and m[-1] >= 0)}
-        return Element(self, terms)
+        """Single-generator element: X[depth] applied to the vacuum in
+        affine mode, where ``Element`` drops it for a depth >= 0."""
+        return Element(self, {(self.loop(i, j, r, depth),): 1})
 
     # -- the rewriting core
 
@@ -326,14 +327,16 @@ class LieContext:
     def _lead(self, out: Terms, g: LoopGen, t: Monomial, c) -> None:
         """out += c * g*t for a normal-ordered t.  g passes the letters
         t[:p] at most g, p = bisect_right(t, g), with a bracket at each:
-        g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:]."""
+        g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:], where
+        t[:p] g t[p:] is left out for a g the vacuum kills."""
         p = bisect_right(t, g)
-        m = t[:p] + (g,) + t[p:] if p else (g,) + t
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
+        if g < self._kill:
+            m = t[:p] + (g,) + t[p:] if p else (g,) + t
+            v = out.get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
         if not p:
             return
         row = self._loop_bracket_cache[g]
@@ -350,27 +353,28 @@ class LieContext:
 
     def _into(self, out: Terms, head: Monomial, terms: Terms, c) -> None:
         """out += c * head*terms for a normal-ordered head: a term that
-        starts at or above head's last letter is concatenated, any other
-        takes that letter from the left by ``_lead``.  Those late terms
-        are gathered in one dict, which then takes the rest of head the
-        same way, so only one level's gathered terms are alive at a time;
-        with no rest they go straight into out.  terms is only read, so
-        it may be shared."""
+        starts at or above head's last letter is concatenated, the empty
+        term dropped if the vacuum kills that letter, and any other takes
+        that letter from the left by ``_lead``.  Those late terms are
+        gathered in one dict, which then takes the rest of head the same
+        way, so only one level's gathered terms are alive at a time; with
+        no rest they go straight into out.  terms is only read, so it may
+        be shared."""
         while head:
             last = head[-1]
             late = None
             for t, v in terms.items():
-                if not t or t[0] >= last:
+                if t and t[0] < last:
+                    if late is None:
+                        late = out if len(head) == 1 else {}
+                    self._lead(late, last, t, c * v)
+                elif t or last < self._kill:
                     m = head + t
                     v = out.get(m, 0) + c * v
                     if v:
                         out[m] = v
                     else:
                         out.pop(m, None)
-                else:
-                    if late is None:
-                        late = out if len(head) == 1 else {}
-                    self._lead(late, last, t, c * v)
             if not late or late is out:
                 return
             head, terms, c = head[:-1], late, 1
@@ -379,12 +383,13 @@ class LieContext:
     def combine(self, pieces: Iterable[Tuple[Iterable[LoopGen], Fraction]]) -> Element:
         """Normal-ordered sum of arbitrary words with coefficients: the
         letters before a word's longest normal-ordered suffix enter it
-        from the left, one at a time by ``_into``, the nearest first.  No
-        letter is checked: the callers pass checked letters, ``word`` and
-        ``element_from_obj`` by ``loop``, and the shift layer's
-        ``rho_chi`` and ``apply_automorphism`` the symbols of an element
-        of this pyramid.  The vacuum derivations do not come here: they
-        insert each shifted letter by ``_enter``."""
+        from the left, one at a time by ``_into``, the nearest first.  A
+        killed word stays killed under the letters that enter it, so the
+        kernels' rule holds on words of any depth, and ``Element`` drops
+        the killed words left.  No letter is checked: the callers pass
+        checked letters, ``word`` and ``element_from_obj`` by ``loop``,
+        and the shift layer's ``rho_chi`` and ``apply_automorphism`` the
+        symbols of an element of this pyramid."""
         out: Dict[Monomial, Fraction] = {}
         for word, coeff in pieces:
             if not coeff:
@@ -399,7 +404,7 @@ class LieContext:
                 self._into(nxt, (g,), terms, 1)
                 terms = nxt
             _axpy(out, terms, coeff)
-        return self._element(out)
+        return Element(self, out)
 
     def word(self, factors: Iterable[LoopGen], coeff: Fraction = 1) -> Element:
         """coeff * the product of factors, each letter checked by ``loop``."""
@@ -422,7 +427,7 @@ class LieContext:
         out: Terms = {}
         for m, v in a.terms.items():
             self._into(out, m, b.terms, v)
-        return self._element(out)
+        return Element(self, out)
 
     def act(self, g: LoopGen, v: Element) -> Element:
         """Left action of X[s] with s >= 0 on a vacuum-module state."""
@@ -436,6 +441,7 @@ class LieContext:
     def acts(self, gs: Iterable[LoopGen], v: Element) -> Iterator[Element]:
         """act(g, v) for each g in gs, in order, each built when asked for.
         No mode is checked: ``act`` checks one."""
+        self._own(v, v)
         places: Dict[LoopGen, list] = defaultdict(list)
         for m, c in v.terms.items():
             for idx, y in enumerate(m):
@@ -451,48 +457,25 @@ class LieContext:
                 for m, idx, c in at:
                     head, tail = m[:idx], m[idx + 1 :]
                     for z, k in terms:
-                        if z >= 0:
-                            self._into(out, head, self._act_word(z, tail), k * c)
-                        else:
-                            self._enter(out, head, z, tail, k * c)
+                        self._enter(out, head, z, tail, k * c)
                     if central:
                         _axpy(out, {head + tail: central}, c)
-            yield self._element(out)
-
-    def _act_word(self, g: LoopGen, m: Monomial) -> Terms:
-        """X[s]*m|0> for s >= 0 and normal-ordered m: X[s] is commuted to
-        the right through m and vanishes on reaching the vacuum, so only
-        the brackets it picks up on the way survive."""
-        out: Terms = {}
-        row = self._loop_bracket_cache[g]
-        for idx, y in enumerate(m):
-            # a bracket is a nonempty pair, so `or` only runs on a miss
-            hit = row.get(y) or self.loop_bracket(g, y)
-            if hit is _EMPTY:
-                continue
-            terms, central = hit
-            head, tail = m[:idx], m[idx + 1 :]
-            for z, c in terms:
-                if z >= 0:
-                    self._into(out, head, self._act_word(z, tail), c)
-                else:
-                    self._enter(out, head, z, tail, c)
-            if central:
-                _axpy(out, {head + tail: central}, 1)
-        return out
+            yield Element(self, out)
 
     def _enter(
         self, out: Terms, head: Monomial, z: LoopGen, tail: Monomial, c
     ) -> None:
         """out += c * head z tail for a letter z between normal-ordered
-        words: the word itself when it is normal-ordered, else z enters
-        tail from the left, by ``_lead`` unless it passes no letter, and
-        head goes in by ``_into``.  ``_lead`` places each bracket letter
-        this way, and the action and ``_derive`` each shifted letter below
-        depth 0."""
+        words: nothing if the vacuum kills z and no tail follows it, the
+        word itself when it is normal-ordered, else z enters tail from the
+        left, by ``_lead`` unless it passes no letter, and head goes in by
+        ``_into``.  ``_lead``, the action and ``_derive`` place each
+        letter they make this way."""
         if tail and z > tail[0]:
             moved: Terms = {}
             self._lead(moved, z, tail, 1)
+        elif not tail and z >= self._kill:
+            return
         elif head and z < head[-1]:
             moved = {(z,) + tail: 1}
         else:
@@ -508,9 +491,8 @@ class LieContext:
     def _derive(self, out: Terms, terms: Terms, step: int, c) -> None:
         """out += c * D(terms) for the vacuum derivation D: X[r] -> step * r
         X[r+step], applied factor by factor: the term v m and position idx
-        add step * r * c * v m[:idx] * (z m[idx+1:]) for the shifted letter
-        z, which enters the tail by ``_enter`` or acts on it (``_act_word``),
-        so no word the vacuum kills is built."""
+        add step * r * c * v m[:idx] z m[idx+1:] for the shifted letter z,
+        placed by ``_enter``, so no word the vacuum kills is built."""
         # g + stride is a bare int with the fields of the shifted letter;
         # int.__new__ makes it a LoopGen again without re-checking them
         stride = step << 32
@@ -520,11 +502,7 @@ class LieContext:
                 if not k:
                     continue
                 z = int.__new__(LoopGen, g + stride)
-                head, tail, k = m[:idx], m[idx + 1 :], k * c * v
-                if z >= 0:
-                    self._into(out, head, self._act_word(z, tail), k)
-                else:
-                    self._enter(out, head, z, tail, k)
+                self._enter(out, m[:idx], z, m[idx + 1 :], k * c * v)
 
     def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:
         """[a, b] for each b in bs, by the Leibniz walk over b's words (see
@@ -546,7 +524,7 @@ class LieContext:
                     self._leibniz(a_words, 0, 0, len(a_words), brackets, ad[y])
             res: Terms = {}
             self._leibniz(words, 0, 0, len(words), ad, res)
-            out.append(self._element(res))
+            out.append(Element(self, res))
         return out
 
     def _bracket_terms(self, x: LoopGen, y: LoopGen) -> Terms:
@@ -618,7 +596,7 @@ def _shift_depth(v: Element, step: int, name: str) -> Element:
         raise ValueError(f"the {name} derivation lives on the vacuum module")
     out: Terms = {}
     ctx._derive(out, v.terms, step, 1)
-    return ctx._element(out)
+    return Element(ctx, out)
 
 
 def translation_T(v: Element) -> Element:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import groupby
+from math import prod
 from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .detcalc import UX, coefficient_table, ux_determinant, ux_matrix
@@ -191,14 +191,14 @@ def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
 # -- commutative symbols and the exact-rank independence surrogate
 
 
-Symbol = Dict[Tuple[Tuple[GenId, int], ...], Fraction]
+Symbol = Dict[Tuple[GenId, ...], Fraction]
 
 
 def symbols(p: Pyramid) -> Dict[Tuple[int, int], Symbol]:
     """All nonzero symbols of the vectors: the k-letter words of each
-    phi_k^(r), each read as a commutative monomial, a sorted tuple of
-    (GenId, exponent).  Every letter of such a word is at depth -1 and
-    the letters are sorted, so an exponent is the length of a run."""
+    phi_k^(r), each read as a commutative monomial, the sorted tuple of
+    its letters' GenIds.  Such a word takes one depth -1 letter from each
+    of k distinct rows, so a symbol is multilinear."""
     gens: Dict[LoopGen, GenId] = {}
     out = {}
     for (k, r), elem in phi_table(p).entries.items():
@@ -208,24 +208,21 @@ def symbols(p: Pyramid) -> Dict[Tuple[int, int], Symbol]:
                 for g in m:
                     if g not in gens:
                         gens[g] = g.gen
-                poly[tuple((gens[g], len(list(run))) for g, run in groupby(m))] = c
+                poly[tuple([gens[g] for g in m])] = c
         if poly:
             out[(k, r)] = poly
     return out
 
 
 def _gradient(poly: Symbol, point: Dict[GenId, Fraction]) -> Dict[GenId, Fraction]:
-    """The partial derivatives of poly at the point, by one pass over its
-    terms; a symbol absent from the result has derivative 0."""
+    """The partial derivatives of poly at the point: in a letter of a
+    monomial, the product of its other letters' values.  A symbol absent
+    from the result has derivative 0."""
     grad: Dict[GenId, Fraction] = {}
     for m, c in poly.items():
-        values = [point.get(g, 0) ** e for g, e in m]
-        for i, (g, e) in enumerate(m):
-            d = c * e * point.get(g, 0) ** (e - 1)
-            for j, v in enumerate(values):
-                if j != i:
-                    d *= v
-            grad[g] = grad.get(g, 0) + d
+        values = [point.get(g, 0) for g in m]
+        for i, g in enumerate(m):
+            grad[g] = grad.get(g, 0) + prod(values[:i] + values[i + 1 :], start=c)
     return grad
 
 

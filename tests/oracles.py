@@ -107,24 +107,18 @@ def ux_join(a, b):
 
 def monomial_join(a, b):
     """The product of commutative monomials in the basis symbols, sorted
-    ((GenId, exponent), ...) tuples: the exponents of a shared symbol add."""
-    exps = dict(a)
-    for g, e in b:
-        exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items()))
+    tuples of GenIds, a symbol repeated once per power."""
+    return tuple(sorted(a + b))
 
 
 def poly_diff(poly, g):
-    """d/dg of a polynomial keyed by such monomials; lowering the
-    exponent of g keeps distinct monomials distinct."""
+    """d/dg of a multilinear polynomial keyed by such monomials: the
+    monomials that hold g once, with g taken out, stay distinct."""
     out = {}
     for m, c in poly.items():
-        exps = dict(m)
-        e = exps.pop(g, 0)
-        if e:
-            if e > 1:
-                exps[g] = e - 1
-            out[tuple(sorted(exps.items()))] = e * c
+        if g in m:
+            assert m.count(g) == 1, m
+            out[tuple(x for x in m if x != g)] = c
     return out
 
 
@@ -413,7 +407,7 @@ def top_part(elem, length):
     out: dict = {}
     for m, c in elem.terms.items():
         if len(m) == length:
-            key = tuple(sorted(Counter(g.gen for g in m).items()))
+            key = tuple(sorted(g.gen for g in m))
             _axpy(out, {key: c}, 1)
     return out
 

@@ -148,7 +148,7 @@ def symbol_matrix(p):
         def apply(out, inner, sign):
             for (u, x), s in inner.items():
                 for r in p.window(i, j):
-                    var = {((GenId(i, j, r), 1),): sign}
+                    var = {(GenId(i, j, r),): sign}
                     product = poly_product(var, s, monomial_join)
                     _axpy(out.setdefault((u + r, x), {}), product, 1)
                 if i == j:

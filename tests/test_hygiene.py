@@ -10,6 +10,9 @@ one operand is a ``Fraction(...)`` call, since ``int / int`` is a float.
 The rewriting hot path reads letters as ints: it calls none of the
 ``LoopGen`` field properties, each of which is a Python-level call.
 The commutator walk reads no ``mode``: one walk serves both contexts.
+The vacuum quotient is one rule of the insertion kernels, the context's
+``_kill`` letter: no hot-path function compares a letter with 0, and no
+second kernel ``_act_word`` or after-the-fact filter ``_element`` is left.
 
 Importing the CLI loads neither ``dataclasses`` nor ``inspect``: every
 request pays for what its import pulls in.
@@ -123,7 +126,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_lead", "_into", "_leibniz", "_act_word", "acts", "_enter", "_derive",
+    "_lead", "_into", "_leibniz", "acts", "_enter", "_derive",
     "commutators", "_bracket_terms", "loop_bracket", "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
@@ -151,6 +154,48 @@ def test_hot_path_reads_no_letter_fields():
     assert not found, "letter field reads on the hot path:\n" + "\n".join(
         f"{name}:{line}: .{attr}" for name, line, attr in found
     )
+
+
+def zero_comparisons(path: Path, names):
+    """The functions named ``names`` found in ``path``, and every
+    (function, line) of a comparison with the literal 0 inside them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    seen, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            seen.add(node.name)
+            found += [
+                (node.name, sub.lineno)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Compare)
+                and any(
+                    isinstance(x, ast.Constant) and type(x.value) is int and x.value == 0
+                    for x in [sub.left, *sub.comparators]
+                )
+            ]
+    return seen, sorted(found)
+
+
+def test_vacuum_quotient_is_one_kernel_rule():
+    seen, found = zero_comparisons(ROOT / "src" / "sugawara" / "pbw.py", HOT_PATH)
+    assert seen == set(HOT_PATH)
+    assert not found, f"letters compared with 0 on the hot path: {found}"
+    for name in ("_act_word", "_element"):
+        assert not hasattr(LieContext, name), name
+
+
+def test_scan_sees_zero_comparisons(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def _lead(g, t):\n"
+        "    if g >= 0 and 0 < len(t):\n"
+        "        return g < 1 or g == 0.0\n"
+        "\n"
+        "def other(z):\n"
+        "    return z >= 0\n"
+    )
+    found = zero_comparisons(path, ("_lead",))
+    assert found == ({"_lead"}, [("_lead", 2), ("_lead", 2)])
 
 
 def test_commutator_walk_has_no_mode_branch():

@@ -233,16 +233,33 @@ def test_commutators_match_two_products(lam, mode):
     assert nonzero >= 6
 
 
-def test_commutators_keep_the_central_term():
-    # an element built from raw terms may hold a letter of depth >= 0, and
-    # its bracket with a negative mode carries the central scalar
-    ctx = get_context(Pyramid((1, 2)), "affine")
+def test_raw_affine_elements_are_projected_when_built():
+    # an element built from raw terms may hold a word that ends at depth
+    # >= 0: the vacuum kills it, so the element drops it when built.  The
+    # kernels build no killed word, which is exact only on such elements:
+    # the commutator walk takes [a, y] as a left factor
+    rng = random.Random(53)
     x = LoopGen(1, 1, 1, 0)
-    a = Element(ctx, {(x,): 1, (LoopGen(-1, 2, 2, 0), x): 2})
-    bs = [ctx.gen(1, 1, 0, depth=-1), ctx.gen(2, 2, 0, depth=-1) * ctx.gen(1, 1, 0, depth=-1)]
-    got = ctx.commutators(a, bs)
-    assert got == [two_product_commutator(ctx, a, b) for b in bs]
-    assert got[0] == ctx.one().scale(-1) - ctx.gen(2, 2, 0, depth=-1).scale(2)
+    scalars = [1, -2, Fraction(1, 2)]
+    killed = 0
+    for lam in [(1, 2), (2, 3)]:
+        p = Pyramid(lam)
+        ctx = get_context(p, "affine")
+        letters, _ = _kernel_letters(p, "affine")
+        assert Element(ctx, {(x,): 1, (LoopGen(-1, 2, 2, 0), x): 2}).is_zero()
+        for _ in range(40):
+            raw = [
+                {_sorted_word(rng, letters, 0, 3): rng.choice(scalars) for _ in range(3)}
+                for _ in range(3)
+            ]
+            a, *bs = elems = [Element(ctx, terms) for terms in raw]
+            for terms, v in zip(raw, elems):
+                vacuum = {m: c for m, c in terms.items() if all(g.depth < 0 for g in m)}
+                assert v.terms == vacuum
+                killed += len(vacuum) < len(terms)
+            want = [two_product_commutator(ctx, a, b) for b in bs]
+            assert ctx.commutators(a, bs) == want
+    assert killed >= 60
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
@@ -344,6 +361,23 @@ def test_act_rejects_negative_depth_and_finite_mode():
     fin = get_context(Pyramid((1, 1)), "finite")
     with pytest.raises(ValueError):
         fin.act(LoopGen(0, 1, 1, 0), fin.one())
+
+
+def test_act_refuses_a_state_of_another_context():
+    # a state of the pyramid 1,2, and a finite element of 2,2, each acted
+    # on by the affine 2,2 context, which would rewrite them with its own
+    # bracket table or under the vacuum quotient
+    ctx = get_context(Pyramid((2, 2)), "affine")
+    small = get_context(Pyramid((1, 2)), "affine")
+    v = small.gen(2, 2, 0, depth=-1) * small.gen(2, 2, 1, depth=-1)
+    finite = get_context(Pyramid((2, 2)), "finite").gen(2, 2, 0)
+    g = LoopGen(1, 2, 2, 0)
+    assert small.act(g, v) == small.gen(2, 2, 1, depth=-1).scale(-1)
+    for state in (v, finite):
+        with pytest.raises(ValueError, match="do not belong"):
+            ctx.act(g, state)
+        with pytest.raises(ValueError, match="do not belong"):
+            list(ctx.acts([g, LoopGen(0, 1, 1, 0)], state))
 
 
 def test_act_lowers_degree_and_keeps_states_clean():
@@ -657,10 +691,13 @@ def test_mul_against_naive_rewriter(mode):
 
 
 def _kernel_letters(p, mode):
-    # affine depths -2..1 hold opposite-depth pairs, which carry the
-    # central term, and letters the vacuum would kill
+    """The letters a kernel's left operand takes, and those of its right
+    operand: affine depths -2..1 hold opposite-depth pairs, which carry
+    the central term, and letters the vacuum kills, which a right
+    operand, a vacuum word, never holds."""
     depths = (0,) if mode == "finite" else (-2, -1, 0, 1)
-    return [LoopGen(d, *x) for d in depths for x in p.basis()]
+    letters = [LoopGen(d, *x) for d in depths for x in p.basis()]
+    return letters, [g for g in letters if mode == "finite" or g.depth < 0]
 
 
 def _sorted_word(rng, letters, lo, hi):
@@ -669,18 +706,22 @@ def _sorted_word(rng, letters, lo, hi):
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_lead_against_naive_rewriter(mode):
-    # one letter g times a normal-ordered word t, compared in full: no
-    # vacuum quotient, since _lead applies none.  Each case is added once
+    # one letter g times a normal-ordered word t, a vacuum word in affine
+    # mode, against the naive normal form with the vacuum quotient: the
+    # words the vacuum kills are never built.  Each case is added once
     # into an empty dict and once, times a random scalar, into a
     # prefilled one, whose entry for the main word sometimes cancels it
     rng = random.Random(29)
     fill = random.Random(37)  # its own draws, so the cases stay the same
     p = Pyramid((2, 3))
     ctx = LieContext(p, mode)
-    letters = _kernel_letters(p, mode)
-    seen = dict.fromkeys(["below", "inside", "above", "equal", "central", "cancel"], 0)
-    for _ in range(300):
-        t = _sorted_word(rng, letters, 1, 4)
+    letters, right = _kernel_letters(p, mode)
+    seen = dict.fromkeys(
+        ["below", "inside", "above", "equal", "central", "cancel", "killed"], 0
+    )
+    # 400 cases: a vacuum word t leaves fewer letters below g
+    for _ in range(400):
+        t = _sorted_word(rng, right, 1, 4)
         # g equal to a letter y of t, y's partner in the form, or any letter
         y = rng.choice(t)
         partner = LoopGen(-y.depth, y.j, y.i, y.r)
@@ -691,7 +732,7 @@ def test_lead_against_naive_rewriter(mode):
             g = partner
         else:
             g = rng.choice(letters)
-        want = naive_normal_order(ctx, (g,) + t, quotient=False)[0]
+        want = naive_normal_order(ctx, (g,) + t)[0]
         fresh = {}
         ctx._lead(fresh, g, t, 1)
         assert fresh == want
@@ -716,28 +757,32 @@ def test_lead_against_naive_rewriter(mode):
         seen["above"] += len(passed) == len(t)
         seen["equal"] += g in t
         seen["central"] += any(ctx.loop_bracket(g, y)[1] for y in passed)
-    assert min(n for key, n in seen.items() if key != "central") >= 30
-    # opposite depths reach the central term in affine mode only
-    assert (seen["central"] >= 5) == (mode == "affine")
+        seen["killed"] += g.depth >= 0 and mode == "affine"
+    assert min(n for key, n in seen.items() if key not in ("central", "killed")) >= 30
+    # opposite depths reach the central term, and the vacuum kills a
+    # main word, in affine mode only
+    assert (seen["central"] >= 5) == (seen["killed"] >= 30) == (mode == "affine")
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_into_merges_late_terms_that_lead_to_one_word(mode):
     # two terms t1, t2 that start below head's last letter g, such that
     # g*t1 and g*t2 share a word: _into sums that word in one dict before
-    # the rest of head goes in, and the merged sum must be the full
-    # product
+    # the rest of head goes in, and the merged sum must be the product,
+    # with the vacuum quotient in affine mode, where the terms are vacuum
+    # words and the empty term under a head that ends at depth >= 0 is
+    # killed
     rng = random.Random(41)
     p = Pyramid((2, 3))
     ctx = LieContext(p, mode)
-    letters = _kernel_letters(p, mode)
-    merged = 0
+    letters, right = _kernel_letters(p, mode)
+    merged = killed = 0
     for _ in range(40):
         head = _sorted_word(rng, letters, 2, 3)
         g = head[-1]
-        pool = sorted(rng.sample(letters, 6))
+        pool = sorted(rng.sample(right, 6))
         words = itertools.chain(
-            ((x,) for x in letters), itertools.combinations_with_replacement(pool, 2)
+            ((x,) for x in right), itertools.combinations_with_replacement(pool, 2)
         )
         leads = {}
         for t in words:
@@ -753,37 +798,37 @@ def test_into_merges_late_terms_that_lead_to_one_word(mode):
             continue
         merged += 1
         t1, t2 = rng.choice(pairs)
-        terms = {t1: rng.choice([1, -2]), t2: Fraction(1, 3), (g,): 2}
-        terms[_sorted_word(rng, letters, 1, 2)] = -1
+        terms = {t1: rng.choice([1, -2]), t2: Fraction(1, 3), (): 2}
+        terms[_sorted_word(rng, right, 1, 2)] = -1
         c = rng.choice([1, -1, Fraction(3, 2)])
-        want = naive_sum(
-            ctx, [(head + t, c * v) for t, v in terms.items()], quotient=False
-        )
+        want = naive_sum(ctx, [(head + t, c * v) for t, v in terms.items()])
         out = {}
         ctx._into(out, head, terms, c)
         assert out == want
+        killed += head not in want and mode == "affine"
     assert merged >= 15
+    assert (killed >= 10) == (mode == "affine")
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_into_adds_to_what_out_holds(mode):
     # out += c * head*terms on a prefilled out; the prefill cancels some
-    # of the sum, and a cancelled key leaves out (no 0 is kept)
+    # of the sum, and a cancelled key leaves out (no 0 is kept).  In
+    # affine mode the terms are vacuum words and the sum is taken with
+    # the vacuum quotient
     rng = random.Random(31)
     p = Pyramid((2, 3))
     ctx = LieContext(p, mode)
-    letters = _kernel_letters(p, mode)
+    letters, right = _kernel_letters(p, mode)
     cancelled = 0
     for _ in range(60):
         head = _sorted_word(rng, letters, 0, 3)
         terms = {
-            _sorted_word(rng, letters, 0, 3): rng.choice([1, -1, 3, Fraction(1, 2)])
+            _sorted_word(rng, right, 0, 3): rng.choice([1, -1, 3, Fraction(1, 2)])
             for _ in range(3)
         }
         c = rng.choice([1, -2, Fraction(2, 3)])
-        want = naive_sum(
-            ctx, [(head + t, c * v) for t, v in terms.items()], quotient=False
-        )
+        want = naive_sum(ctx, [(head + t, c * v) for t, v in terms.items()])
         out = {m: -v for m, v in want.items() if rng.random() < 0.5}
         out[(rng.choice(letters),)] = 5
         before, shared = dict(out), dict(terms)

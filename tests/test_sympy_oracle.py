@@ -51,9 +51,10 @@ def test_symbols_match_sympy_determinant(lam):
     got = {(p.n - ex, eu): c for (ex, eu), c in det.terms()}
     want = {(0, 0): sympy.Integer(1)}
     for key, poly in symbols(p).items():
+        # multilinear: a monomial holds each symbol at most once
+        assert all(len(set(m)) == len(m) for m in poly)
         want[key] = sum(
-            rational(c) * sympy.Mul(*(var[g] ** e for g, e in m))
-            for m, c in poly.items()
+            rational(c) * sympy.Mul(*(var[g] for g in m)) for m, c in poly.items()
         )
     assert got.keys() == want.keys()
     for key in want:
