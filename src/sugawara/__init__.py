@@ -20,7 +20,6 @@ from .pbw import (
     element_to_obj,
     get_context,
     translation_T,
-    weight_component,
 )
 from .detcalc import (
     build_entry_matrix,

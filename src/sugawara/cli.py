@@ -35,7 +35,7 @@ from .shift import (
     symbols,
     zseries_eval,
 )
-from .suga import delta_ladder, phi_table, tau_cross_check
+from .suga import delta_ladder, phi_table, selected_table, tau_cross_check
 from .verify import (
     annihilation_check,
     centrality_check,
@@ -206,7 +206,7 @@ def cmd_vectors(cfg: Config) -> Tuple[dict, List[Report]]:
 def cmd_verify(cfg: Config) -> Tuple[dict, List[Report]]:
     p = cfg.pyramid
     ctx = get_context(p, "affine")
-    table = phi_table(p)
+    table = selected_table(p)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in table.selected_entries()]
     reports = [
         annihilation_check(p),
@@ -361,7 +361,7 @@ def _write_stdout(text: str) -> None:
     would go unnoticed."""
     sys.stdout.flush()
     out = sys.stdout.buffer
-    step = 1 << 16
+    step = 1 << 17  # above write_json's piece size: a piece goes out whole
     for start in range(0, len(text), step):
         data = memoryview(text[start : start + step].encode())
         while data:

@@ -43,9 +43,11 @@ def write_json(obj, write: Callable[[str], object]) -> None:
         parts.append(text)
         size += len(text)
         if size >= PIECE:
-            write("".join(parts))
+            # free the parts before the piece is written and encoded
+            piece = "".join(parts)
             parts.clear()
             size = 0
+            write(piece)
 
     _write_json(obj, 0, add)
     add("\n")

@@ -440,12 +440,20 @@ class LieContext:
 
     def acts(self, gs: Iterable[LoopGen], v: Element) -> Iterator[Element]:
         """act(g, v) for each g in gs, in order, each built when asked for.
-        No mode is checked: ``act`` checks one."""
+        v is checked and its letters indexed by the call itself, before
+        any result is asked for.  No mode is checked: ``act`` checks one."""
         self._own(v, v)
         places: Dict[LoopGen, list] = defaultdict(list)
         for m, c in v.terms.items():
             for idx, y in enumerate(m):
                 places[y].append((m, idx, c))
+        return self._acting(gs, places)
+
+    def _acting(
+        self, gs: Iterable[LoopGen], places: Dict[LoopGen, list]
+    ) -> Iterator[Element]:
+        """The results of ``acts`` on the state whose letters sit at
+        ``places``, letter -> [(word, index, coefficient)]."""
         for g in gs:
             out: Terms = {}
             row = self._loop_bracket_cache[g]
@@ -607,16 +615,6 @@ def translation_T(v: Element) -> Element:
 def delta(v: Element) -> Element:
     """Raising derivation with [Delta, X[r]] = r X[r+1], Delta(1) = 0."""
     return _shift_depth(v, 1, "raising")
-
-
-def monomial_weight(m: Monomial) -> int:
-    return sum(g.r for g in m)
-
-
-def weight_component(v: Element, w: int) -> Element:
-    return Element(
-        v.ctx, {m: c for m, c in v.terms.items() if monomial_weight(m) == w}
-    )
 
 
 # -- text and JSON forms

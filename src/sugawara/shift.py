@@ -22,13 +22,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import prod
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .detcalc import UX, coefficient_table, ux_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
-from .suga import phi_table, selected_pairs
+from .suga import phi_table, selected_pairs, ux_keep
 
 Chi = Dict[GenId, Fraction]
 
@@ -147,20 +147,24 @@ def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
 # -- center generators from the shifted determinant
 
 
-def center_determinant(p: Pyramid) -> Dict[UX, Element]:
+def center_determinant(
+    p: Pyramid, keep: Optional[Callable] = None
+) -> Dict[UX, Element]:
     """Finite-mode determinant with entries
-    delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r."""
+    delta_ij (x + (n-i) lambda_i) + sum_r E[i,j,r] u^r; ``keep`` as in
+    :func:`~sugawara.detcalc.column_determinant`."""
     fin = get_context(p, "finite")
     matrix = ux_matrix(
         p, fin, 0, lambda i, out, s, c: _axpy(out, s, c * (p.n - i) * p.lambdas[i - 1])
     )
-    return ux_determinant(matrix, fin)
+    return ux_determinant(matrix, fin, keep)
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
     """The N central elements of the enveloping algebra: x^{n-k} u^r
-    coefficients of the shifted determinant at the selected indices."""
-    table = coefficient_table(center_determinant(p), p.n)
+    coefficients of the shifted determinant at the selected indices, the
+    only ones its recursion builds."""
+    table = coefficient_table(center_determinant(p, ux_keep(p)), p.n)
     fin = get_context(p, "finite")
     return [(k, r, table.get((k, r), fin.zero())) for k, r in selected_pairs(p)]
 

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 from .pbw import Element, LieContext, LoopGen, delta, get_context
 from .pyramid import Pyramid
 from .reports import Report
-from .suga import phi_table
+from .suga import selected_table
 
 
 def annihilation_check(p: Pyramid) -> Report:
@@ -23,7 +23,7 @@ def annihilation_check(p: Pyramid) -> Report:
     all its modes in one :meth:`~sugawara.pbw.LieContext.acts` call,
     which looks each of its distinct letters up once per mode."""
     ctx = get_context(p, "affine")
-    table = phi_table(p)
+    table = selected_table(p)
     report = Report("annihilation", str(p))
     for k, r, elem in table.selected_entries():
         cases = [(g, s) for g in p.basis() for s in range(k + 1)]

@@ -34,7 +34,6 @@ from sugawara.pbw import (
     _axpy,
     delta,
     get_context,
-    monomial_weight,
     translation_T,
 )
 from sugawara.pyramid import GenId, Pyramid, bracket
@@ -56,6 +55,16 @@ def gen_or_zero(ctx, i, j, r, depth=0):
 def failures(report):
     """The failing cases of a report, for assertion messages."""
     return [c for c in report.cases if c["status"] == "fail"]
+
+
+def monomial_weight(m):
+    """The weight of a word: the sum of its letters' shifts r."""
+    return sum(g.r for g in m)
+
+
+def weight_component(v, w):
+    """The part of v made of words of weight w."""
+    return Element(v.ctx, {m: c for m, c in v.terms.items() if monomial_weight(m) == w})
 
 
 def monomial_degree(m):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import os
 import random
 
 import pytest
@@ -9,20 +10,25 @@ from sugawara.detcalc import (
     build_tau_matrix,
     cdet,
     cdet_tau,
+    coefficient_table,
     column_determinant,
     ux_matrix,
 )
-from sugawara.pbw import Element, _axpy, get_context, translation_T, weight_component
+from sugawara.pbw import Element, _axpy, get_context, translation_T
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import center_determinant, symbols
+from sugawara.suga import selected_pairs, selection_bounds, tau_keep, ux_keep
 
 from oracles import (
     column_determinant_bruteforce,
+    monomial_degree,
     monomial_join,
+    monomial_weight,
     naive_tau_matrix,
     poly_product,
     poly_sum,
     ux_join,
+    weight_component,
 )
 
 
@@ -37,6 +43,23 @@ def image(entry, inner):
     entry(out, raw(inner), 1)
     ctx = next(iter(inner.values())).ctx
     return {k: Element.wrap(ctx, t) for k, t in out.items() if t}
+
+
+def by_weight(det):
+    """A map tau power -> coefficient split into (power, weight) buckets."""
+    return {
+        (e, w): weight_component(c, w)
+        for e, c in det.items()
+        for w in {monomial_weight(m) for m in c.terms}
+    }
+
+
+def by_power(det):
+    """A map (power, weight) -> terms merged into power -> terms."""
+    out = {}
+    for (e, _), t in det.items():
+        _axpy(out.setdefault(e, {}), t, 1)
+    return {e: t for e, t in out.items() if t}
 
 
 def x_coefficient(det, x):
@@ -171,10 +194,10 @@ def _determinant_setup(kind, p):
         return build_entry_matrix(p), unit, raw(cdet(p))
     if kind == "tau":
         # the columns are reversed: the recursion's signs differ by that
-        # of the reversal
+        # of the reversal; the buckets are (tau power, weight)
         sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
         value = {e: c.scale(sign) for e, c in cdet_tau(p).items()}
-        return build_tau_matrix(p), {0: {(): 1}}, raw(value)
+        return build_tau_matrix(p), unit, raw(by_weight(value))
     if kind == "center":
         # the diagonal constant, scaled term by term
         const = lambda i: (p.n - i) * p.lambdas[i - 1]
@@ -215,12 +238,13 @@ def test_cdet_matches_permutation_oracle(kind, lam):
     assert slow == value
     if kind == "tau":
         # the same sum with every entry applied through the naive product,
-        # on the right as the package lays the matrix out, and on the left
-        # in column order, which needs no sign
+        # keyed by tau power alone: on the right as the package lays the
+        # matrix out, and on the left in column order, which needs no sign
+        one = {0: {(): 1}}
         right = naive_tau_matrix(p, right=True)
-        assert column_determinant_bruteforce(right, unit) == value
+        assert column_determinant_bruteforce(right, one) == by_power(value)
         left = naive_tau_matrix(p)
-        assert column_determinant_bruteforce(left, unit) == raw(cdet_tau(p))
+        assert column_determinant_bruteforce(left, one) == raw(cdet_tau(p))
 
 
 @pytest.mark.parametrize("kind", ["cdet", "tau", "center", "symbols"])
@@ -273,25 +297,31 @@ def test_tau_matrix_shapes():
     p = Pyramid((1, 2))
     ctx = get_context(p, "affine")
     m = build_tau_matrix(p)
-    one = {0: ctx.one()}
+    one = {(0, 0): ctx.one()}
     # the columns are reversed: m[i][c] is the entry (i+1, n-c), and one
-    # applied to the unit is its own tau polynomial
+    # applied to the unit is its own tau polynomial, keyed by (tau power,
+    # weight)
     a = ctx.gen(1, 1, 0, depth=-1)
-    assert image(m[0][1], one) == {1: ctx.one(), 0: a}
+    assert image(m[0][1], one) == {(1, 0): ctx.one(), (0, 0): a}
     # i<j entry tops out at tau^(lambda_i - 1)
-    assert image(m[0][0], one) == {0: ctx.gen(1, 2, 1, depth=-1)}
+    assert image(m[0][0], one) == {(0, 1): ctx.gen(1, 2, 1, depth=-1)}
     assert image(m[1][0], one) == {
-        2: ctx.one(),
-        1: ctx.gen(2, 2, 0, depth=-1),
-        0: ctx.gen(2, 2, 1, depth=-1),
+        (2, 0): ctx.one(),
+        (1, 0): ctx.gen(2, 2, 0, depth=-1),
+        (0, 1): ctx.gen(2, 2, 1, depth=-1),
     }
     # an entry multiplies on the right, moving B's tau through its letter:
-    # B tau * (tau + A) = B tau^2 + B A tau + B T(A)
+    # B tau * (tau + A) = B tau^2 + B A tau + B T(A); weights add
     b = ctx.gen(2, 2, 0, depth=-1)
-    assert image(m[0][1], {1: b}) == {
-        2: b,
-        1: b * a,
-        0: b * ctx.gen(1, 1, 0, depth=-2),
+    assert image(m[0][1], {(1, 0): b}) == {
+        (2, 0): b,
+        (1, 0): b * a,
+        (0, 0): b * ctx.gen(1, 1, 0, depth=-2),
+    }
+    c = ctx.gen(2, 2, 1, depth=-1)
+    assert image(m[0][0], {(1, 1): c}) == {
+        (1, 2): c * ctx.gen(1, 2, 1, depth=-1),
+        (0, 2): c * ctx.gen(1, 2, 1, depth=-2),
     }
 
 
@@ -351,8 +381,13 @@ def test_tau_entries_match_the_naive_skew_product(lam):
     fast, naive = build_tau_matrix(p), naive_tau_matrix(p, right=True)
     for _ in range(4):
         inner = random_inner()
+        split = by_weight(inner)
         for i, j in itertools.product(range(p.n), repeat=2):
-            assert image(fast[i][j], inner) == image(naive[i][j], inner)
+            got = image(fast[i][j], split)
+            merged = {e: Element(ctx, t) for e, t in by_power(raw(got)).items()}
+            # each bucket holds the words of its own weight
+            assert got == by_weight(merged)
+            assert merged == image(naive[i][j], inner)
 
 
 def test_term_counts_stay_bounded():
@@ -404,3 +439,111 @@ def test_determinants_and_products_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the pruned recursions: each reader's buckets are exact
+
+
+def _pyramids(boxes, rows):
+    """Every pyramid of at most ``boxes`` boxes and ``rows`` rows."""
+
+    def grow(lam, left):
+        if lam:
+            yield lam
+        if len(lam) < rows:
+            for x in range(lam[-1] if lam else 1, left + 1):
+                yield from grow(lam + (x,), left - x)
+
+    return list(grow((), boxes))
+
+
+_SWEEP = _pyramids(8, 6)
+# seven and eight rows take about 100 s together: opt-in
+_SWEEP_WIDE = [lam for lam in _pyramids(8, 8) if len(lam) > 6]
+_WIDE = os.environ.get("SUGAWARA_WIDE_SWEEP") == "1"
+
+
+def _tau_reads(p):
+    """The weights tau_cross_check reads, as tau power -> least weight:
+    at the power N - r - k of each selected (k, r), every weight from the
+    least such r up (the selected ones and the top one)."""
+    need = {}
+    for k, r in selected_pairs(p):
+        e = p.big_n - r - k
+        need[e] = min(r, need.get(e, r))
+    return need
+
+
+def _pruned_buckets_agree(p):
+    n = p.n
+    chosen = set(selected_pairs(p))
+    # the u, x determinants: the selected coefficients and the monic x^n
+    for det in (cdet, center_determinant):
+        full, pruned = det(p), det(p, ux_keep(p))
+        for k, r in chosen | {(0, 0)}:
+            assert pruned.get((r, n - k)) == full.get((r, n - k)), (det, k, r)
+    # the ladder reads from each level's lower end up, where only
+    # selected coefficients lie, and the top selected one of the level
+    # below; symbols and vectors read the rest of the full table
+    for k, r in coefficient_table(cdet(p), n):
+        assert (k, r) in chosen or r < selection_bounds(p, k)[0], (k, r)
+    full, pruned = by_weight(cdet_tau(p)), cdet_tau(p, tau_keep(p))
+    for e, least in _tau_reads(p).items():
+        read = lambda det: {w: c for (f, w), c in det.items() if f == e and w >= least}
+        assert read(pruned) == read(full), e
+
+
+@pytest.mark.parametrize("lam", _SWEEP, ids=[str(Pyramid(lam)) for lam in _SWEEP])
+def test_pruned_determinants_agree_where_read(lam):
+    _pruned_buckets_agree(Pyramid(lam))
+
+
+@pytest.mark.skipif(not _WIDE, reason="set SUGAWARA_WIDE_SWEEP=1 to run")
+@pytest.mark.parametrize(
+    "lam", _SWEEP_WIDE, ids=[str(Pyramid(lam)) for lam in _SWEEP_WIDE]
+)
+def test_pruned_determinants_agree_where_read_wide(lam):
+    _pruned_buckets_agree(Pyramid(lam))
+
+
+@pytest.mark.parametrize("lam", [(1, 2, 3), (2, 2, 2), (1, 1, 1, 2), (1, 1, 3, 3)])
+def test_tau_buckets_hold_their_weight_and_degree(lam):
+    # a word's weight adds under brackets and T, the central term lives
+    # at weight 0, and each column adds lambda_j to power + weight +
+    # degree: bucket (e, w) of the full determinant holds only words of
+    # weight w and degree N - e - w
+    p = Pyramid(lam)
+    det = column_determinant(build_tau_matrix(p), {(0, 0): {(): 1}})
+    assert len({w for _, w in det}) > 1
+    for (e, w), terms in det.items():
+        for m in terms:
+            assert monomial_weight(m) == w
+            assert monomial_degree(m) == p.big_n - e - w
+
+
+def test_pruning_keeps_the_designed_buckets():
+    # a deterministic count of the bucket keys each keep test accepts,
+    # summed over every row subset of every level, on 1,2,3,4: a looser
+    # bound (the u, x prune adding the shifts of the taken columns, not
+    # of those still to come) stays exact but keeps more
+    p = Pyramid((1, 2, 3, 4))
+
+    def counting(keep):
+        kept = []
+
+        def test(size, key):
+            kept.append(keep(size, key))
+            return kept[-1]
+
+        return test, kept
+
+    for det, keep, want, seen, full in (
+        (cdet, ux_keep(p), 81, 107, 118),
+        (cdet_tau, tau_keep(p), 70, 119, 119),
+    ):
+        test, kept = counting(keep)
+        det(p, test)
+        assert (sum(kept), len(kept)) == (want, seen)
+        test, kept = counting(lambda size, key: True)
+        det(p, test)
+        assert len(kept) == full

@@ -376,8 +376,9 @@ def test_act_refuses_a_state_of_another_context():
     for state in (v, finite):
         with pytest.raises(ValueError, match="do not belong"):
             ctx.act(g, state)
+        # the call checks the state, before any result is asked for
         with pytest.raises(ValueError, match="do not belong"):
-            list(ctx.acts([g, LoopGen(0, 1, 1, 0)], state))
+            ctx.acts([g, LoopGen(0, 1, 1, 0)], state)
 
 
 def test_act_lowers_degree_and_keeps_states_clean():

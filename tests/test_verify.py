@@ -7,7 +7,8 @@ from sugawara.cli import main
 from sugawara.pbw import get_context
 from sugawara.pyramid import Pyramid
 from sugawara.reports import Report
-from sugawara.suga import phi_table, selected_pairs
+from sugawara.shift import symbols
+from sugawara.suga import phi_table, selected_pairs, selected_table
 from sugawara.verify import (
     annihilation_check,
     centrality_check,
@@ -102,12 +103,13 @@ def test_reports_never_share_their_cases():
 def test_verify_memo_footprint_on_2_2_2_2(capsys):
     # a deterministic count from a clean start: the bracket table is the
     # one table a context fills, and it holds the brackets of the tau
-    # products' deeper right letters T^k(E[-1]) too
+    # products' deeper right letters T^k(E[-1]) too; the pruned tau and
+    # u, x recursions meet fewer letter pairs than the full ones (11,944)
     clear_caches()
     assert main(["--pyramid", "2,2,2,2", "verify"]) == 0
     capsys.readouterr()
     ctx = get_context(Pyramid((2, 2, 2, 2)), "affine")
-    assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11944
+    assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11558
 
 
 def test_commutativity_lead_count_on_2_2_2_2(monkeypatch):
@@ -129,11 +131,11 @@ def test_commutativity_lead_count_on_2_2_2_2(monkeypatch):
 
 
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
-    # a deterministic count from a clean start, the vector table's own
-    # 1,340 calls included: each phi takes its modes in one acts call,
-    # which looks each distinct letter up once per mode; a bracket letter
-    # of depth >= 0 moves right through the rest of its word by _lead,
-    # which builds no word the vacuum kills
+    # a deterministic count from a clean start, the selected table's own
+    # 1,157 calls included (the full table's are 1,340): each phi takes
+    # its modes in one acts call, which looks each distinct letter up
+    # once per mode; a bracket letter of depth >= 0 moves right through
+    # the rest of its word by _lead, which builds no word the vacuum kills
     clear_caches()
     p = Pyramid((2, 2, 2, 2))
     lead, calls = pbw.LieContext._lead, []
@@ -144,7 +146,7 @@ def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
 
     monkeypatch.setattr(pbw.LieContext, "_lead", counted)
     assert annihilation_check(p).passed()
-    assert len(calls) == 28204
+    assert len(calls) == 28021
 
 
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
@@ -185,10 +187,41 @@ def test_clear_caches_empties_the_process_caches(capsys):
     p = Pyramid((1, 2))
     assert main(["--pyramid", "1,2", "verify"]) == 0
     capsys.readouterr()
-    first = phi_table(p)
+    first, chosen = phi_table(p), selected_table(p)
     assert pbw._CONTEXTS and phi_table.cache_info().currsize
+    assert selected_table.cache_info().currsize
     clear_caches()
     assert pbw._CONTEXTS == {}
     assert phi_table.cache_info().currsize == 0
+    assert selected_table.cache_info().currsize == 0
     again = phi_table(p)
     assert again is not first and again == first
+    assert selected_table(p) is not chosen and selected_table(p) == chosen
+
+
+@pytest.mark.parametrize(
+    "command, full, selected",
+    [("verify", 0, 1), ("vectors", 1, 0), ("shift", 1, 0), ("center", 0, 0)],
+)
+def test_each_command_builds_at_most_one_table(capsys, command, full, selected):
+    # verify reads the selected coefficients only; vectors and shift's
+    # symbols read them all; center builds its own determinant
+    clear_caches()
+    assert main(["--pyramid", "1,2,3", command]) == 0
+    capsys.readouterr()
+    assert phi_table.cache_info().currsize == full
+    assert selected_table.cache_info().currsize == selected
+
+
+def test_verify_table_holds_the_selected_keys_and_vectors_the_rest(capsys):
+    p = Pyramid((1, 2, 3))
+    chosen = set(selected_pairs(p))
+    full = phi_table(p).entries
+    assert selected_table(p).entries == {k: v for k, v in full.items() if k in chosen}
+    assert set(selected_table(p).entries) == chosen
+    # symbols and vectors see coefficients outside the selection
+    assert set(symbols(p)) - chosen
+    assert main(["--pyramid", "1,2,3", "vectors"]) == 0
+    shown = json.loads(capsys.readouterr().out)["vectors"]
+    assert {(v["k"], v["r"]) for v in shown if not v["selected"]} == set(full) - chosen
+    assert set(full) - chosen
