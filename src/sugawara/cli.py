@@ -146,7 +146,7 @@ def load_chi(cfg: Config):
         with open(cfg.chi_path) as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
         return chi_from_obj(cfg.pyramid, obj)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot load chi from {cfg.chi_path}: {exc}") from None
 
 
@@ -261,7 +261,7 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
         "z": None if cfg.z is None else str(cfg.z),
     }
     if cfg.z is not None:
-        table = phi_table(p)
+        table = selected_table(p)
         evaluated = []
         for k, r, elem in table.selected_entries():
             value = zseries_eval(p, rho_chi(elem, chi), cfg.z)

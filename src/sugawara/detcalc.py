@@ -26,11 +26,11 @@ results map (u, x) exponents to coefficients, read by
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
 right through a word costs a binomial sum of translation derivatives.
-Its entries are operators too, keyed by (tau power, weight), the weight
-of a word being the sum of its letters' shifts r, and its result a
-plain dict from tau power to coefficient.  They multiply on the right,
-with the columns reversed, so tau only ever moves through an entry's
-own letters, never through a determinant built so far.
+Its entries are operators too, and its result a plain dict, keyed by
+(tau power, weight), the weight of a word being the sum of its letters'
+shifts r.  They multiply on the right, with the columns reversed, so
+tau only ever moves through an entry's own letters, never through a
+determinant built so far.
 
 A reader that reads a few coefficients has the recursion build only
 what leads to them: ``column_determinant(matrix, unit, keep)`` drops,
@@ -219,23 +219,13 @@ def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
 
 
 def cdet_tau(p: Pyramid, keep: Optional[Callable] = None) -> Dict[object, Element]:
-    """Column determinant in the skew ring, as tau power -> coefficient;
-    the result is monic of degree N in tau and its lower coefficients are
-    the phi-circle elements of the alternative presentation.  The tau
-    matrix has its columns reversed, which multiplies the column
-    recursion's signs by that of the reversal, (-1)^(n(n-1)/2): the
-    unit carries it.
-
-    With ``keep`` (as in :func:`column_determinant`) the result is
-    pruned and keyed by (tau power, weight), as the recursion builds it.
-    Without, the weight buckets of each power are merged: a word has one
-    weight, so they hold disjoint words and merging adds nothing."""
+    """Column determinant in the skew ring, as (tau power, weight) ->
+    coefficient; ``keep`` as in :func:`column_determinant`.  Summed over
+    weights, it is monic of degree N in tau and its lower coefficients
+    are the phi-circle elements of the alternative presentation.  The
+    reversed columns multiply the column recursion's signs by
+    (-1)^(n(n-1)/2), which the unit carries."""
     ctx = get_context(p, "affine")
     sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
     det = column_determinant(build_tau_matrix(p), {(0, 0): {(): sign}}, keep)
-    if keep is None:
-        merged: Dict[object, dict] = {}
-        for (e, _), t in det.items():
-            merged.setdefault(e, {}).update(t)
-        det = merged
     return {k: Element.wrap(ctx, t) for k, t in det.items()}

@@ -50,8 +50,9 @@ right operand by one ``_into`` call.  ``combine`` normal-orders an
 arbitrary word by the same insertion, one letter at a time from its
 right end.  The action of X[s], s >= 0, and the vacuum derivations T
 and Delta (``_derive``) place each letter they make by ``_enter``.
-``acts`` indexes a state's letters by their places once, so a mode
-looks each distinct letter up once, not once per occurrence.
+``acts`` returns the list of several modes' actions on one state,
+whose letters it indexes by their places once, so a mode looks each
+distinct letter up once, not once per occurrence.
 
 The vacuum quotient is one rule of the kernels.  The depth >= 0 letters
 of a normal-ordered word are its last ones, so no kernel adds a word
@@ -86,7 +87,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .pyramid import GenId, Pyramid, bracket as lie_bracket, form as lie_form
 
@@ -331,14 +332,12 @@ class LieContext:
         t[:p] g t[p:] is left out for a g the vacuum kills."""
         p = bisect_right(t, g)
         if g < self._kill:
-            m = t[:p] + (g,) + t[p:] if p else (g,) + t
+            m = t[:p] + (g,) + t[p:]
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
                 out.pop(m, None)
-        if not p:
-            return
         row = self._loop_bracket_cache[g]
         for i in range(p):
             hit = row.get(t[i]) or self.loop_bracket(g, t[i])
@@ -436,24 +435,18 @@ class LieContext:
         if g.depth < 0:
             raise ValueError("act needs depth >= 0; use mul for module elements")
         self.pyramid.check(g.gen)
-        return next(self.acts([g], v))
+        return self.acts([g], v)[0]
 
-    def acts(self, gs: Iterable[LoopGen], v: Element) -> Iterator[Element]:
-        """act(g, v) for each g in gs, in order, each built when asked for.
-        v is checked and its letters indexed by the call itself, before
-        any result is asked for.  No mode is checked: ``act`` checks one."""
+    def acts(self, gs: Iterable[LoopGen], v: Element) -> List[Element]:
+        """[act(g, v) for g in gs], v's letters indexed by their places
+        once, so each g looks each distinct letter up once.  No mode is
+        checked: ``act`` checks one."""
         self._own(v, v)
         places: Dict[LoopGen, list] = defaultdict(list)
         for m, c in v.terms.items():
             for idx, y in enumerate(m):
                 places[y].append((m, idx, c))
-        return self._acting(gs, places)
-
-    def _acting(
-        self, gs: Iterable[LoopGen], places: Dict[LoopGen, list]
-    ) -> Iterator[Element]:
-        """The results of ``acts`` on the state whose letters sit at
-        ``places``, letter -> [(word, index, coefficient)]."""
+        results = []
         for g in gs:
             out: Terms = {}
             row = self._loop_bracket_cache[g]
@@ -468,7 +461,8 @@ class LieContext:
                         self._enter(out, head, z, tail, k * c)
                     if central:
                         _axpy(out, {head + tail: central}, c)
-            yield Element(self, out)
+            results.append(Element(self, out))
+        return results
 
     def _enter(
         self, out: Terms, head: Monomial, z: LoopGen, tail: Monomial, c

@@ -28,7 +28,7 @@ from .detcalc import UX, coefficient_table, ux_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
-from .suga import phi_table, selected_pairs, ux_keep
+from .suga import selected_pairs, selected_table, ux_keep
 
 Chi = Dict[GenId, Fraction]
 
@@ -131,10 +131,10 @@ class AChiGen(NamedTuple):
 
 def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
     """Generators of the shift-of-argument subalgebra: the components
-    m = 0..k-1 of the image of each selected vector.  The m = k
-    component (the constant term of the expansion) is exposed through
-    :func:`rho_chi` but is not part of the generating family."""
-    table = phi_table(p)
+    m = 0..k-1 of the image of each vector of :func:`selected_table`.
+    The m = k component (the constant term of the expansion) is exposed
+    through :func:`rho_chi` but is not part of the generating family."""
+    table = selected_table(p)
     fin = get_context(p, "finite")
     out: List[AChiGen] = []
     for k, r, elem in table.selected_entries():
@@ -199,13 +199,13 @@ Symbol = Dict[Tuple[GenId, ...], Fraction]
 
 
 def symbols(p: Pyramid) -> Dict[Tuple[int, int], Symbol]:
-    """All nonzero symbols of the vectors: the k-letter words of each
-    phi_k^(r), each read as a commutative monomial, the sorted tuple of
-    its letters' GenIds.  Such a word takes one depth -1 letter from each
-    of k distinct rows, so a symbol is multilinear."""
+    """The symbols that :func:`jacobian_rank` reads: the k-letter words
+    of each selected phi_k^(r), each read as a commutative monomial, the
+    sorted tuple of its letters' GenIds.  Such a word takes one depth -1
+    letter from each of k distinct rows, so a symbol is multilinear."""
     gens: Dict[LoopGen, GenId] = {}
     out = {}
-    for (k, r), elem in phi_table(p).entries.items():
+    for k, r, elem in selected_table(p).selected_entries():
         poly = {}
         for m, c in elem.terms.items():
             if len(m) == k:

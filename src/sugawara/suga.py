@@ -10,10 +10,10 @@ and the coefficients phi_k^(r) whose indices satisfy
 
 form a complete set of Segal-Sugawara vectors: N of them, with exactly
 lambda_{n-k+1} admitted shifts for each k.  This module builds the full
-coefficient table, for the commands that show every coefficient, and
-the selected one, for the verification batteries, each from its own
-determinant; the raising-operator ladder; and the comparison against
-the tau presentation.  The selected table and the tau determinant are
+coefficient table, which ``vectors`` shows, and the selected one, which
+every other reader reads, each from its own determinant; the
+raising-operator ladder; and the comparison against the tau
+presentation.  The selected table and the tau determinant are
 built only where their readers read: :func:`ux_keep` and
 :func:`tau_keep` prune their column recursions.
 """
@@ -100,7 +100,7 @@ def phi_table(p: Pyramid) -> SugaTable:
 @lru_cache(maxsize=None)
 def selected_table(p: Pyramid) -> SugaTable:
     """The table of the selected coefficients only, from a determinant
-    pruned by :func:`ux_keep`: what the verification batteries read."""
+    pruned by :func:`ux_keep`: what the batteries and the shift layer read."""
     return _table(p, ux_keep(p))
 
 

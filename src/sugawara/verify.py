@@ -96,7 +96,7 @@ def raising_recursion_check(p: Pyramid, seed: int = 0) -> Report:
         for shift in p.window(i, i):
             x = [LoopGen(s, i, i, shift) for s in (1, 2, 3)]
             acted = [
-                (label, list(ctx.acts(x, v)), list(ctx.acts(x[:2], dv)))
+                (label, ctx.acts(x, v), ctx.acts(x[:2], dv))
                 for label, v, dv in samples
             ]
             for s in (1, 2):

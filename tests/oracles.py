@@ -421,6 +421,18 @@ def top_part(elem, length):
     return out
 
 
+def vector_symbols(p):
+    """The top part of every phi_k^(r) of the full table, selected or
+    not, keyed (k, r): the symbols of the coefficients ``vectors`` shows."""
+    out = {}
+    for (k, r), elem in phi_table(p).entries.items():
+        top = top_part(elem, k)
+        assert top is not None, (k, r)
+        if top:
+            out[(k, r)] = top
+    return out
+
+
 def symbol_cases(p):
     """Oracle (a): the top part of the center generator Phi_k^(r) is the
     symbol of (k, r), the top part of phi_k^(r).  Maps each case to

@@ -291,6 +291,16 @@ def test_chi_refuses_a_symbol_outside_the_pyramid(capsys, tmp_path, value):
     assert "E[9,9,0] is not a basis symbol" in err
 
 
+def test_deeply_nested_chi_is_a_usage_error(capsys, tmp_path):
+    # json gives up on deep nesting with RecursionError, not ValueError
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "--pyramid", "1,1", "--chi", str(chi_file), "shift")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load chi from ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_fields_read_as_before():
     cfg = parse_config(build_parser().parse_args(["--pyramid", "1,2", "verify"]))
     assert cfg == cli.Config(Pyramid((1, 2)), "verify")

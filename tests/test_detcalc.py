@@ -28,6 +28,7 @@ from oracles import (
     poly_product,
     poly_sum,
     ux_join,
+    vector_symbols,
     weight_component,
 )
 
@@ -60,6 +61,12 @@ def by_power(det):
     for (e, _), t in det.items():
         _axpy(out.setdefault(e, {}), t, 1)
     return {e: t for e, t in out.items() if t}
+
+
+def tau_by_power(p):
+    """cdet_tau(p) with the weight buckets of each power merged."""
+    ctx = get_context(p, "affine")
+    return {e: Element(ctx, t) for e, t in by_power(raw(cdet_tau(p))).items()}
 
 
 def x_coefficient(det, x):
@@ -196,16 +203,20 @@ def _determinant_setup(kind, p):
         # the columns are reversed: the recursion's signs differ by that
         # of the reversal; the buckets are (tau power, weight)
         sign = -1 if p.n * (p.n - 1) // 2 % 2 else 1
-        value = {e: c.scale(sign) for e, c in cdet_tau(p).items()}
-        return build_tau_matrix(p), unit, raw(by_weight(value))
+        value = {k: c.scale(sign) for k, c in cdet_tau(p).items()}
+        return build_tau_matrix(p), unit, raw(value)
     if kind == "center":
         # the diagonal constant, scaled term by term
         const = lambda i: (p.n - i) * p.lambdas[i - 1]
         diag = lambda i, out, s, c: _axpy(out, {m: const(i) * v for m, v in s.items()}, c)
         matrix = ux_matrix(p, fin, 0, diag)
         return matrix, unit, raw(center_determinant(p))
-    # the vectors' symbols are the x^(n-k) u^r coefficients
-    value = {(r, p.n - k): poly for (k, r), poly in symbols(p).items()}
+    # the top words of the full table's vectors are the x^(n-k) u^r
+    # coefficients; ``symbols`` gives those of the selected ones
+    full = vector_symbols(p)
+    chosen = set(selected_pairs(p))
+    assert symbols(p) == {key: poly for key, poly in full.items() if key in chosen}
+    value = {(r, p.n - k): poly for (k, r), poly in full.items()}
     value[(0, p.n)] = {(): 1}
     return symbol_matrix(p), unit, value
 
@@ -244,7 +255,7 @@ def test_cdet_matches_permutation_oracle(kind, lam):
         right = naive_tau_matrix(p, right=True)
         assert column_determinant_bruteforce(right, one) == by_power(value)
         left = naive_tau_matrix(p)
-        assert column_determinant_bruteforce(left, one) == raw(cdet_tau(p))
+        assert column_determinant_bruteforce(left, one) == by_power(raw(cdet_tau(p)))
 
 
 @pytest.mark.parametrize("kind", ["cdet", "tau", "center", "symbols"])
@@ -328,15 +339,15 @@ def test_tau_matrix_shapes():
 def test_cdet_tau_small():
     p = Pyramid((1,))
     ctx = get_context(p, "affine")
-    assert cdet_tau(p) == {1: ctx.one(), 0: ctx.gen(1, 1, 0, depth=-1)}
-    assert cdet_tau(p)[p.big_n - 1] == ctx.gen(1, 1, 0, depth=-1)
+    assert cdet_tau(p) == {(1, 0): ctx.one(), (0, 0): ctx.gen(1, 1, 0, depth=-1)}
+    assert tau_by_power(p)[p.big_n - 1] == ctx.gen(1, 1, 0, depth=-1)
 
     q = Pyramid((2,))
     qctx = get_context(q, "affine")
     assert cdet_tau(q) == {
-        2: qctx.one(),
-        1: qctx.gen(1, 1, 0, depth=-1),
-        0: qctx.gen(1, 1, 1, depth=-1),
+        (2, 0): qctx.one(),
+        (1, 0): qctx.gen(1, 1, 0, depth=-1),
+        (0, 1): qctx.gen(1, 1, 1, depth=-1),
     }
 
 
@@ -344,7 +355,7 @@ def test_cdet_tau_gl2():
     p = Pyramid((1, 1))
     ctx = get_context(p, "affine")
     e = lambda i, j, d: ctx.gen(i, j, 0, depth=d)
-    got = cdet_tau(p)
+    got = tau_by_power(p)
     assert got[2] == ctx.one()
     assert got[1] == e(1, 1, -1) + e(2, 2, -1)
     expected0 = e(1, 1, -1) * e(2, 2, -1) + e(2, 2, -2) - e(2, 1, -1) * e(1, 2, -1)
@@ -355,7 +366,7 @@ def test_cdet_tau_gl2():
 def test_cdet_tau_monic(lam):
     p = Pyramid(lam)
     ctx = get_context(p, "affine")
-    top = cdet_tau(p)[p.big_n]
+    top = tau_by_power(p)[p.big_n]
     assert top == ctx.one()
 
 
@@ -484,10 +495,10 @@ def _pruned_buckets_agree(p):
             assert pruned.get((r, n - k)) == full.get((r, n - k)), (det, k, r)
     # the ladder reads from each level's lower end up, where only
     # selected coefficients lie, and the top selected one of the level
-    # below; symbols and vectors read the rest of the full table
+    # below; vectors reads the rest of the full table
     for k, r in coefficient_table(cdet(p), n):
         assert (k, r) in chosen or r < selection_bounds(p, k)[0], (k, r)
-    full, pruned = by_weight(cdet_tau(p)), cdet_tau(p, tau_keep(p))
+    full, pruned = cdet_tau(p), cdet_tau(p, tau_keep(p))
     for e, least in _tau_reads(p).items():
         read = lambda det: {w: c for (f, w), c in det.items() if f == e and w >= least}
         assert read(pruned) == read(full), e

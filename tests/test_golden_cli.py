@@ -69,6 +69,34 @@ def test_cli_bytes_match_the_golden_file(tmp_path):
     assert not moved, f"CLI bytes or exit codes moved: {moved}"
 
 
+# shift reads only the selected vectors; on these pyramids the full
+# vector table holds more.  Pinned apart from golden_cli.json, which the
+# regenerating command above rewrites.
+SHIFT_CHI = {"E[1,1,0]": "1/2", "E[2,1,0]": -3, "E[4,4,2]": "2/3"}
+SHIFT_PINS = [
+    (
+        ["--pyramid", "1,2,3", "--z", "-1/3", "--seed", "4", "shift"],
+        "b193712c50008c5184c329055d7c8abe1904692f0d7f8174ff0099f039009ee5",
+    ),
+    (
+        ["--pyramid", "1,2,2,3", "--chi", "<chi>", "--z", "2", "shift"],
+        "83881bdd8d2ea9d96d7058a6ec5c34e92651fa4f4760a05903451448d6c44750",
+    ),
+    (
+        ["--format", "text", "--pyramid", "3,3,3", "--z", "2", "shift"],
+        "ab6353461b4b755d016312ead77581cfa6f0272d50023f6ac3e88ab1c869288e",
+    ),
+]
+
+
+def test_shift_bytes_where_the_selected_and_full_tables_differ(tmp_path):
+    chi = tmp_path / "chi.json"
+    chi.write_text(json.dumps(SHIFT_CHI))
+    for argv, digest in SHIFT_PINS:
+        got = run_config(argv, str(chi))
+        assert got == {"stdout_sha256": digest, "exit": 0}, argv
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -184,6 +184,30 @@ def test_vacuum_quotient_is_one_kernel_rule():
         assert not hasattr(LieContext, name), name
 
 
+def bracket_table_readers(path: Path):
+    """The functions in ``path`` that read ``_loop_bracket_cache``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Attribute)
+            and sub.attr == "_loop_bracket_cache"
+            and isinstance(sub.ctx, ast.Load)
+            for sub in ast.walk(node)
+        )
+    }
+
+
+def test_hot_path_names_every_bracket_table_reader():
+    # a loop that looks letters up in the bracket rows is hot: both
+    # scans above must read it
+    readers = bracket_table_readers(ROOT / "src" / "sugawara" / "pbw.py")
+    assert "_lead" in readers
+    assert readers <= set(HOT_PATH), sorted(readers - set(HOT_PATH))
+
+
 def test_scan_sees_zero_comparisons(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text(

@@ -1,11 +1,13 @@
 """sympy as an independent oracle for the symbols and the exact Jacobian
 rank (sympy is a test-only dependency).
 
-The package reads the symbols off the vectors it has built: the k-letter
-words of phi_k^(r), as commutative monomials.  Here they are compared
-with sympy's determinant of the commutative matrix, which shares nothing
-with the vector table, and the Jacobian rank with sympy's rank of its
-Jacobian, at full-rank and at degenerate points."""
+The package reads the symbols off the selected vectors it has built:
+the k-letter words of phi_k^(r), as commutative monomials.  Here the
+k-letter words of every coefficient of the full vector table are
+compared with sympy's determinant of the commutative matrix, which
+shares nothing with the vector table, the package's symbols with the
+selected ones among them, and the Jacobian rank with sympy's rank of
+its Jacobian, at full-rank and at degenerate points."""
 
 import random
 from fractions import Fraction
@@ -17,6 +19,8 @@ import sympy
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import jacobian_rank, random_point, symbols
 from sugawara.suga import selected_pairs
+
+from oracles import vector_symbols
 
 PYRAMIDS = [
     (1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 3), (2, 3),
@@ -50,7 +54,10 @@ def test_symbols_match_sympy_determinant(lam):
     var, det = sympy_det(p)
     got = {(p.n - ex, eu): c for (ex, eu), c in det.terms()}
     want = {(0, 0): sympy.Integer(1)}
-    for key, poly in symbols(p).items():
+    full = vector_symbols(p)
+    chosen = set(selected_pairs(p))
+    assert symbols(p) == {key: poly for key, poly in full.items() if key in chosen}
+    for key, poly in full.items():
         # multilinear: a monomial holds each symbol at most once
         assert all(len(set(m)) == len(m) for m in poly)
         want[key] = sum(

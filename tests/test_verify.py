@@ -201,11 +201,11 @@ def test_clear_caches_empties_the_process_caches(capsys):
 
 @pytest.mark.parametrize(
     "command, full, selected",
-    [("verify", 0, 1), ("vectors", 1, 0), ("shift", 1, 0), ("center", 0, 0)],
+    [("verify", 0, 1), ("vectors", 1, 0), ("shift", 0, 1), ("center", 0, 0)],
 )
 def test_each_command_builds_at_most_one_table(capsys, command, full, selected):
-    # verify reads the selected coefficients only; vectors and shift's
-    # symbols read them all; center builds its own determinant
+    # verify and shift read the selected coefficients only; vectors
+    # shows them all; center builds its own determinant
     clear_caches()
     assert main(["--pyramid", "1,2,3", command]) == 0
     capsys.readouterr()
@@ -219,8 +219,8 @@ def test_verify_table_holds_the_selected_keys_and_vectors_the_rest(capsys):
     full = phi_table(p).entries
     assert selected_table(p).entries == {k: v for k, v in full.items() if k in chosen}
     assert set(selected_table(p).entries) == chosen
-    # symbols and vectors see coefficients outside the selection
-    assert set(symbols(p)) - chosen
+    # symbols are those of the selected vectors; vectors shows the rest
+    assert set(symbols(p)) == chosen
     assert main(["--pyramid", "1,2,3", "vectors"]) == 0
     shown = json.loads(capsys.readouterr().out)["vectors"]
     assert {(v["k"], v["r"]) for v in shown if not v["selected"]} == set(full) - chosen
