@@ -68,12 +68,10 @@ The commutator walks the words of its right operand in decreasing order
 higher) by the Leibniz rule [a, y*W] = y*[a, W] + [a, y]*W, bottom-up:
 words that share a prefix are split by their next letter y, and the
 bracket [a, W] of the words W below y is summed, its cancellations made,
-before y enters it.  A group of at most ``_GROUP`` words is summed word
-by word instead, each prefix entering [a, y]*(rest of the word) once:
-small operands gain nothing from nesting.  The brackets [a, y] with the
-letters of b are computed once per left operand, shared by all the right
-operands it is paired with, each by the same walk over a's words:
-right-ad by y is a derivation too, [x*W, y] = x*[W, y] + [x, y]*W.
+before y enters it.  The brackets [a, y] with the letters of b are
+computed once per left operand, shared by all the right operands it is
+paired with, each by the same walk over a's words: right-ad by y is a
+derivation too, [x*W, y] = x*[W, y] + [x, y]*W.
 Every term either walk builds already has a bracket in it, so the
 top-length terms that a*b and b*a share, and that cancel in their
 difference, are never built.
@@ -150,9 +148,6 @@ _EMPTY = ((), 0)
 
 # The low 32 bits of a letter: its symbol E[i,j,r] without the depth.
 _SYMBOL = (1 << 32) - 1
-
-# The commutator walk sums this many words with one prefix word by word.
-_GROUP = 8
 
 
 def _axpy(out: Terms, terms: Terms, c) -> None:
@@ -542,22 +537,11 @@ class LieContext:
     ) -> None:
         """out += D(sum c w[d:]) over the (w, c) in words[lo:hi], in decreasing
         order and sharing w[:d], for a derivation D with ad[y] = D(y): [a, .]
-        or, with ad[x] = [x, y], the right-ad [., y].  Up to ``_GROUP`` words
-        go word by word; more split by y = w[d], D(W) summed before y enters."""
-        if hi - lo <= _GROUP:
-            for w, c in words[lo:hi]:
-                for i in range(d, len(w)):
-                    dy = ad[w[i]]
-                    if dy:
-                        # an empty head adds D(w_i)*w[i+1:] straight into out
-                        tail, head = {w[i + 1 :]: 1}, w[d:i]
-                        late, k = ({}, 1) if head else (out, c)
-                        for m, v in dy.items():
-                            self._into(late, m, tail, k * v)
-                        if head:
-                            self._into(out, head, late, c)
-            return
-        hi -= len(words[hi - 1][0]) == d  # only w[:d] itself ends here: D(1) = 0
+        or, with ad[x] = [x, y], the right-ad [., y]: the group splits by its
+        next letter y = w[d], D(W) of the words W below y summed before y
+        enters it."""
+        if lo < hi:  # commutators walks a zero element too
+            hi -= len(words[hi - 1][0]) == d  # only w[:d] itself ends here: D(1) = 0
         while lo < hi:
             y, end = words[lo][0][d], lo + 1
             while end < hi and words[end][0][d] == y:

@@ -29,6 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sugawara import pbw
 from sugawara.pbw import LieContext
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +183,8 @@ def test_vacuum_quotient_is_one_kernel_rule():
     assert not found, f"letters compared with 0 on the hot path: {found}"
     for name in ("_act_word", "_element"):
         assert not hasattr(LieContext, name), name
+    # the commutator walk has one path: no size cutoff picks a second one
+    assert not hasattr(pbw, "_GROUP")
 
 
 def bracket_table_readers(path: Path):

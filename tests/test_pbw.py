@@ -17,7 +17,6 @@ from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.pbw import (
     _CONTEXTS,
     _EMPTY,
-    _GROUP,
     Element,
     LieContext,
     LoopGen,
@@ -264,10 +263,10 @@ def test_raw_affine_elements_are_projected_when_built():
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_commutators_split_large_groups(mode, monkeypatch):
-    # more than _GROUP words that share a prefix are split by their next
-    # letter: b's words share prefixes, and a word that is a prefix of
-    # others ends inside a group; a left operand of many words groups in
-    # the walk that builds the letter brackets [a, y] too
+    # words that share a prefix are split by their next letter: b's words
+    # share prefixes, and a word that is a prefix of others ends inside a
+    # group; a left operand of many words groups in the walk that builds
+    # the letter brackets [a, y] too
     ctx = get_context(Pyramid((1, 2)), mode)
     depths = (0,) if mode == "finite" else (-1, -2)
     letters = sorted(LoopGen(d, *g) for d in depths for g in ctx.pyramid.basis())[:4]
@@ -283,12 +282,11 @@ def test_commutators_split_large_groups(mode, monkeypatch):
         (w, Fraction((-1) ** k * (k + 1), 3)) for k, w in enumerate(sorted_words(4, 4))
     )
     a = ctx.combine((w, (-1) ** k * (k + 1)) for k, w in enumerate(sorted_words(3, 3)))
-    assert len(a.terms) > _GROUP and len(b.terms) > _GROUP
     bs = [b, b + ctx.one().scale(Fraction(7, 2)), ctx.zero(), a]
     leibniz, seen = LieContext._leibniz, []
 
     def spy(self, words, d, lo, hi, ad, out):
-        if d and hi - lo > _GROUP:
+        if d and hi - lo > 1:
             seen.append((len(words), len(words[hi - 1][0]) == d))
         leibniz(self, words, d, lo, hi, ad, out)
 
@@ -892,7 +890,6 @@ def test_mul_associative_property(lam, mode, words):
     lam=st.sampled_from([(2, 3), (1, 1, 2), (2, 2)]),
     mode=st.sampled_from(["finite", "affine"]),
     a_words=st.lists(_WORDS, min_size=1, max_size=3),
-    # up to 12 words, so a b can cross the word-by-word cutoff _GROUP
     b_words=st.lists(st.lists(_WORDS, min_size=1, max_size=12), min_size=1, max_size=3),
 )
 def test_commutators_property(lam, mode, a_words, b_words):

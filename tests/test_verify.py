@@ -112,12 +112,19 @@ def test_verify_memo_footprint_on_2_2_2_2(capsys):
     assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11558
 
 
-def test_commutativity_lead_count_on_2_2_2_2(monkeypatch):
-    # a deterministic count from a clean start: the bottom-up walk sums
-    # each prefix group's bracket before its letter enters it, and the
-    # walk that bracketed each path of b's words on its own took 85,459
+@pytest.mark.parametrize(
+    "lam, count",
+    [((2, 2, 2, 2), 69465), ((1, 1, 1, 1), 27483)],
+    ids=["2,2,2,2", "1,1,1,1"],
+)
+def test_commutativity_lead_count(monkeypatch, lam, count):
+    # a deterministic count from a clean start: the bottom-up walk splits
+    # every prefix group by its next letter and sums the group's bracket
+    # before the letter enters it; on 2,2,2,2 the walk that bracketed each
+    # path of b's words on its own took 85,459, and the one that summed
+    # groups of at most 8 words word by word 70,601 (29,428 on 1,1,1,1)
     clear_caches()
-    p = Pyramid((2, 2, 2, 2))
+    p = Pyramid(lam)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in phi_table(p).selected_entries()]
     lead, calls = pbw.LieContext._lead, []
 
@@ -127,7 +134,7 @@ def test_commutativity_lead_count_on_2_2_2_2(monkeypatch):
 
     monkeypatch.setattr(pbw.LieContext, "_lead", counted)
     assert commutativity_check(labeled, get_context(p, "affine")).passed()
-    assert len(calls) == 70601
+    assert len(calls) == count
 
 
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
