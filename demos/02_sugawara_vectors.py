@@ -4,7 +4,7 @@ inspect the selected index pairs.
 Run:  python3 demos/02_sugawara_vectors.py
 """
 
-from sugawara import Pyramid, element_text, phi_table
+from sugawara import Pyramid, element_text, phi_table, selected_vectors
 from sugawara.verify import annihilation_check
 
 for lam in [(1, 1), (1, 2), (2, 3)]:
@@ -19,7 +19,7 @@ for lam in [(1, 1), (1, 2), (2, 3)]:
 
 # the defining property: every nonnegative mode kills a selected vector
 p = Pyramid((2, 3))
-report = annihilation_check(p)
+report = annihilation_check(p, selected_vectors(p))
 passing = sum(1 for c in report.cases if c["status"] == "pass")
 print(f"annihilation on {p}: {passing}/{len(report.cases)} cases pass "
       f"-> report passed = {report.passed()}")

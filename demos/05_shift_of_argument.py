@@ -12,9 +12,9 @@ from sugawara import (
     element_text,
     get_context,
     jacobian_rank,
-    phi_table,
     random_point,
     rho_chi,
+    selected_vectors,
     symbols,
 )
 
@@ -25,15 +25,15 @@ print(f"pyramid {p}, random functional chi =",
 print()
 
 # the evaluation homomorphism sends X[-1] to X z^{-1} + chi(X)
-table = phi_table(p)
-for k, r, elem in table.selected_entries():
+vectors = selected_vectors(p)
+for k, r, elem in vectors:
     series = rho_chi(elem, chi)
     print(f"rho(phi[{k},{r}]):")
     for e, elem in sorted(series.items(), reverse=True):
         print(f"   z^{e}: {element_text(elem)}")
 print()
 
-gens = a_chi_generators(p, chi)
+gens = a_chi_generators(p, vectors, chi)
 print(f"{len(gens)} shift-of-argument generators (m = 0..k-1 per vector)")
 fin = get_context(p, "finite")
 report = commutativity_check([(f"g[{g.k},{g.r},{g.m}]", g.element) for g in gens], fin)
@@ -41,7 +41,7 @@ print("pairwise commutativity:", report.passed())
 print()
 
 # independence surrogate: full Jacobian rank of the commutative symbols
-sym = symbols(p)
+sym = symbols(vectors)
 for seed in (1, 2, 3):
     rank = jacobian_rank(p, sym, random_point(p, seed))
     print(f"Jacobian rank at seed {seed}: {rank} (N = {p.big_n})")

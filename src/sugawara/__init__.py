@@ -34,6 +34,7 @@ from .suga import (
     delta_ladder,
     phi_table,
     selected_pairs,
+    selected_vectors,
     tau_cross_check,
 )
 from .shift import (

@@ -35,7 +35,7 @@ from .shift import (
     symbols,
     zseries_eval,
 )
-from .suga import delta_ladder, phi_table, selected_table, tau_cross_check
+from .suga import delta_ladder, phi_table, selected_vectors, tau_cross_check
 from .verify import (
     annihilation_check,
     centrality_check,
@@ -206,12 +206,12 @@ def cmd_vectors(cfg: Config) -> Tuple[dict, List[Report]]:
 def cmd_verify(cfg: Config) -> Tuple[dict, List[Report]]:
     p = cfg.pyramid
     ctx = get_context(p, "affine")
-    table = selected_table(p)
-    labeled = [(f"phi[{k},{r}]", e) for k, r, e in table.selected_entries()]
+    vectors = selected_vectors(p)
+    labeled = [(f"phi[{k},{r}]", e) for k, r, e in vectors]
     reports = [
-        annihilation_check(p),
-        delta_ladder(p),
-        tau_cross_check(p),
+        annihilation_check(p, vectors),
+        delta_ladder(p, vectors),
+        tau_cross_check(p, vectors),
         commutativity_check(labeled, ctx),
         raising_recursion_check(p, seed=cfg.seed),
     ]
@@ -242,12 +242,13 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
     p = cfg.pyramid
     fin = get_context(p, "finite")
     chi = load_chi(cfg)
-    gens = a_chi_generators(p, chi)
+    vectors = selected_vectors(p)
+    gens = a_chi_generators(p, vectors, chi)
     labeled = [(f"phi[{g.k},{g.r}]({g.m})", g.element) for g in gens]
     report = commutativity_check(labeled, fin)
     report.seed = cfg.seed
     point = random_point(p, cfg.seed)
-    rank = jacobian_rank(p, symbols(p), point)
+    rank = jacobian_rank(p, symbols(vectors), point)
     obj = {
         "pyramid": str(p),
         "seed": cfg.seed,
@@ -261,9 +262,8 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
         "z": None if cfg.z is None else str(cfg.z),
     }
     if cfg.z is not None:
-        table = selected_table(p)
         evaluated = []
-        for k, r, elem in table.selected_entries():
+        for k, r, elem in vectors:
             value = zseries_eval(p, rho_chi(elem, chi), cfg.z)
             evaluated.append({"k": k, "r": r, "element": value})
         obj["evaluated"] = evaluated

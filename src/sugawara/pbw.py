@@ -491,13 +491,12 @@ class LieContext:
         add step * r * c * v m[:idx] z m[idx+1:] for the shifted letter z,
         placed by ``_enter``, so no word the vacuum kills is built."""
         # g + stride is a bare int with the fields of the shifted letter;
-        # int.__new__ makes it a LoopGen again without re-checking them
+        # int.__new__ makes it a LoopGen again without re-checking them;
+        # a vacuum word's letters lie below depth 0, so k is never 0
         stride = step << 32
         for m, v in terms.items():
             for idx, g in enumerate(m):
                 k = step * (g >> 32)
-                if not k:
-                    continue
                 z = int.__new__(LoopGen, g + stride)
                 self._enter(out, m[:idx], z, m[idx + 1 :], k * c * v)
 
@@ -517,19 +516,15 @@ class LieContext:
             for y in chain.from_iterable(b.terms):
                 if y not in ad:
                     ad[y] = {}
-                    brackets = {x: self._bracket_terms(x, y) for x in a_letters}
+                    # both below depth 0, or finite: [x, y] has no central term
+                    brackets = {
+                        x: {(z,): c for z, c in self.loop_bracket(x, y)[0]}
+                        for x in a_letters
+                    }
                     self._leibniz(a_words, 0, 0, len(a_words), brackets, ad[y])
             res: Terms = {}
             self._leibniz(words, 0, 0, len(words), ad, res)
             out.append(Element(self, res))
-        return out
-
-    def _bracket_terms(self, x: LoopGen, y: LoopGen) -> Terms:
-        """[x, y] as terms: its letters and its central scalar."""
-        terms, central = self.loop_bracket(x, y)
-        out = {(z,): c for z, c in terms}
-        if central:
-            out[()] = central
         return out
 
     def _leibniz(

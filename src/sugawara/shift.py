@@ -24,11 +24,11 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .detcalc import UX, coefficient_table, ux_determinant, ux_matrix
+from .detcalc import UX, ux_determinant, ux_matrix
 from .pbw import Element, LoopGen, Monomial, _axpy, get_context
 from .pbw import _coeff_str, exact
 from .pyramid import GenId, Pyramid
-from .suga import selected_pairs, selected_table, ux_keep
+from .suga import selected_pairs, ux_keep
 
 Chi = Dict[GenId, Fraction]
 
@@ -129,15 +129,16 @@ class AChiGen(NamedTuple):
     element: Element
 
 
-def a_chi_generators(p: Pyramid, chi: Chi) -> List[AChiGen]:
+def a_chi_generators(
+    p: Pyramid, vectors: List[Tuple[int, int, Element]], chi: Chi
+) -> List[AChiGen]:
     """Generators of the shift-of-argument subalgebra: the components
-    m = 0..k-1 of the image of each vector of :func:`selected_table`.
+    m = 0..k-1 of the image of each selected vector (k, r, phi_k^(r)).
     The m = k component (the constant term of the expansion) is exposed
     through :func:`rho_chi` but is not part of the generating family."""
-    table = selected_table(p)
     fin = get_context(p, "finite")
     out: List[AChiGen] = []
-    for k, r, elem in table.selected_entries():
+    for k, r, elem in vectors:
         series = rho_chi(elem, chi)
         for m in range(k):
             out.append(AChiGen(k, r, m, series.get(m - k, fin.zero())))
@@ -161,12 +162,12 @@ def center_determinant(
 
 
 def center_generators(p: Pyramid) -> List[Tuple[int, int, Element]]:
-    """The N central elements of the enveloping algebra: x^{n-k} u^r
-    coefficients of the shifted determinant at the selected indices, the
-    only ones its recursion builds."""
-    table = coefficient_table(center_determinant(p, ux_keep(p)), p.n)
-    fin = get_context(p, "finite")
-    return [(k, r, table.get((k, r), fin.zero())) for k, r in selected_pairs(p)]
+    """The N central elements of the enveloping algebra as (k, r, x^{n-k}
+    u^r coefficient) of the shifted determinant at the selected indices,
+    the only ones its recursion builds: the shape of the selected vectors."""
+    d = center_determinant(p, ux_keep(p))
+    zero = get_context(p, "finite").zero()
+    return [(k, r, d.get((r, p.n - k), zero)) for k, r in selected_pairs(p)]
 
 
 def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
@@ -198,14 +199,14 @@ def apply_automorphism(p: Pyramid, v: Element, c: Fraction) -> Element:
 Symbol = Dict[Tuple[GenId, ...], Fraction]
 
 
-def symbols(p: Pyramid) -> Dict[Tuple[int, int], Symbol]:
+def symbols(vectors: List[Tuple[int, int, Element]]) -> Dict[Tuple[int, int], Symbol]:
     """The symbols that :func:`jacobian_rank` reads: the k-letter words
     of each selected phi_k^(r), each read as a commutative monomial, the
     sorted tuple of its letters' GenIds.  Such a word takes one depth -1
     letter from each of k distinct rows, so a symbol is multilinear."""
     gens: Dict[LoopGen, GenId] = {}
     out = {}
-    for k, r, elem in selected_table(p).selected_entries():
+    for k, r, elem in vectors:
         poly = {}
         for m, c in elem.terms.items():
             if len(m) == k:

@@ -10,17 +10,16 @@ and the coefficients phi_k^(r) whose indices satisfy
 
 form a complete set of Segal-Sugawara vectors: N of them, with exactly
 lambda_{n-k+1} admitted shifts for each k.  This module builds the full
-coefficient table, which ``vectors`` shows, and the selected one, which
-every other reader reads, each from its own determinant; the
-raising-operator ladder; and the comparison against the tau
-presentation.  The selected table and the tau determinant are
-built only where their readers read: :func:`ux_keep` and
-:func:`tau_keep` prune their column recursions.
+coefficient table, which ``vectors`` shows, and the selected vectors,
+which a command builds once and hands to every other reader, each
+afresh from its own determinant; the raising-operator ladder; and the
+comparison against the tau presentation.  The selected vectors and the
+tau determinant are built only where their readers read: :func:`ux_keep`
+and :func:`tau_keep` prune their column recursions.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .detcalc import UX, cdet, cdet_tau, coefficient_table
@@ -33,16 +32,8 @@ class SugaTable(NamedTuple):
     """All nonzero x^{n-k} u^r coefficients of the column determinant,
     with the selected index pairs flagged."""
 
-    pyramid: Pyramid
     entries: Dict[Tuple[int, int], Element]
     selected: Tuple[Tuple[int, int], ...]
-
-    def entry(self, k: int, r: int) -> Element:
-        zero = get_context(self.pyramid, "affine").zero()
-        return self.entries.get((k, r), zero)
-
-    def selected_entries(self) -> List[Tuple[int, int, Element]]:
-        return [(k, r, self.entries[(k, r)]) for (k, r) in self.selected]
 
 
 def selection_bounds(p: Pyramid, k: int) -> Tuple[int, int]:
@@ -84,34 +75,31 @@ def ux_keep(p: Pyramid) -> Callable[[int, UX], bool]:
     return keep
 
 
-def _table(p: Pyramid, keep: Optional[Callable]) -> SugaTable:
+def _determinant(p: Pyramid, keep: Optional[Callable]) -> Dict[UX, Element]:
     d = cdet(p, keep)
     ctx = get_context(p, "affine")
     assert d.get((0, p.n)) == ctx.one(), "determinant must be monic in x"
-    return SugaTable(p, coefficient_table(d, p.n), selected_pairs(p))
+    return d
 
 
-@lru_cache(maxsize=None)
 def phi_table(p: Pyramid) -> SugaTable:
     """The table of every nonzero coefficient."""
-    return _table(p, None)
+    return SugaTable(coefficient_table(_determinant(p, None), p.n), selected_pairs(p))
 
 
-@lru_cache(maxsize=None)
-def selected_table(p: Pyramid) -> SugaTable:
-    """The table of the selected coefficients only, from a determinant
-    pruned by :func:`ux_keep`: what the batteries and the shift layer read."""
-    return _table(p, ux_keep(p))
+def selected_vectors(p: Pyramid) -> List[Tuple[int, int, Element]]:
+    """The selected (k, r, phi_k^(r)) in :func:`selected_pairs` order, read
+    off a determinant pruned by :func:`ux_keep`: what the batteries and
+    the shift layer read."""
+    d = _determinant(p, ux_keep(p))
+    return [(k, r, d[r, p.n - k]) for k, r in selected_pairs(p)]
 
 
 def clear_caches() -> None:
-    """Empty the caches that live as long as the process: the vector
-    tables of :func:`phi_table` and :func:`selected_table` and the shared
+    """Empty the one cache that lives as long as the process: the shared
     rewriting contexts with their bracket tables.  For a library caller
     that loops over many pyramids; later results are the same, only
     recomputed."""
-    phi_table.cache_clear()
-    selected_table.cache_clear()
     _CONTEXTS.clear()
 
 
@@ -122,25 +110,23 @@ def ladder_coefficient(p: Pyramid, k: int) -> int:
     return -(k - 1) * sum(p.lambdas[: p.n - k + 1])
 
 
-def delta_ladder(p: Pyramid) -> Report:
-    """The ladder on the selected coefficients: no coefficient lies above
-    a level's window, and the one below its lower end that the ladder
+def delta_ladder(p: Pyramid, vectors: List[Tuple[int, int, Element]]) -> Report:
+    """The ladder on the selected vectors: no coefficient lies above a
+    level's window, and the one below its lower end that the ladder
     reads, phi_{k-1}^(lo(k)), is the top selected one of level k-1."""
-    table = selected_table(p)
+    phi = {(k, r): elem for k, r, elem in vectors}
+    zero = get_context(p, "affine").zero()
     report = Report("delta-ladder", str(p))
-    for (k, r), elem in sorted(table.entries.items()):
-        # below the window's lower end the ladder makes no claim; at it,
+    for k, r, elem in vectors:
+        # every selected r lies at or above its window's lower end; at it,
         # Delta maps phi_k^(r) onto a known multiple of phi_{k-1}^(r);
         # above it, to zero
-        boundary = selection_bounds(p, k)[0]
-        if r < boundary:
-            continue
         image = delta(elem)
-        if r > boundary:
+        if r > selection_bounds(p, k)[0]:
             diff = image
             kind = "zero"
         else:
-            diff = image - ladder_coefficient(p, k) * table.entry(k - 1, r)
+            diff = image - ladder_coefficient(p, k) * phi.get((k - 1, r), zero)
             kind = "boundary"
         report.add({"k": k, "r": r, "kind": kind}, diff)
     return report
@@ -178,17 +164,16 @@ def tau_keep(p: Pyramid) -> Callable[[int, Tuple[int, int]], bool]:
     return keep
 
 
-def tau_cross_check(p: Pyramid) -> Report:
+def tau_cross_check(p: Pyramid, vectors: List[Tuple[int, int, Element]]) -> Report:
     """For each selected (k, r): the weight-r component of phi-circle_{r+k},
     the coefficient of tau^(N-r-k) in the tau determinant, equals
     phi_k^(r), and no component of higher weight survives.  The tau
     determinant comes in (power, weight) buckets, pruned by
     :func:`tau_keep` to those read here."""
-    table = selected_table(p)
     tau = cdet_tau(p, tau_keep(p))
     zero = get_context(p, "affine").zero()
     report = Report("tau-cross-check", str(p))
-    for k, r, elem in table.selected_entries():
+    for k, r, elem in vectors:
         e = p.big_n - r - k
         diff = tau.get((e, r), zero) - elem
         top = max((w for f, w in tau if f == e), default=0)

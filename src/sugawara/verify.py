@@ -14,18 +14,16 @@ from typing import List, Sequence, Tuple
 from .pbw import Element, LieContext, LoopGen, delta, get_context
 from .pyramid import Pyramid
 from .reports import Report
-from .suga import selected_table
 
 
-def annihilation_check(p: Pyramid) -> Report:
-    """act(X[s], phi_k^(r)) = 0 for every basis X, every selected (k, r)
+def annihilation_check(p: Pyramid, vectors: List[Tuple[int, int, Element]]) -> Report:
+    """act(X[s], phi_k^(r)) = 0 for every basis X, every selected vector
     and 0 <= s <= k (beyond that it holds by grading).  Each phi takes
     all its modes in one :meth:`~sugawara.pbw.LieContext.acts` call,
     which looks each of its distinct letters up once per mode."""
     ctx = get_context(p, "affine")
-    table = selected_table(p)
     report = Report("annihilation", str(p))
-    for k, r, elem in table.selected_entries():
+    for k, r, elem in vectors:
         cases = [(g, s) for g in p.basis() for s in range(k + 1)]
         modes = [LoopGen(s, g.i, g.j, g.r) for g, s in cases]
         for (g, s), res in zip(cases, ctx.acts(modes, elem)):

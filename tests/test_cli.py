@@ -456,13 +456,22 @@ def test_closed_pipe_exits_141_without_traceback(fmt):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["verify", "vectors"])
-def test_benchmark_tracer_runs_the_cli(capsys, tmp_path, command):
+@pytest.mark.parametrize(
+    "command, called",
+    [
+        (["verify"], ["verify.annihilation_check", "suga.delta_ladder"]),
+        (["vectors"], ["suga.phi_table"]),
+        (["center"], ["shift.center_determinant", "verify.centrality_check"]),
+        (["--z", "2", "shift"], ["shift.a_chi_generators", "shift.symbols"]),
+    ],
+    ids=["verify", "vectors", "center", "shift"],
+)
+def test_benchmark_tracer_runs_the_cli(capsys, tmp_path, command, called):
     # perfbench/child.py rebinds the traced functions by name; a refactor
     # that drops one of them must fail here, not only in the benchmark.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     spans_file = tmp_path / "spans.json"
-    args = ["--pyramid", "1,2", command]
+    args = ["--pyramid", "1,2", *command]
     child = ROOT / "perfbench" / "child.py"
     traced = subprocess.run(
         [sys.executable, str(child), "trace", str(spans_file), "--"] + args,
@@ -473,7 +482,8 @@ def test_benchmark_tracer_runs_the_cli(capsys, tmp_path, command):
     assert traced.returncode == 0, traced.stderr.decode()
     _, plain, _ = run(capsys, *args)
     assert traced.stdout == plain.encode()
-    names = json.loads(spans_file.read_text())["names"]
+    trace = json.loads(spans_file.read_text())
+    names = trace["names"]
     for name in (
         "detcalc.cdet_tau",
         "detcalc.column_determinant",
@@ -481,6 +491,9 @@ def test_benchmark_tracer_runs_the_cli(capsys, tmp_path, command):
         "shift.symbols",
     ):
         assert name in names
+    # the command's own layers ran through their wrappers
+    spanned = {names[span[0]] for span in trace["spans"]}
+    assert set(called) <= spanned, sorted(spanned)
 
 
 @pytest.mark.parametrize(

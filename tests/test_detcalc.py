@@ -17,7 +17,13 @@ from sugawara.detcalc import (
 from sugawara.pbw import Element, _axpy, get_context, translation_T
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import center_determinant, symbols
-from sugawara.suga import selected_pairs, selection_bounds, tau_keep, ux_keep
+from sugawara.suga import (
+    selected_pairs,
+    selected_vectors,
+    selection_bounds,
+    tau_keep,
+    ux_keep,
+)
 
 from oracles import (
     column_determinant_bruteforce,
@@ -215,7 +221,8 @@ def _determinant_setup(kind, p):
     # coefficients; ``symbols`` gives those of the selected ones
     full = vector_symbols(p)
     chosen = set(selected_pairs(p))
-    assert symbols(p) == {key: poly for key, poly in full.items() if key in chosen}
+    picked = {key: poly for key, poly in full.items() if key in chosen}
+    assert symbols(selected_vectors(p)) == picked
     value = {(r, p.n - k): poly for (k, r), poly in full.items()}
     value[(0, p.n)] = {(): 1}
     return symbol_matrix(p), unit, value
@@ -435,7 +442,7 @@ def test_determinants_and_products_leave_no_reference_cycles():
     def work():
         cdet(p)
         center_determinant(p)
-        symbols(p)
+        symbols(selected_vectors(p))
         cdet_tau(p)
         ctx.mul(a, b)
         ctx.commutators(a, [b, a])

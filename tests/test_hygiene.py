@@ -21,6 +21,12 @@ request pays for what its import pulls in.
 ``SymPoly``, no product hook ``_mul_into`` and no ``_join`` key law is
 left.  A determinant, a z-series or a symbol is a plain dict, and any
 other product is an operator, built where it is applied.
+
+No source function memoizes for the life of the process: no
+``lru_cache`` or ``functools.cache`` decorator is left, so a result
+lives as long as its caller holds it.  The shared contexts and their
+bracket tables are the one process-wide cache, which ``clear_caches``
+empties.
 """
 
 import ast
@@ -128,7 +134,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 HOT_PATH = (
     "_lead", "_into", "_leibniz", "acts", "_enter", "_derive",
-    "commutators", "_bracket_terms", "loop_bracket", "_make_bracket",
+    "commutators", "loop_bracket", "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
 
@@ -302,6 +308,54 @@ def test_scan_sees_sparse_products(tmp_path):
         ("sample.py", 7),
     ]
     assert identifier_sites([path], "__mul__") == [("sample.py", 5)]
+
+
+def memo_decorators(paths):
+    """(file, function, line) of every ``lru_cache`` or ``cache``
+    decorator, bare, called or read off ``functools``."""
+    sites = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    sites.append((path.name, node.name, dec.lineno))
+    return sites
+
+
+def test_sources_hold_no_process_lifetime_memo():
+    paths = sorted((ROOT / "src" / "sugawara").rglob("*.py"))
+    assert len(paths) > 5
+    assert memo_decorators(paths) == []
+
+
+def test_scan_sees_memo_decorators(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(p): pass\n"
+        "@functools.lru_cache\n"
+        "def b(p): pass\n"
+        "@cache\n"
+        "def c(p): pass\n"
+        "class T:\n"
+        "    @functools.cache\n"
+        "    def d(self): pass\n"
+        "    @staticmethod\n"
+        "    def e(): pass\n"
+    )
+    assert memo_decorators([path]) == [
+        ("sample.py", "a", 3),
+        ("sample.py", "b", 5),
+        ("sample.py", "c", 7),
+        ("sample.py", "d", 10),
+    ]
 
 
 # Prints the modules that ``import sugawara.cli`` adds to sys.modules.

@@ -36,7 +36,7 @@ from sugawara.shift import (
     center_generators,
     zseries_eval,
 )
-from sugawara.suga import clear_caches, phi_table
+from sugawara.suga import clear_caches, phi_table, selected_vectors
 from sugawara.verify import annihilation_check, centrality_check
 
 from oracles import (
@@ -1207,7 +1207,10 @@ def test_engine_hands_out_only_loopgen_letters():
             | letter_types(map(translation_T, vectors))
             | letter_types(map(delta, vectors))
             | letter_types(v for _, _, v in center_generators(p))
-            | letter_types(a.element for a in a_chi_generators(p, random_chi(p, 0)))
+            | letter_types(
+                a.element
+                for a in a_chi_generators(p, selected_vectors(p), random_chi(p, 0))
+            )
         )
         assert found == {LoopGen}, (lam, found)
 
@@ -1342,7 +1345,7 @@ def test_each_loop_bracket_is_built_once(monkeypatch, capsys):
 
     monkeypatch.setattr(LieContext, "_make_bracket", counted)
     p = Pyramid((2, 2, 2, 2))
-    assert annihilation_check(p).passed()
+    assert annihilation_check(p, selected_vectors(p)).passed()
     labeled = [(f"Phi[{k},{r}]", elem) for k, r, elem in center_generators(p)]
     assert centrality_check(p, labeled).passed()
     for mode in ("affine", "finite"):

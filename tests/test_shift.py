@@ -22,7 +22,7 @@ from sugawara.shift import (
     symbols,
     zseries_eval,
 )
-from sugawara.suga import phi_table
+from sugawara.suga import selected_vectors
 
 from oracles import (
     brown_brundan_cases,
@@ -106,7 +106,7 @@ def test_zseries_eval():
 def test_a_chi_trace_components():
     p = Pyramid((2, 3))
     fin = get_context(p, "finite")
-    gens = a_chi_generators(p, {})
+    gens = a_chi_generators(p, selected_vectors(p), {})
     got = {(g.k, g.r, g.m): g.element for g in gens}
     for r in range(3):
         expected = gen_or_zero(fin, 1, 1, r) + gen_or_zero(fin, 2, 2, r)
@@ -116,8 +116,9 @@ def test_a_chi_trace_components():
 def test_a_chi_top_component_chi_free():
     p = Pyramid((1, 2))
     chi = random_chi(p, seed=3)
-    plain = {(g.k, g.r, g.m): g.element for g in a_chi_generators(p, {})}
-    twisted = {(g.k, g.r, g.m): g.element for g in a_chi_generators(p, chi)}
+    vectors = selected_vectors(p)
+    plain = {(g.k, g.r, g.m): g.element for g in a_chi_generators(p, vectors, {})}
+    twisted = {(g.k, g.r, g.m): g.element for g in a_chi_generators(p, vectors, chi)}
     for (k, r, m), elem in twisted.items():
         if m == 0:
             assert elem == plain[(k, r, 0)]
@@ -125,7 +126,7 @@ def test_a_chi_top_component_chi_free():
 
 def test_a_chi_generator_fields():
     p = Pyramid((1, 2))
-    gens = a_chi_generators(p, {})
+    gens = a_chi_generators(p, selected_vectors(p), {})
     assert [(g.k, g.r, g.m) for g in gens][:3] == [(1, 0, 0), (1, 1, 0), (2, 1, 0)]
     k, r, m, element = gens[0]
     assert (k, r, m) == (gens[0].k, gens[0].r, gens[0].m) and element is gens[0].element
@@ -135,7 +136,7 @@ def test_a_chi_generator_fields():
 def test_a_chi_generator_count():
     for lam in [(1, 1), (1, 2), (2, 3), (1, 1, 2)]:
         p = Pyramid(lam)
-        gens = a_chi_generators(p, {})
+        gens = a_chi_generators(p, selected_vectors(p), {})
         expected = sum(k * p.lambdas[p.n - k] for k in range(1, p.n + 1))
         assert len(gens) == expected
 
@@ -144,7 +145,7 @@ def test_a_chi_generator_count():
 def test_a_chi_commutativity_gl2(seed):
     p = Pyramid((1, 1))
     chi = random_chi(p, seed=seed)
-    gens = a_chi_generators(p, chi)
+    gens = a_chi_generators(p, selected_vectors(p), chi)
     assert len(gens) == 3
     fin = get_context(p, "finite")
     elems = [g.element for g in gens]
@@ -253,7 +254,7 @@ def test_automorphism_shifts_the_diagonal_of_the_center_determinant(lam):
 
 def test_symbols_gl2():
     p = Pyramid((1, 1))
-    sym = symbols(p)
+    sym = symbols(selected_vectors(p))
     v = lambda i, j: GenId(i, j, 0)
     assert sym == {
         (1, 0): {(v(1, 1),): 1, (v(2, 2),): 1},
@@ -277,7 +278,7 @@ def test_symbols_evaluate_in_ints_at_int_points(lam):
     p = Pyramid(lam)
     point = random_point(p, 3)
     as_fractions = {g: Fraction(v) for g, v in point.items()}
-    for poly in symbols(p).values():
+    for poly in symbols(selected_vectors(p)).values():
         grad = _gradient(poly, point)
         assert all(type(d) is int for d in grad.values())
         assert grad == _gradient(poly, as_fractions)
@@ -288,19 +289,19 @@ def test_symbols_evaluate_in_ints_at_int_points(lam):
 def test_jacobian_example_gl2():
     p = Pyramid((1, 1))
     point = {GenId(1, 1, 0): Fraction(1)}
-    assert jacobian_rank(p, symbols(p), point) == 2
+    assert jacobian_rank(p, symbols(selected_vectors(p)), point) == 2
 
 
 def test_jacobian_degenerate_point_allowed():
     p = Pyramid((1, 1))
-    rank = jacobian_rank(p, symbols(p), {})
+    rank = jacobian_rank(p, symbols(selected_vectors(p)), {})
     assert 0 <= rank <= 2
 
 
 @pytest.mark.parametrize("lam", [(2,), (1, 1), (1, 2), (2, 3), (1, 1, 2)])
 def test_jacobian_full_rank_random_points(lam):
     p = Pyramid(lam)
-    sym = symbols(p)
+    sym = symbols(selected_vectors(p))
     for seed in (1, 2, 3):
         assert jacobian_rank(p, sym, random_point(p, seed)) == p.big_n
 
@@ -351,7 +352,8 @@ def test_integral_chi_keeps_int_coefficients(lam, spell):
     obj = {g.text(): spell(rng.choice((-3, -2, -1, 1, 2, 3))) for g in p.basis()}
     chi = chi_from_obj(p, obj)
     assert all(type(c) is int for c in chi.values())
-    coeffs = [c for g in a_chi_generators(p, chi) for c in g.element.terms.values()]
+    gens = a_chi_generators(p, selected_vectors(p), chi)
+    coeffs = [c for g in gens for c in g.element.terms.values()]
     assert len(coeffs) > 5
     assert all(type(c) is int for c in coeffs)
 
@@ -372,7 +374,8 @@ def test_exact_chi_gives_the_fraction_chi_results(lam, values):
     via_fraction = {g: c for g, c in via_fraction.items() if c}
     assert via_exact == via_fraction
     assert chi_to_obj(via_exact) == chi_to_obj(via_fraction)
-    gens = [a_chi_generators(p, chi) for chi in (via_exact, via_fraction)]
+    vectors = selected_vectors(p)
+    gens = [a_chi_generators(p, vectors, chi) for chi in (via_exact, via_fraction)]
     assert [(g.k, g.r, g.m, g.element) for g in gens[0]] == [
         (g.k, g.r, g.m, g.element) for g in gens[1]
     ]
@@ -380,7 +383,7 @@ def test_exact_chi_gives_the_fraction_chi_results(lam, values):
         [g.element for g in gens[1]]
     )
     for z in ("2", "-1/3"):
-        for _, _, elem in phi_table(p).selected_entries():
+        for _, _, elem in vectors:
             got = zseries_eval(p, rho_chi(elem, via_exact), exact(z))
             want = zseries_eval(p, rho_chi(elem, via_fraction), Fraction(z))
             assert got == want and to_json(got) == to_json(want)

@@ -18,7 +18,7 @@ import sympy
 
 from sugawara.pyramid import GenId, Pyramid
 from sugawara.shift import jacobian_rank, random_point, symbols
-from sugawara.suga import selected_pairs
+from sugawara.suga import selected_pairs, selected_vectors
 
 from oracles import vector_symbols
 
@@ -56,7 +56,8 @@ def test_symbols_match_sympy_determinant(lam):
     want = {(0, 0): sympy.Integer(1)}
     full = vector_symbols(p)
     chosen = set(selected_pairs(p))
-    assert symbols(p) == {key: poly for key, poly in full.items() if key in chosen}
+    picked = {key: poly for key, poly in full.items() if key in chosen}
+    assert symbols(selected_vectors(p)) == picked
     for key, poly in full.items():
         # multilinear: a monomial holds each symbol at most once
         assert all(len(set(m)) == len(m) for m in poly)
@@ -75,7 +76,7 @@ def test_jacobian_rank_matches_sympy(lam):
     basis = p.basis()
     rows = [det.coeff_monomial(x ** (p.n - k) * u**r) for k, r in selected_pairs(p)]
     jac = sympy.Matrix(rows).jacobian([var[g] for g in basis])
-    sym = symbols(p)
+    sym = symbols(selected_vectors(p))
     # seeded points, where the rank is full, and degenerate ones, where
     # it drops: zero, all ones, and sparse seeded points
     rng = random.Random(5)

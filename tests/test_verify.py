@@ -1,14 +1,15 @@
+import gc
 import json
 
 import pytest
 
-from sugawara import clear_caches, pbw
+from sugawara import clear_caches, pbw, suga
 from sugawara.cli import main
-from sugawara.pbw import get_context
+from sugawara.pbw import Element, get_context
 from sugawara.pyramid import Pyramid
 from sugawara.reports import Report
 from sugawara.shift import symbols
-from sugawara.suga import phi_table, selected_pairs, selected_table
+from sugawara.suga import phi_table, selected_pairs, selected_vectors
 from sugawara.verify import (
     annihilation_check,
     centrality_check,
@@ -23,7 +24,7 @@ from oracles import failures
 def test_annihilation_small(lam):
     # every basis mode X[s] with 0 <= s <= k, for every selected (k, r)
     p = Pyramid(lam)
-    report = annihilation_check(p)
+    report = annihilation_check(p, selected_vectors(p))
     assert report.passed(), failures(report)
     assert len(report.cases) == sum((k + 1) * p.dim() for k, _ in selected_pairs(p))
     assert all(c["status"] == "pass" for c in report.cases)
@@ -39,9 +40,8 @@ def test_commutativity_singleton_vacuous():
 
 def test_commutativity_pair():
     p = Pyramid((1, 2))
-    table = phi_table(p)
     ctx = get_context(p, "affine")
-    labeled = [(f"phi[{k},{r}]", e) for k, r, e in table.selected_entries()]
+    labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
     report = commutativity_check(labeled, ctx)
     assert report.passed(), failures(report)
     assert len(report.cases) == 3
@@ -67,8 +67,8 @@ def test_raising_recursion_check():
 
 def test_report_json_shape_and_determinism():
     p = Pyramid((1, 1))
-    r1 = annihilation_check(p)
-    r2 = annihilation_check(p)
+    r1 = annihilation_check(p, selected_vectors(p))
+    r2 = annihilation_check(p, selected_vectors(p))
     o1, o2 = r1.to_obj(), r2.to_obj()
     assert json.dumps(o1) == json.dumps(o2)
     assert o1["check"] == "annihilation"
@@ -125,7 +125,7 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
     # groups of at most 8 words word by word 70,601 (29,428 on 1,1,1,1)
     clear_caches()
     p = Pyramid(lam)
-    labeled = [(f"phi[{k},{r}]", e) for k, r, e in phi_table(p).selected_entries()]
+    labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
     lead, calls = pbw.LieContext._lead, []
 
     def counted(self, *args):
@@ -138,7 +138,7 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
 
 
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
-    # a deterministic count from a clean start, the selected table's own
+    # a deterministic count from a clean start, the selected vectors' own
     # 1,157 calls included (the full table's are 1,340): each phi takes
     # its modes in one acts call, which looks each distinct letter up
     # once per mode; a bracket letter of depth >= 0 moves right through
@@ -152,7 +152,7 @@ def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
         lead(self, *args)
 
     monkeypatch.setattr(pbw.LieContext, "_lead", counted)
-    assert annihilation_check(p).passed()
+    assert annihilation_check(p, selected_vectors(p)).passed()
     assert len(calls) == 28021
 
 
@@ -191,43 +191,56 @@ def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
 
 
 def test_clear_caches_empties_the_process_caches(capsys):
-    p = Pyramid((1, 2))
+    # the vector tables go with their callers: once both are dropped, no
+    # Element of the pyramid's context is left alive; the contexts are
+    # the one cache that lives as long as the process
+    p = Pyramid((1, 2, 3))
+    clear_caches()
+    phi_table(p)
+    selected_vectors(p)
+    ctx = get_context(p, "affine")
+    gc.collect()
+    alive = [v for v in gc.get_objects() if isinstance(v, Element) and v.ctx is ctx]
+    assert alive == []
     assert main(["--pyramid", "1,2", "verify"]) == 0
     capsys.readouterr()
-    first, chosen = phi_table(p), selected_table(p)
-    assert pbw._CONTEXTS and phi_table.cache_info().currsize
-    assert selected_table.cache_info().currsize
+    assert pbw._CONTEXTS
     clear_caches()
     assert pbw._CONTEXTS == {}
-    assert phi_table.cache_info().currsize == 0
-    assert selected_table.cache_info().currsize == 0
-    again = phi_table(p)
-    assert again is not first and again == first
-    assert selected_table(p) is not chosen and selected_table(p) == chosen
+    assert get_context(p, "affine") is not ctx
 
 
 @pytest.mark.parametrize(
     "command, full, selected",
     [("verify", 0, 1), ("vectors", 1, 0), ("shift", 0, 1), ("center", 0, 0)],
 )
-def test_each_command_builds_at_most_one_table(capsys, command, full, selected):
+def test_each_command_builds_at_most_one_table(
+    monkeypatch, capsys, command, full, selected
+):
     # verify and shift read the selected coefficients only; vectors
     # shows them all; center builds its own determinant
-    clear_caches()
+    cdet, calls = suga.cdet, []
+
+    def counted(p, keep=None):
+        calls.append(keep is None)
+        return cdet(p, keep)
+
+    monkeypatch.setattr(suga, "cdet", counted)
     assert main(["--pyramid", "1,2,3", command]) == 0
     capsys.readouterr()
-    assert phi_table.cache_info().currsize == full
-    assert selected_table.cache_info().currsize == selected
+    assert (calls.count(True), calls.count(False)) == (full, selected)
 
 
 def test_verify_table_holds_the_selected_keys_and_vectors_the_rest(capsys):
     p = Pyramid((1, 2, 3))
     chosen = set(selected_pairs(p))
     full = phi_table(p).entries
-    assert selected_table(p).entries == {k: v for k, v in full.items() if k in chosen}
-    assert set(selected_table(p).entries) == chosen
+    vectors = selected_vectors(p)
+    picked = {(k, r): e for k, r, e in vectors}
+    assert picked == {k: v for k, v in full.items() if k in chosen}
+    assert set(picked) == chosen
     # symbols are those of the selected vectors; vectors shows the rest
-    assert set(symbols(p)) == chosen
+    assert set(symbols(vectors)) == chosen
     assert main(["--pyramid", "1,2,3", "vectors"]) == 0
     shown = json.loads(capsys.readouterr().out)["vectors"]
     assert {(v["k"], v["r"]) for v in shown if not v["selected"]} == set(full) - chosen
