@@ -398,7 +398,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        sys.exit(130)  # 128 + SIGINT, the shell's status for a death by SIGINT
     # The output is written in full.  Frozen objects are left out of the
     # collections the interpreter runs as it shuts down, which would only
     # walk the bracket table and the vector tables before they are freed.

@@ -16,12 +16,12 @@ the center determinant of :mod:`sugawara.shift`.
 The recursion works on raw terms: a determinant is a map from a key (a
 (u, x) or tau exponent) to the ``terms`` dict of its coefficient, and an
 entry adds its signed image into the caller's buckets, by the raw
-product ``LieContext._into`` or the raw derivation
-``LieContext._derive``.  No coefficient is built or copied on the way;
-each determinant wraps the coefficients of its result once, and returns
-a plain dict: :func:`ux_matrix` builds the two u, x matrices, whose
-results map (u, x) exponents to coefficients, read by
-:func:`coefficient_table`.
+product ``LieContext._into``, the raw derivation ``LieContext._derive``
+or, for a product on the right by one letter, ``LieContext._enter``.
+No coefficient is built or copied on the way; each determinant wraps
+the coefficients of its result once, and returns a plain dict:
+:func:`ux_matrix` builds the two u, x matrices, whose results map (u, x)
+exponents to coefficients, read by :func:`coefficient_table`.
 
 A second, tau-based presentation replaces x + lambda_i T by powers of a
 skew variable tau with tau * X[r] = X[r] * tau - r X[r-1]; moving tau
@@ -181,13 +181,14 @@ def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
     reversed and each entry multiplying its argument on the right:
     :func:`column_determinant` applied to this matrix builds the column
     products from the left.  The product B tau^b * A tau^a is
-    sum_k C(b,k) B T^k(A) tau^(b-k+a), each term of B taking T^k(A) by
-    one ``_into``; each entry coefficient A is one letter or 1, so each
-    T^k(A) is one word, built once per entry, when first needed.  The
-    weight of A is its letter's shift r (0 for 1), and the weight of
-    B T^k(A) is the sum of the two."""
+    sum_k C(b,k) B T^k(A) tau^(b-k+a); each entry coefficient A is one
+    letter or 1, so each T^k(A) is a multiple of one letter, built once
+    per entry, when first needed, and each term of B takes it by one
+    ``_enter`` (T(1) = 0, and 1 is added by ``_axpy``).  The weight of A
+    is its letter's shift r (0 for 1), and the weight of B T^k(A) is the
+    sum of the two."""
     ctx = get_context(p, "affine")
-    into = ctx._into
+    enter = ctx._enter
 
     def entry(i: int, j: int) -> Callable:
         lj = p.lambdas[j - 1]
@@ -209,8 +210,13 @@ def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
                         if row[k]:
                             target = out.setdefault((eb - k + ea, wb + wa), {})
                             c = sign * comb(eb, k)
-                            for m, v in sb.items():
-                                into(target, m, row[k], c * v)
+                            ((word, a),) = row[k].items()
+                            if word:
+                                z, ca = word[0], c * a
+                                for m, v in sb.items():
+                                    enter(target, m, z, (), ca * v)
+                            else:
+                                _axpy(target, sb, c)
 
         return apply
 

@@ -42,14 +42,21 @@ right past the letters of t at most g, t[:p] with p = bisect_right(t, g):
     g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:].
 
 Each letter z of a bracket goes between t[:i] and t[i+1:] by
-``_enter``: the word itself when it is normal-ordered, with no product,
-else z enters t[i+1:] from the left and t[:i] goes in by ``_into``.
+``_enter``: the word itself when it is normal-ordered, with no product;
+a z above t[i+1] enters t[i+1:] from the left and t[:i] goes in by
+``_into``; and a z below t[i-1] moves left in one pass, the mirror of
+``_lead``, past the letters of h = t[:i] above it, h[q:] with
+q = bisect_right(h, z):
+
+    h z = h[:q] z h[q:] + sum_{i>=q} h[:i] [h_i, z] h[i+1:].
+
 This terminates by the usual filtration argument: bracket terms are
 shorter words.  ``mul`` adds each term of its left operand times its
 right operand by one ``_into`` call.  ``combine`` normal-orders an
 arbitrary word by the same insertion, one letter at a time from its
-right end.  The action of X[s], s >= 0, and the vacuum derivations T
-and Delta (``_derive``) place each letter they make by ``_enter``.
+right end.  The action of X[s], s >= 0, the vacuum derivations T and
+Delta (``_derive``) and the tau determinant's right products by one
+letter place each letter they make by ``_enter``.
 ``acts`` returns the list of several modes' actions on one state,
 whose letters it indexes by their places once, so a mode looks each
 distinct letter up once, not once per occurrence.
@@ -462,28 +469,48 @@ class LieContext:
     def _enter(
         self, out: Terms, head: Monomial, z: LoopGen, tail: Monomial, c
     ) -> None:
-        """out += c * head z tail for a letter z between normal-ordered
-        words: nothing if the vacuum kills z and no tail follows it, the
-        word itself when it is normal-ordered, else z enters tail from the
-        left, by ``_lead`` unless it passes no letter, and head goes in by
-        ``_into``.  ``_lead``, the action and ``_derive`` place each
-        letter they make this way."""
+        """out += c * head z tail for a letter z between words head and tail
+        whose concatenation is normal-ordered: nothing if the vacuum kills
+        z and no tail follows it; for a z above tail[0], z enters tail from
+        the left by ``_lead`` and head goes in by ``_into``; for a z below
+        head[-1], z moves left past head[q:], q = bisect_right(head, z),
+        with a bracket at each, each bracket letter placed the same way:
+
+            head z tail = head[:q] z head[q:] tail
+                          + sum_{i>=q} head[:i] [head_i, z] head[i+1:] tail;
+
+        else the word itself, which is normal-ordered.  ``_lead``, the
+        action, ``_derive`` and the tau products place each letter they
+        make this way."""
         if tail and z > tail[0]:
             moved: Terms = {}
             self._lead(moved, z, tail, 1)
-        elif not tail and z >= self._kill:
+            self._into(out, head, moved, c)
             return
-        elif head and z < head[-1]:
-            moved = {(z,) + tail: 1}
+        if not tail and z >= self._kill:
+            return
+        if head and z < head[-1]:
+            q = bisect_right(head, z)
+            table = self._loop_bracket_cache
+            for i in range(q, len(head)):
+                h = head[i]
+                hit = table[h].get(z) or self.loop_bracket(h, z)
+                if hit is _EMPTY:
+                    continue
+                terms, central = hit
+                pre, post = head[:i], head[i + 1 :] + tail
+                for y, k in terms:
+                    self._enter(out, pre, y, post, k * c)
+                if central:
+                    _axpy(out, {pre + post: central}, c)
+            w = head[:q] + (z,) + head[q:] + tail
         else:
             w = head + (z,) + tail
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-            return
-        self._into(out, head, moved, c)
+        v = out.get(w, 0) + c
+        if v:
+            out[w] = v
+        else:
+            out.pop(w, None)
 
     def _derive(self, out: Terms, terms: Terms, step: int, c) -> None:
         """out += c * D(terms) for the vacuum derivation D: X[r] -> step * r
@@ -491,13 +518,17 @@ class LieContext:
         add step * r * c * v m[:idx] z m[idx+1:] for the shifted letter z,
         placed by ``_enter``, so no word the vacuum kills is built."""
         # g + stride is a bare int with the fields of the shifted letter;
-        # int.__new__ makes it a LoopGen again without re-checking them;
+        # int.__new__ makes it a LoopGen again without re-checking them,
+        # once per distinct g, shared by its placements in this call;
         # a vacuum word's letters lie below depth 0, so k is never 0
         stride = step << 32
+        shifted: Dict[LoopGen, LoopGen] = {}
         for m, v in terms.items():
             for idx, g in enumerate(m):
+                z = shifted.get(g)
+                if z is None:
+                    z = shifted[g] = int.__new__(LoopGen, g + stride)
                 k = step * (g >> 32)
-                z = int.__new__(LoopGen, g + stride)
                 self._enter(out, m[:idx], z, m[idx + 1 :], k * c * v)
 
     def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:

@@ -77,8 +77,8 @@ def ux_keep(p: Pyramid) -> Callable[[int, UX], bool]:
 
 def _determinant(p: Pyramid, keep: Optional[Callable]) -> Dict[UX, Element]:
     d = cdet(p, keep)
-    ctx = get_context(p, "affine")
-    assert d.get((0, p.n)) == ctx.one(), "determinant must be monic in x"
+    if d.get((0, p.n)) != get_context(p, "affine").one():
+        raise RuntimeError(f"the determinant of {p} is not monic in x")
     return d
 
 

@@ -519,6 +519,20 @@ def test_entry_point_matches_main(capsys, args):
     assert done.stderr == err.encode()
 
 
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(COMMANDS, "vectors", interrupted)
+    monkeypatch.setattr(sys, "argv", ["sugawara", "--pyramid", "1,2", "vectors"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 130
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: interrupted\n"
+
+
 def test_main_leaves_the_collector_unfrozen(capsys):
     before = gc.get_freeze_count()
     assert run(capsys, "--pyramid", "1,2", "verify")[0] == 0

@@ -27,6 +27,8 @@ No source function memoizes for the life of the process: no
 lives as long as its caller holds it.  The shared contexts and their
 bracket tables are the one process-wide cache, which ``clear_caches``
 empties.
+
+No source check is an ``assert`` statement, which ``python -O`` strips.
 """
 
 import ast
@@ -356,6 +358,34 @@ def test_scan_sees_memo_decorators(tmp_path):
         ("sample.py", "c", 7),
         ("sample.py", "d", 10),
     ]
+
+
+def assert_statements(paths):
+    """(file, line) of every ``assert`` statement."""
+    return [
+        (path.name, node.lineno)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_sources_hold_no_assert():
+    paths = sorted((ROOT / "src" / "sugawara").rglob("*.py"))
+    assert len(paths) > 5
+    assert assert_statements(paths) == []
+
+
+def test_scan_sees_assert_statements(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(d):\n"
+        "    assert d, 'empty'\n"
+        "    if not d:\n"
+        "        raise ValueError('empty')\n"
+        "    assert (d, 'a tuple is always true')\n"
+    )
+    assert assert_statements([path]) == [("sample.py", 2), ("sample.py", 5)]
 
 
 # Prints the modules that ``import sugawara.cli`` adds to sys.modules.

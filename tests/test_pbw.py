@@ -603,7 +603,7 @@ def test_act_against_naive_rewriter(lam):
         assert got.terms == want
         nonzero += bool(want)
     assert nonzero >= 20
-    assert central >= 5
+    assert central >= 4
 
 
 @pytest.mark.parametrize("lam", [(2, 3), (1, 1, 2), (2, 2)])
@@ -639,7 +639,7 @@ def test_acts_against_naive_rewriter(lam):
             assert got.terms == want
             nonzero += bool(want)
     assert nonzero >= 20
-    assert central >= 5
+    assert central >= 4
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
@@ -761,6 +761,90 @@ def test_lead_against_naive_rewriter(mode):
     # opposite depths reach the central term, and the vacuum kills a
     # main word, in affine mode only
     assert (seen["central"] >= 5) == (seen["killed"] >= 30) == (mode == "affine")
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_enter_against_naive_rewriter(mode):
+    # a letter z between words head and tail whose concatenation is a
+    # normal-ordered word, a vacuum word in affine mode, against the naive
+    # normal form with the vacuum quotient.  Each case is added once into
+    # an empty dict and once, times a random scalar, into a prefilled one,
+    # whose entry for a word of the result sometimes cancels it
+    rng = random.Random(43)
+    fill = random.Random(47)  # its own draws, so the cases stay the same
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, mode)
+    letters, right = _kernel_letters(p, mode)
+    seen = dict.fromkeys(["passes", "killed", "left", "in place", "central", "cancel"], 0)
+    for _ in range(400):
+        word = _sorted_word(rng, right, 0, 5)
+        cut = rng.randint(0, len(word))
+        head, tail = word[:cut], word[cut:]
+        # z equal to a letter y of the word, y's partner in the form, or any letter
+        y = rng.choice(word) if word else rng.choice(right)
+        partner = LoopGen(-y.depth, y.j, y.i, y.r)
+        pick = rng.random()
+        if pick < 0.2:
+            z = y
+        elif pick < 0.5 and partner in letters:
+            z = partner
+        else:
+            z = rng.choice(letters)
+        want = naive_normal_order(ctx, head + (z,) + tail)[0]
+        fresh = {}
+        ctx._enter(fresh, head, z, tail, 1)
+        assert fresh == want
+        c = fill.choice([1, -1, 3, Fraction(-2, 3)])
+        out = {
+            m: fill.choice([1, -c * v]) for m, v in want.items() if fill.random() < 0.5
+        }
+        out[(fill.choice(letters),)] = 5
+        before = dict(out)
+        ctx._enter(out, head, z, tail, c)
+        expect = dict(before)
+        for m, v in want.items():
+            expect[m] = expect.get(m, 0) + c * v
+        assert out == {m: v for m, v in expect.items() if v}
+        seen["cancel"] += any(m in before and m not in out for m in want)
+        if tail and z > tail[0]:
+            seen["passes"] += 1
+            met = [x for x in tail if x <= z]
+        elif not tail and z.depth >= 0 and mode == "affine":
+            seen["killed"] += 1
+            met = []
+        elif head and z < head[-1]:
+            seen["left"] += 1
+            met = [x for x in head if x > z]
+        else:
+            seen["in place"] += 1
+            met = []
+        seen["central"] += any(ctx.loop_bracket(x, z)[1] for x in met)
+    assert min(seen[key] for key in ("passes", "left", "in place", "cancel")) >= 30
+    # opposite depths reach the central term, and the vacuum kills a
+    # letter with no tail, in affine mode only
+    assert (seen["central"] >= 5) == (seen["killed"] >= 20) == (mode == "affine")
+
+
+def test_enter_moves_a_letter_left_past_a_letter_of_opposite_depth():
+    # a head that ends at depth 1, as ``combine`` passes from a word of
+    # any depth: z of depth -1 moves left past it and meets the central
+    # term.  The kernel may keep a word the vacuum kills, which ``Element``
+    # drops, so the sums are compared as elements
+    rng = random.Random(53)
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, "affine")
+    letters, right = _kernel_letters(p, "affine")
+    central = 0
+    for h, z in itertools.product(letters, repeat=2):
+        if h.depth != 1 or z.depth != -1:
+            continue
+        head = tuple(sorted([rng.choice(right), h]))
+        want = naive_normal_order(ctx, head + (z,))[0]
+        out = {}
+        ctx._enter(out, head, z, (), 1)
+        assert Element(ctx, out) == Element(ctx, want)
+        central += bool(ctx.loop_bracket(h, z)[1])
+    assert central >= 4
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from sugawara import suga
 from sugawara.pbw import delta, get_context
 from sugawara.pyramid import Pyramid
 from sugawara.suga import (
@@ -24,6 +30,8 @@ from oracles import (
     phi_2_formula_check,
 )
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PYRAMIDS = [
     (1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3),
@@ -173,3 +181,47 @@ def test_selection_bounds_match_display():
     p = Pyramid((2, 3))
     assert selection_bounds(p, 1) == (0, 2)
     assert selection_bounds(p, 2) == (2, 3)
+
+
+def _doubled_leading(cdet):
+    """cdet with its x^n coefficient doubled: a determinant not monic in x."""
+
+    def doubled(p, keep):
+        d = cdet(p, keep)
+        d[0, p.n] = d[0, p.n].scale(2)
+        return d
+
+    return doubled
+
+
+def test_a_determinant_not_monic_is_refused(monkeypatch):
+    monkeypatch.setattr(suga, "cdet", _doubled_leading(suga.cdet))
+    p = Pyramid((1, 2))
+    for read in (phi_table, selected_vectors):
+        with pytest.raises(RuntimeError, match="not monic in x"):
+            read(p)
+
+
+# The same refusal under -O, which strips every assert statement.
+NOT_MONIC_PROBE = """
+from sugawara import suga
+from sugawara.pyramid import Pyramid
+from test_suga import _doubled_leading
+assert False, "-O keeps assert statements"
+suga.cdet = _doubled_leading(suga.cdet)
+try:
+    suga.phi_table(Pyramid((1, 2)))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_a_determinant_not_monic_is_refused_under_dash_o():
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_MONIC_PROBE],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "the determinant of 1,2 is not monic in x\n"

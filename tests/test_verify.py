@@ -9,7 +9,8 @@ from sugawara.pbw import Element, get_context
 from sugawara.pyramid import Pyramid
 from sugawara.reports import Report
 from sugawara.shift import symbols
-from sugawara.suga import phi_table, selected_pairs, selected_vectors
+from sugawara.detcalc import cdet_tau
+from sugawara.suga import phi_table, selected_pairs, selected_vectors, tau_keep
 from sugawara.verify import (
     annihilation_check,
     centrality_check,
@@ -112,9 +113,23 @@ def test_verify_memo_footprint_on_2_2_2_2(capsys):
     assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11558
 
 
+def _count_calls(monkeypatch, names):
+    """The calls of each named LieContext method from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(pbw.LieContext, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            method(self, *args)
+
+        monkeypatch.setattr(pbw.LieContext, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "lam, count",
-    [((2, 2, 2, 2), 69465), ((1, 1, 1, 1), 27483)],
+    [((2, 2, 2, 2), 66169), ((1, 1, 1, 1), 23363)],
     ids=["2,2,2,2", "1,1,1,1"],
 )
 def test_commutativity_lead_count(monkeypatch, lam, count):
@@ -122,38 +137,53 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
     # every prefix group by its next letter and sums the group's bracket
     # before the letter enters it; on 2,2,2,2 the walk that bracketed each
     # path of b's words on its own took 85,459, and the one that summed
-    # groups of at most 8 words word by word 70,601 (29,428 on 1,1,1,1)
+    # groups of at most 8 words word by word 70,601 (29,428 on 1,1,1,1).
+    # A bracket letter below its head moves left by _enter, with no _lead:
+    # when head letters entered it one at a time, the walk took 69,465
+    # (27,483 on 1,1,1,1)
     clear_caches()
     p = Pyramid(lam)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
-    lead, calls = pbw.LieContext._lead, []
-
-    def counted(self, *args):
-        calls.append(1)
-        lead(self, *args)
-
-    monkeypatch.setattr(pbw.LieContext, "_lead", counted)
+    calls = _count_calls(monkeypatch, ["_lead"])
     assert commutativity_check(labeled, get_context(p, "affine")).passed()
-    assert len(calls) == count
+    assert calls["_lead"] == count
 
 
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
     # a deterministic count from a clean start, the selected vectors' own
-    # 1,157 calls included (the full table's are 1,340): each phi takes
+    # 776 calls included (the full table's are 892): each phi takes
     # its modes in one acts call, which looks each distinct letter up
     # once per mode; a bracket letter of depth >= 0 moves right through
-    # the rest of its word by _lead, which builds no word the vacuum kills
+    # the rest of its word by _lead, which builds no word the vacuum kills;
+    # a letter below its head, T's on the diagonal included, moves left by
+    # _enter with no _lead (28,021 when head letters entered it one by one)
     clear_caches()
     p = Pyramid((2, 2, 2, 2))
-    lead, calls = pbw.LieContext._lead, []
-
-    def counted(self, *args):
-        calls.append(1)
-        lead(self, *args)
-
-    monkeypatch.setattr(pbw.LieContext, "_lead", counted)
+    calls = _count_calls(monkeypatch, ["_lead"])
     assert annihilation_check(p, selected_vectors(p)).passed()
-    assert len(calls) == 28021
+    assert calls["_lead"] == 25406
+
+
+def test_vectors_lead_count_on_1_2_3_4_5(monkeypatch):
+    # a deterministic count from a clean start: T on the diagonal lowers
+    # a letter's depth and _enter moves it left past its head in one pass;
+    # when the head's letters entered it one at a time by _into, the
+    # table took 27,830 _lead and 11,185 _into calls
+    clear_caches()
+    calls = _count_calls(monkeypatch, ["_lead", "_into"])
+    phi_table(Pyramid((1, 2, 3, 4, 5)))
+    assert calls == {"_lead": 10307, "_into": 1216}
+
+
+def test_tau_stage_makes_no_left_insertion_on_1_2_3_4_5(monkeypatch):
+    # each term of B takes T^k(A), one letter, by _enter, and a letter
+    # below a word moves left in it with no _lead and no _into (59,605 and
+    # 27,928 calls when each word took the letter by _into)
+    p = Pyramid((1, 2, 3, 4, 5))
+    clear_caches()
+    calls = _count_calls(monkeypatch, ["_lead", "_into", "_enter"])
+    assert cdet_tau(p, tau_keep(p))
+    assert calls == {"_lead": 0, "_into": 0, "_enter": 37971}
 
 
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
