@@ -41,7 +41,8 @@ right past the letters of t at most g, t[:p] with p = bisect_right(t, g):
 
     g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:].
 
-Each letter z of a bracket goes between t[:i] and t[i+1:] by
+``_place`` adds one bracket: its central term times t[:i] t[i+1:],
+and each of its letters z between t[:i] and t[i+1:] by
 ``_enter``: the word itself when it is normal-ordered, with no product;
 a z above t[i+1] enters t[i+1:] from the left and t[:i] goes in by
 ``_into``; and a z below t[i-1] moves left in one pass, the mirror of
@@ -343,14 +344,24 @@ class LieContext:
         row = self._loop_bracket_cache[g]
         for i in range(p):
             hit = row.get(t[i]) or self.loop_bracket(g, t[i])
-            if hit is _EMPTY:
-                continue
-            terms, central = hit
-            head, rest = t[:i], t[i + 1 :]
-            for z, k in terms:
-                self._enter(out, head, z, rest, k * c)
-            if central:
-                _axpy(out, {head + rest: central}, c)
+            if hit is not _EMPTY:
+                self._place(out, t[:i], hit, t[i + 1 :], c)
+
+    def _place(self, out: Terms, pre: Monomial, hit, post: Monomial, c) -> None:
+        """out += c * pre [h, g] post for a nonempty bracket hit = [h, g]
+        and words pre and post whose concatenation is normal-ordered: each
+        letter of the bracket goes between them by ``_enter``, and its
+        central scalar multiplies pre post."""
+        terms, central = hit
+        for z, k in terms:
+            self._enter(out, pre, z, post, k * c)
+        if central:
+            w = pre + post
+            v = out.get(w, 0) + c * central
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
 
     def _into(self, out: Terms, head: Monomial, terms: Terms, c) -> None:
         """out += c * head*terms for a normal-ordered head: a term that
@@ -456,13 +467,8 @@ class LieContext:
                 hit = row.get(y) or self.loop_bracket(g, y)
                 if hit is _EMPTY:
                     continue
-                terms, central = hit
                 for m, idx, c in at:
-                    head, tail = m[:idx], m[idx + 1 :]
-                    for z, k in terms:
-                        self._enter(out, head, z, tail, k * c)
-                    if central:
-                        _axpy(out, {head + tail: central}, c)
+                    self._place(out, m[:idx], hit, m[idx + 1 :], c)
             results.append(Element(self, out))
         return results
 
@@ -495,14 +501,8 @@ class LieContext:
             for i in range(q, len(head)):
                 h = head[i]
                 hit = table[h].get(z) or self.loop_bracket(h, z)
-                if hit is _EMPTY:
-                    continue
-                terms, central = hit
-                pre, post = head[:i], head[i + 1 :] + tail
-                for y, k in terms:
-                    self._enter(out, pre, y, post, k * c)
-                if central:
-                    _axpy(out, {pre + post: central}, c)
+                if hit is not _EMPTY:
+                    self._place(out, head[:i], hit, head[i + 1 :] + tail, c)
             w = head[:q] + (z,) + head[q:] + tail
         else:
             w = head + (z,) + tail

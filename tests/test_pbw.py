@@ -603,7 +603,7 @@ def test_act_against_naive_rewriter(lam):
         assert got.terms == want
         nonzero += bool(want)
     assert nonzero >= 20
-    assert central >= 4
+    assert central >= 5
 
 
 @pytest.mark.parametrize("lam", [(2, 3), (1, 1, 2), (2, 2)])
@@ -639,7 +639,7 @@ def test_acts_against_naive_rewriter(lam):
             assert got.terms == want
             nonzero += bool(want)
     assert nonzero >= 20
-    assert central >= 4
+    assert central >= 5
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
