@@ -3,8 +3,9 @@
 Subcommands: basis | vectors | verify | center | shift.  Output is JSON
 by default (text mode prints elements in the bracketed E[i,j,r][depth]
 form for side-by-side reading).  Exit codes: 0 when no check fails (a
-report with no case reads EMPTY, not PASS), 1 when one fails, 2 on
-usage or parse errors, so CI can gate on the suite, and 141 (128 +
+report with no case reads EMPTY, not PASS), 1 when one fails (a
+``shift`` Jacobian rank below the number of selected vectors is one), 2
+on usage or parse errors, so CI can gate on the suite, and 141 (128 +
 SIGPIPE) when the reader of stdout closes it early.
 """
 
@@ -243,12 +244,17 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
     fin = get_context(p, "finite")
     chi = load_chi(cfg)
     vectors = selected_vectors(p)
-    gens = a_chi_generators(p, vectors, chi)
+    # each vector's image, read by the generators and the --z values
+    series = [rho_chi(elem, chi) for _, _, elem in vectors]
+    gens = a_chi_generators(p, vectors, chi, series)
     labeled = [(f"phi[{g.k},{g.r}]({g.m})", g.element) for g in gens]
     report = commutativity_check(labeled, fin)
     report.seed = cfg.seed
     point = random_point(p, cfg.seed)
     rank = jacobian_rank(p, symbols(vectors), point)
+    # the printed rank gates the exit status: one row per selected vector
+    full = Report("jacobian-rank", str(p), cfg.seed)
+    full.add({"rank": rank}, len(vectors) - rank)
     obj = {
         "pyramid": str(p),
         "seed": cfg.seed,
@@ -262,12 +268,11 @@ def cmd_shift(cfg: Config) -> Tuple[dict, List[Report]]:
         "z": None if cfg.z is None else str(cfg.z),
     }
     if cfg.z is not None:
-        evaluated = []
-        for k, r, elem in vectors:
-            value = zseries_eval(p, rho_chi(elem, chi), cfg.z)
-            evaluated.append({"k": k, "r": r, "element": value})
-        obj["evaluated"] = evaluated
-    return obj, [report]
+        obj["evaluated"] = [
+            {"k": k, "r": r, "element": zseries_eval(p, image, cfg.z)}
+            for (k, r, _), image in zip(vectors, series)
+        ]
+    return obj, [report, full]
 
 
 COMMANDS = {

@@ -35,19 +35,22 @@ nothing returns a product to be summed again.  A product adds c * m * t,
 for each monomial m of its left operand and each term t of its right
 operand, with ``_into``: a t that starts at or above the last letter g
 of m is concatenated, and any other takes g from the left with
-``_lead``.  Those late terms are summed in one dict, which then takes
-the rest of m the same way.  ``_lead`` adds g*t into a dict, moving g
-right past the letters of t at most g, t[:p] with p = bisect_right(t, g):
+``_lead``, the rest of m its prefix, straight into the caller's dict
+when t starts at or above the letter before g.  Only the terms that
+must pass two or more letters of m are summed in one dict, which then
+takes the rest of m the same way.  ``_lead`` adds pre g t into a dict
+for a normal-ordered pre t and a g at or above pre's last letter,
+moving g right past the letters of t at most g, t[:p] with
+p = bisect_right(t, g):
 
-    g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:].
+    pre g t = pre t[:p] g t[p:] + sum_{i<p} pre t[:i] [g, t_i] t[i+1:].
 
-``_place`` adds one bracket: its central term times t[:i] t[i+1:],
-and each of its letters z between t[:i] and t[i+1:] by
+``_place`` adds one bracket: its central term times pre t[:i] t[i+1:],
+and each of its letters z between h = pre t[:i] and t[i+1:] by
 ``_enter``: the word itself when it is normal-ordered, with no product;
-a z above t[i+1] enters t[i+1:] from the left and t[:i] goes in by
-``_into``; and a z below t[i-1] moves left in one pass, the mirror of
-``_lead``, past the letters of h = t[:i] above it, h[q:] with
-q = bisect_right(h, z):
+a z above t[i+1] moves right by ``_lead`` with h as its prefix; and a z
+below h's last letter moves left in one pass, the mirror of ``_lead``,
+past the letters of h above it, h[q:] with q = bisect_right(h, z):
 
     h z = h[:q] z h[q:] + sum_{i>=q} h[:i] [h_i, z] h[i+1:].
 
@@ -328,14 +331,17 @@ class LieContext:
         central = hd * lie_form(self.pyramid, h.gen, g.gen)
         return (sym[0], central) if sym[0] or central else _EMPTY
 
-    def _lead(self, out: Terms, g: LoopGen, t: Monomial, c) -> None:
-        """out += c * g*t for a normal-ordered t.  g passes the letters
-        t[:p] at most g, p = bisect_right(t, g), with a bracket at each:
-        g t = t[:p] g t[p:] + sum_{i<p} t[:i] [g, t_i] t[i+1:], where
-        t[:p] g t[p:] is left out for a g the vacuum kills."""
+    def _lead(self, out: Terms, g: LoopGen, t: Monomial, c, pre: Monomial = ()) -> None:
+        """out += c * pre g t for a normal-ordered pre t and a g at or above
+        pre's last letter.  g passes the letters t[:p] at most g,
+        p = bisect_right(t, g), with a bracket at each:
+        pre g t = pre t[:p] g t[p:] + sum_{i<p} pre t[:i] [g, t_i] t[i+1:],
+        where pre t[:p] g t[p:] is left out for a g the vacuum kills, and
+        a bracket letter below the last of pre t[:i] moves left into it by
+        ``_enter``."""
         p = bisect_right(t, g)
         if g < self._kill:
-            m = t[:p] + (g,) + t[p:]
+            m = pre + t[:p] + (g,) + t[p:]
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
@@ -345,7 +351,7 @@ class LieContext:
         for i in range(p):
             hit = row.get(t[i]) or self.loop_bracket(g, t[i])
             if hit is not _EMPTY:
-                self._place(out, t[:i], hit, t[i + 1 :], c)
+                self._place(out, pre + t[:i], hit, t[i + 1 :], c)
 
     def _place(self, out: Terms, pre: Monomial, hit, post: Monomial, c) -> None:
         """out += c * pre [h, g] post for a nonempty bracket hit = [h, g]
@@ -367,19 +373,25 @@ class LieContext:
         """out += c * head*terms for a normal-ordered head: a term that
         starts at or above head's last letter is concatenated, the empty
         term dropped if the vacuum kills that letter, and any other takes
-        that letter from the left by ``_lead``.  Those late terms are
-        gathered in one dict, which then takes the rest of head the same
-        way, so only one level's gathered terms are alive at a time; with
-        no rest they go straight into out.  terms is only read, so it may
-        be shared."""
+        that letter from the left by ``_lead`` with the rest of head as
+        its prefix, straight into out, when it starts at or above the
+        letter before (or head has one letter).  The terms that must pass
+        two or more head letters are gathered in one dict, which then
+        takes the rest of head the same way, so only one level's gathered
+        terms are alive at a time.  terms is only read, so it may be
+        shared."""
         while head:
-            last = head[-1]
+            last, pre = head[-1], head[:-1]
+            low = pre[-1] if pre else None
             late = None
             for t, v in terms.items():
                 if t and t[0] < last:
-                    if late is None:
-                        late = out if len(head) == 1 else {}
-                    self._lead(late, last, t, c * v)
+                    if low is None or t[0] >= low:
+                        self._lead(out, last, t, c * v, pre)
+                    else:
+                        if late is None:
+                            late = {}
+                        self._lead(late, last, t, c * v)
                 elif t or last < self._kill:
                     m = head + t
                     v = out.get(m, 0) + c * v
@@ -387,9 +399,9 @@ class LieContext:
                         out[m] = v
                     else:
                         out.pop(m, None)
-            if not late or late is out:
+            if not late:
                 return
-            head, terms, c = head[:-1], late, 1
+            head, terms, c = pre, late, 1
         _axpy(out, terms, c)
 
     def combine(self, pieces: Iterable[Tuple[Iterable[LoopGen], Fraction]]) -> Element:
@@ -477,21 +489,19 @@ class LieContext:
     ) -> None:
         """out += c * head z tail for a letter z between words head and tail
         whose concatenation is normal-ordered: nothing if the vacuum kills
-        z and no tail follows it; for a z above tail[0], z enters tail from
-        the left by ``_lead`` and head goes in by ``_into``; for a z below
+        z and no tail follows it; for a z above tail[0], z moves right
+        through tail by ``_lead`` with head as its prefix; for a z below
         head[-1], z moves left past head[q:], q = bisect_right(head, z),
         with a bracket at each, each bracket letter placed the same way:
 
             head z tail = head[:q] z head[q:] tail
                           + sum_{i>=q} head[:i] [head_i, z] head[i+1:] tail;
 
-        else the word itself, which is normal-ordered.  ``_lead``, the
-        action, ``_derive`` and the tau products place each letter they
-        make this way."""
+        else the word itself, which is normal-ordered.  Neither branch
+        builds a dict of its own.  ``_lead``, the action, ``_derive`` and
+        the tau products place each letter they make this way."""
         if tail and z > tail[0]:
-            moved: Terms = {}
-            self._lead(moved, z, tail, 1)
-            self._into(out, head, moved, c)
+            self._lead(out, z, tail, c, head)
             return
         if not tail and z >= self._kill:
             return

@@ -2,13 +2,13 @@
 
 A report is a list of cases.  Each case is the dict that its JSON form
 is: the identifying keys, then ``status`` (pass or fail) and, on
-failure, ``diff``, the offending difference element for offline
-inspection.
+failure, ``diff``, the offending difference element (or int shortfall)
+for offline inspection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from .pbw import Element
 
@@ -25,10 +25,11 @@ class Report:
     def passed(self) -> bool:
         return all(c["status"] != "fail" for c in self.cases)
 
-    def add(self, key: Dict[str, object], diff: Optional[Element] = None):
-        """Record a case that passes exactly when ``diff`` is zero or None."""
+    def add(self, key: Dict[str, object], diff: Union[Element, int, None] = None):
+        """Record a case that passes exactly when ``diff`` is zero or None:
+        a difference element, or an int shortfall such as a missing rank."""
         case = dict(key)
-        if diff is None or diff.is_zero():
+        if not diff:
             case["status"] = "pass"
         else:
             case["status"] = "fail"

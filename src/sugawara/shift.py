@@ -63,9 +63,12 @@ def chi_to_obj(chi: Chi) -> Dict[str, str]:
 
 
 def random_point(p: Pyramid, seed: int) -> Dict[GenId, int]:
-    """Seeded integers in -3..3 on every basis symbol."""
+    """Seeded integers in -2^20..2^20 on every basis symbol: a Jacobian
+    minor that is not identically zero vanishes at such a point with
+    probability at most its degree over 2^21 + 1 (Schwartz-Zippel), where
+    values in -3..3 left minors of 2,2,2,2 and 1,2 zero at some seeds."""
     rng = random.Random(seed)
-    return {g: rng.randint(-3, 3) for g in p.basis()}
+    return {g: rng.randint(-(1 << 20), 1 << 20) for g in p.basis()}
 
 
 def _drop_constants(
@@ -130,19 +133,25 @@ class AChiGen(NamedTuple):
 
 
 def a_chi_generators(
-    p: Pyramid, vectors: List[Tuple[int, int, Element]], chi: Chi
+    p: Pyramid,
+    vectors: List[Tuple[int, int, Element]],
+    chi: Chi,
+    series: Optional[List[Dict[int, Element]]] = None,
 ) -> List[AChiGen]:
     """Generators of the shift-of-argument subalgebra: the components
     m = 0..k-1 of the image of each selected vector (k, r, phi_k^(r)).
     The m = k component (the constant term of the expansion) is exposed
-    through :func:`rho_chi` but is not part of the generating family."""
-    fin = get_context(p, "finite")
-    out: List[AChiGen] = []
-    for k, r, elem in vectors:
-        series = rho_chi(elem, chi)
-        for m in range(k):
-            out.append(AChiGen(k, r, m, series.get(m - k, fin.zero())))
-    return out
+    through :func:`rho_chi` but is not part of the generating family.
+    ``series`` holds each vector's :func:`rho_chi` image when the caller
+    reads it too; it is computed here if not given."""
+    if series is None:
+        series = [rho_chi(elem, chi) for _, _, elem in vectors]
+    zero = get_context(p, "finite").zero()
+    return [
+        AChiGen(k, r, m, image.get(m - k, zero))
+        for (k, r, _), image in zip(vectors, series)
+        for m in range(k)
+    ]
 
 
 # -- center generators from the shifted determinant

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -38,7 +39,7 @@ from sugawara.pbw import (
 )
 from sugawara.pyramid import GenId, Pyramid, bracket
 from sugawara.reports import Report
-from sugawara.shift import a_chi_generators, center_generators, random_point, symbols
+from sugawara.shift import a_chi_generators, center_generators, symbols
 from sugawara.suga import (
     ladder_coefficient,
     phi_table,
@@ -78,8 +79,10 @@ def monomial_degree(m):
 
 
 def random_chi(p, seed):
-    """A seeded functional: the nonzero values of ``random_point``."""
-    return {g: c for g, c in random_point(p, seed).items() if c}
+    """A seeded functional: small values, -3..3 on each basis symbol, the
+    zeros left out."""
+    rng = random.Random(seed)
+    return {g: c for g in p.basis() if (c := rng.randint(-3, 3))}
 
 
 # -- polynomials in commuting variables as key -> coefficient dicts

@@ -111,6 +111,32 @@ def test_shift_command(capsys, tmp_path):
     assert len(obj["evaluated"]) == 2
 
 
+def test_shift_rank_is_full_at_a_seed_the_small_range_missed(capsys):
+    # values in -3..3 put seed 186 of 2,2,2,2 on a zero of a Jacobian
+    # minor and printed rank 7; the wide range gives the full rank
+    code, out, _ = run(capsys, "--pyramid", "2,2,2,2", "--seed", "186", "shift")
+    assert code == 0
+    assert json.loads(out)["jacobian_rank"] == 8
+
+
+def test_shift_exits_1_on_a_deficient_rank(capsys, monkeypatch):
+    # a symbols that drops one selected symbol leaves a zero row: the
+    # commutators still vanish, so the printed rank alone fails the run
+    symbols = cli.symbols
+
+    def dropping(vectors):
+        sym = symbols(vectors)
+        del sym[min(sym)]
+        return sym
+
+    monkeypatch.setattr(cli, "symbols", dropping)
+    code, out, _ = run(capsys, "--pyramid", "1,2", "shift")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["jacobian_rank"] == 2
+    assert all(c["status"] == "pass" for c in obj["commutativity"]["cases"])
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "--pyramid", "3,2", "vectors")
     assert code == 2 and "non-decreasing" in err

@@ -764,6 +764,129 @@ def test_lead_against_naive_rewriter(mode):
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_lead_with_prefix_against_naive_rewriter(mode):
+    # pre g t for a normal-ordered pre t, a vacuum word in affine mode,
+    # and a g at or above pre's last letter, against the naive normal form
+    # with the vacuum quotient.  A bracket [g, t_i] goes between pre t[:i]
+    # and t[i+1:], so its letters below pre's last letter move left into
+    # pre.  Each case is added once into an empty dict and once, times a
+    # random scalar, into a prefilled one, whose entry for the main word
+    # sometimes cancels it
+    rng = random.Random(59)
+    fill = random.Random(61)  # its own draws, so the cases stay the same
+    p = Pyramid((2, 2))
+    ctx = LieContext(p, mode)
+    letters, right = _kernel_letters(p, mode)
+    # the triples (a, x, g), a <= x <= g, whose bracket [g, x] holds a
+    # letter below a: few in finite mode, so a third of the cases plant one
+    planted = [
+        (a, x, g)
+        for a, x, g in itertools.product(right, right, letters)
+        if a <= x <= g and any(z < a for z, _ in ctx.loop_bracket(g, x)[0])
+    ]
+    seen = dict.fromkeys(
+        ["no prefix", "passes", "into prefix", "central", "cancel", "killed"], 0
+    )
+    for case in range(400):
+        if case % 3 == 0:
+            a, x, g = rng.choice(planted)
+            pre = _sorted_word(rng, [y for y in right if y <= a], 0, 2) + (a,)
+            t = tuple(sorted((x,) + _sorted_word(rng, [y for y in right if y >= a], 0, 2)))
+        else:
+            word = _sorted_word(rng, right, 1, 6)
+            cut = rng.randint(0, len(word) - 1)
+            pre, t = word[:cut], word[cut:]
+            above = [g for g in letters if not pre or g >= pre[-1]]
+            # g equal to a letter y of t, y's partner in the form, or any
+            # letter at or above pre's last
+            y = rng.choice(t)
+            partner = LoopGen(-y.depth, y.j, y.i, y.r)
+            pick = rng.random()
+            if pick < 0.2 and y in above:
+                g = y
+            elif pick < 0.5 and partner in above:
+                g = partner
+            else:
+                g = rng.choice(above)
+        want = naive_normal_order(ctx, pre + (g,) + t)[0]
+        fresh = {}
+        ctx._lead(fresh, g, t, 1, pre)
+        assert fresh == want
+        c = fill.choice([1, -1, 3, Fraction(-2, 3)])
+        main = pre + tuple(sorted((g,) + t))
+        out = {
+            m: fill.choice([1, -c * v]) for m, v in want.items() if fill.random() < 0.5
+        }
+        out[(fill.choice(letters),)] = 5
+        if fill.random() < 0.3:
+            out[main] = -c
+        before = dict(out)
+        ctx._lead(out, g, t, c, pre)
+        expect = dict(before)
+        for m, v in want.items():
+            expect[m] = expect.get(m, 0) + c * v
+        assert out == {m: v for m, v in expect.items() if v}
+        seen["cancel"] += main in before and main not in out
+        passed = [x for x in t if x <= g]
+        brackets = [ctx.loop_bracket(g, x) for x in passed]
+        seen["no prefix"] += not pre
+        seen["passes"] += bool(pre and passed)
+        seen["into prefix"] += bool(pre) and any(
+            z < pre[-1] for terms, _ in brackets for z, _ in terms
+        )
+        seen["central"] += any(central for _, central in brackets)
+        seen["killed"] += g.depth >= 0 and mode == "affine"
+    assert min(seen[key] for key in ("no prefix", "passes", "into prefix", "cancel")) >= 30
+    # opposite depths reach the central term, and the vacuum kills a
+    # main word, in affine mode only
+    assert (seen["central"] >= 5) == (seen["killed"] >= 30) == (mode == "affine")
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_into_paths_against_naive_rewriter(mode):
+    # head*terms for heads of 1-4 letters against the naive normal form
+    # with the vacuum quotient.  A term below head's last letter takes it
+    # with the rest of head as _lead's prefix when it starts at or above
+    # the letter before (or head has one letter); one that starts lower
+    # must pass two or more head letters and waits for the next level.
+    # Each case is added into an empty dict and into a prefilled one
+    rng = random.Random(67)
+    p = Pyramid((2, 3))
+    ctx = LieContext(p, mode)
+    letters, right = _kernel_letters(p, mode)
+    seen = dict.fromkeys(["direct", "late", "one letter", "cancel"], 0)
+    for _ in range(300):
+        head = _sorted_word(rng, letters, 1, 4)
+        terms = {
+            _sorted_word(rng, right, 0, 3): rng.choice([1, -1, 3, Fraction(1, 2)])
+            for _ in range(4)
+        }
+        c = rng.choice([1, -2, Fraction(2, 3)])
+        want = naive_sum(ctx, [(head + t, c * v) for t, v in terms.items()])
+        fresh = {}
+        ctx._into(fresh, head, terms, c)
+        assert fresh == want
+        out = {m: -v for m, v in want.items() if rng.random() < 0.5}
+        out[(rng.choice(letters),)] = 5
+        before = dict(out)
+        ctx._into(out, head, terms, c)
+        expect = dict(before)
+        for m, v in want.items():
+            expect[m] = expect.get(m, 0) + v
+        assert out == {m: v for m, v in expect.items() if v}
+        seen["cancel"] += any(m not in out for m in before)
+        for t in terms:
+            if t and t[0] < head[-1]:
+                if len(head) == 1:
+                    seen["one letter"] += 1
+                elif t[0] >= head[-2]:
+                    seen["direct"] += 1
+                else:
+                    seen["late"] += 1
+    assert min(seen.values()) >= 30
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_enter_against_naive_rewriter(mode):
     # a letter z between words head and tail whose concatenation is a
     # normal-ordered word, a vacuum word in affine mode, against the naive

@@ -129,7 +129,7 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize(
     "lam, count",
-    [((2, 2, 2, 2), 66169), ((1, 1, 1, 1), 23363)],
+    [((2, 2, 2, 2), 64289), ((1, 1, 1, 1), 19913)],
     ids=["2,2,2,2", "1,1,1,1"],
 )
 def test_commutativity_lead_count(monkeypatch, lam, count):
@@ -140,7 +140,10 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
     # groups of at most 8 words word by word 70,601 (29,428 on 1,1,1,1).
     # A bracket letter below its head moves left by _enter, with no _lead:
     # when head letters entered it one at a time, the walk took 69,465
-    # (27,483 on 1,1,1,1)
+    # (27,483 on 1,1,1,1).  A late term that passes one head letter takes
+    # it by _lead with the rest of head as its prefix, and a letter that
+    # passes its tail carries its head the same way: when the head entered
+    # the moved words by _into, the walk took 66,169 (23,363 on 1,1,1,1)
     clear_caches()
     p = Pyramid(lam)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
@@ -156,12 +159,25 @@ def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
     # once per mode; a bracket letter of depth >= 0 moves right through
     # the rest of its word by _lead, which builds no word the vacuum kills;
     # a letter below its head, T's on the diagonal included, moves left by
-    # _enter with no _lead (28,021 when head letters entered it one by one)
+    # _enter with no _lead (28,021 when head letters entered it one by one);
+    # a letter that passes its tail carries its head as _lead's prefix
+    # (25,406 when the head entered the moved words by _into)
     clear_caches()
     p = Pyramid((2, 2, 2, 2))
     calls = _count_calls(monkeypatch, ["_lead"])
     assert annihilation_check(p, selected_vectors(p)).passed()
-    assert calls["_lead"] == 25406
+    assert calls["_lead"] == 25266
+
+
+def test_annihilation_makes_no_into_call_on_2_2_2_2(monkeypatch):
+    # every letter the action makes is placed by _enter, and one that
+    # passes its tail moves right with its head as _lead's prefix, so no
+    # head enters a dict of moved words (24,490 _into calls when one did)
+    p = Pyramid((2, 2, 2, 2))
+    vectors = selected_vectors(p)
+    calls = _count_calls(monkeypatch, ["_into"])
+    assert annihilation_check(p, vectors).passed()
+    assert calls["_into"] == 0
 
 
 def test_vectors_lead_count_on_1_2_3_4_5(monkeypatch):
