@@ -30,7 +30,6 @@ from .detcalc import (
 )
 from .suga import (
     SugaTable,
-    clear_caches,
     delta_ladder,
     phi_table,
     selected_pairs,

@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import re
 import sys
+import weakref
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -594,11 +595,14 @@ class LieContext:
             lo = end
 
 
-_CONTEXTS: Dict[Tuple[Tuple[int, ...], str], LieContext] = {}
+_CONTEXTS = weakref.WeakValueDictionary()
 
 
 def get_context(p: Pyramid, mode: str) -> LieContext:
-    """Shared per-(pyramid, mode) context, so its bracket table accumulates."""
+    """The live (pyramid, mode) context, built if none is alive.  It is held
+    by the elements of that context, by the operators built on it and by
+    its caller, and goes with the last of them: equal pyramids share it
+    while it lives, and its bracket table goes with it."""
     key = (p.lambdas, mode)
     ctx = _CONTEXTS.get(key)
     if ctx is None:

@@ -45,7 +45,7 @@ class Pyramid:
     of at most 65536 boxes are accepted: the engine packs a row label
     into 8 bits and a shift r < lambda_j into 16.  A pyramid is an
     immutable value: equal row lengths give equal, equally hashed
-    pyramids, so one keys the per-pyramid caches.
+    pyramids, so one keys the live context.
     """
 
     __slots__ = ("lambdas",)

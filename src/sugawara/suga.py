@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .detcalc import UX, cdet, cdet_tau, coefficient_table
-from .pbw import _CONTEXTS, Element, delta, get_context
+from .pbw import Element, delta, get_context
 from .pyramid import Pyramid
 from .reports import Report
 
@@ -93,14 +93,6 @@ def selected_vectors(p: Pyramid) -> List[Tuple[int, int, Element]]:
     the shift layer read."""
     d = _determinant(p, ux_keep(p))
     return [(k, r, d[r, p.n - k]) for k, r in selected_pairs(p)]
-
-
-def clear_caches() -> None:
-    """Empty the one cache that lives as long as the process: the shared
-    rewriting contexts with their bracket tables.  For a library caller
-    that loops over many pyramids; later results are the same, only
-    recomputed."""
-    _CONTEXTS.clear()
 
 
 # -- the raising-operator ladder

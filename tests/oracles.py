@@ -23,6 +23,7 @@ their difference has only shorter words.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 import random
@@ -30,6 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
+from sugawara import pbw
 from sugawara.pbw import (
     Element,
     _axpy,
@@ -57,6 +59,14 @@ def gen_or_zero(ctx, i, j, r, depth=0):
     if not ctx.pyramid.contains(GenId(i, j, r)):
         return ctx.zero()
     return ctx.gen(i, j, r, depth)
+
+
+def fresh_context(p, mode):
+    """The (p, mode) context, checked to be one that nothing earlier left
+    alive, so what the caller counts in its table is all its own."""
+    gc.collect()
+    assert (p.lambdas, mode) not in pbw._CONTEXTS
+    return get_context(p, mode)
 
 
 def failures(report):

@@ -23,10 +23,11 @@ left.  A determinant, a z-series or a symbol is a plain dict, and any
 other product is an operator, built where it is applied.
 
 No source function memoizes for the life of the process: no
-``lru_cache`` or ``functools.cache`` decorator is left, so a result
-lives as long as its caller holds it.  The shared contexts and their
-bracket tables are the one process-wide cache, which ``clear_caches``
-empties.
+``lru_cache`` or ``functools.cache`` decorator is left, and no function
+fills or empties a module-level dict, list or set, so a result lives as
+long as its caller holds it.  The context registry holds its contexts
+weakly: a context and its bracket table go with the last element,
+operator or caller that holds them.
 
 No source check is an ``assert`` statement, which ``python -O`` strips.
 """
@@ -357,6 +358,90 @@ def test_scan_sees_memo_decorators(tmp_path):
         ("sample.py", "b", 5),
         ("sample.py", "c", 7),
         ("sample.py", "d", 10),
+    ]
+
+
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict"}
+MUTATORS = {
+    "append", "extend", "add", "update", "setdefault", "pop", "clear",
+    "insert", "remove", "discard",
+}
+
+
+def _is_container(value) -> bool:
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id in CONTAINER_CALLS
+    return isinstance(value, CONTAINER_NODES)
+
+
+def module_container_mutations(paths):
+    """(file, function, line) of every subscript store or delete through,
+    and every mutating method call on, a module-level name bound to a dict,
+    list or set display, a comprehension or a dict, list, set or
+    defaultdict call; the function is the innermost one around it."""
+    sites = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        found = {}
+        for node in ast.walk(tree):  # outer functions first: inner ones overwrite
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Subscript) and not isinstance(sub.ctx, ast.Load):
+                    target = sub.value
+                elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                    target = sub.func.value if sub.func.attr in MUTATORS else None
+                else:
+                    continue
+                if isinstance(target, ast.Name) and target.id in names:
+                    place = sub.lineno, sub.col_offset
+                    found[place] = (path.name, node.name, sub.lineno)
+        sites += sorted(found.values())
+    return sites
+
+
+def test_sources_mutate_no_module_level_container():
+    paths = sorted((ROOT / "src" / "sugawara").rglob("*.py"))
+    assert len(paths) > 5
+    assert module_container_mutations(paths) == []
+
+
+def test_scan_sees_module_level_container_mutations(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "A = {}\n"
+        "B: list = []\n"
+        "C = {k: 0 for k in 'ab'}\n"
+        "D = defaultdict(list)\n"
+        "E = set()\n"
+        "F = WeakValueDictionary()\n"
+        "A['x'] = 0\n"
+        "def f(key):\n"
+        "    A[key] = A.get(key, 0) + 1\n"
+        "    del C[key]\n"
+        "    F[key] = E.copy()\n"
+        "    def g():\n"
+        "        B.append(D[key])\n"
+        "        D.setdefault(key, []).append(1)\n"
+        "    E.discard(key)\n"
+        "class T:\n"
+        "    def h(self):\n"
+        "        self.A = {}\n"
+        "        self.A[1] = C.pop(1)\n"
+    )
+    assert module_container_mutations([path]) == [
+        ("sample.py", "f", 9),
+        ("sample.py", "f", 10),
+        ("sample.py", "f", 15),
+        ("sample.py", "g", 13),
+        ("sample.py", "g", 14),
+        ("sample.py", "h", 19),
     ]
 
 

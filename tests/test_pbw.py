@@ -15,7 +15,6 @@ from sugawara.cli import main
 from sugawara.jsonout import to_json
 from sugawara.pyramid import Pyramid, bracket, form
 from sugawara.pbw import (
-    _CONTEXTS,
     _EMPTY,
     Element,
     LieContext,
@@ -36,11 +35,12 @@ from sugawara.shift import (
     center_generators,
     zseries_eval,
 )
-from sugawara.suga import clear_caches, phi_table, selected_vectors
+from sugawara.suga import phi_table, selected_vectors
 from sugawara.verify import annihilation_check, centrality_check
 
 from oracles import (
     degree_d,
+    fresh_context,
     gen_or_zero,
     monomial_degree,
     poly_product,
@@ -1052,7 +1052,6 @@ def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
     # _into reads terms that others share (the words below a letter in the
     # commutator walk and its ad[y] tables, a memo per left operand): every
     # terms argument must read the same after the call as before it
-    clear_caches()
     into = LieContext._into
     checked = []
 
@@ -1542,7 +1541,6 @@ def test_bracket_path_refuses_a_symbol_outside_the_pyramid(mode, path, bad):
 def test_each_loop_bracket_is_built_once(monkeypatch, capsys):
     # the letter rows are a context's one bracket table: every entry, a
     # symbol bracket at depth 0 too, is built by one _make_bracket call
-    clear_caches()
     built = []
     make = LieContext._make_bracket
 
@@ -1552,21 +1550,20 @@ def test_each_loop_bracket_is_built_once(monkeypatch, capsys):
 
     monkeypatch.setattr(LieContext, "_make_bracket", counted)
     p = Pyramid((2, 2, 2, 2))
+    held = [fresh_context(p, mode) for mode in ("affine", "finite")]
     assert annihilation_check(p, selected_vectors(p)).passed()
     labeled = [(f"Phi[{k},{r}]", elem) for k, r, elem in center_generators(p)]
     assert centrality_check(p, labeled).passed()
-    for mode in ("affine", "finite"):
-        ctx = get_context(p, mode)
+    for ctx in held:
         entries = sum(len(row) for row in ctx._loop_bracket_cache.values())
         assert sum(key == ctx.key for key, _, _ in built) == entries > 1000
     # the finite context sees each symbol pair once, in one table
     assert entries == p.dim() ** 2
 
-    # shift uses both contexts, and each holds one table, the bracket table
-    clear_caches()
+    # shift fills both contexts, and each holds one table, the bracket table
+    held = [fresh_context(Pyramid((1, 2)), mode) for mode in ("affine", "finite")]
     assert main(["--pyramid", "1,2", "--z", "2", "shift"]) == 0
     capsys.readouterr()
-    assert sorted(key for _, key in _CONTEXTS) == ["affine", "finite"]
-    for ctx in _CONTEXTS.values():
+    for ctx in held:
         tables = [name for name, v in vars(ctx).items() if isinstance(v, dict)]
-        assert tables == ["_loop_bracket_cache"]
+        assert tables == ["_loop_bracket_cache"] and ctx._loop_bracket_cache

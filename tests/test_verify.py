@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sugawara import clear_caches, pbw, suga
+from sugawara import pbw, suga
 from sugawara.cli import main
 from sugawara.pbw import Element, get_context
 from sugawara.pyramid import Pyramid
@@ -18,7 +18,7 @@ from sugawara.verify import (
     raising_recursion_check,
 )
 
-from oracles import failures
+from oracles import failures, fresh_context
 
 
 @pytest.mark.parametrize("lam", [(3,), (1, 1), (1, 2), (2, 2)])
@@ -102,14 +102,14 @@ def test_reports_never_share_their_cases():
 
 
 def test_verify_memo_footprint_on_2_2_2_2(capsys):
-    # a deterministic count from a clean start: the bracket table is the
+    # a deterministic count in a fresh context: the bracket table is the
     # one table a context fills, and it holds the brackets of the tau
     # products' deeper right letters T^k(E[-1]) too; the pruned tau and
-    # u, x recursions meet fewer letter pairs than the full ones (11,944)
-    clear_caches()
+    # u, x recursions meet fewer letter pairs than the full ones (11,944);
+    # the request fills the context held here, which goes when it returns
+    ctx = fresh_context(Pyramid((2, 2, 2, 2)), "affine")
     assert main(["--pyramid", "2,2,2,2", "verify"]) == 0
     capsys.readouterr()
-    ctx = get_context(Pyramid((2, 2, 2, 2)), "affine")
     assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 11558
 
 
@@ -133,18 +133,18 @@ def _count_calls(monkeypatch, names):
     ids=["2,2,2,2", "1,1,1,1"],
 )
 def test_commutativity_lead_count(monkeypatch, lam, count):
-    # a deterministic count from a clean start: the bottom-up walk splits
-    # every prefix group by its next letter and sums the group's bracket
-    # before the letter enters it; on 2,2,2,2 the walk that bracketed each
-    # path of b's words on its own took 85,459, and the one that summed
-    # groups of at most 8 words word by word 70,601 (29,428 on 1,1,1,1).
+    # a deterministic count, with the bracket table cold or warm: the
+    # bottom-up walk splits every prefix group by its next letter and sums
+    # the group's bracket before the letter enters it; on 2,2,2,2 the walk
+    # that bracketed each path of b's words on its own took 85,459, and the
+    # one that summed groups of at most 8 words word by word 70,601 (29,428
+    # on 1,1,1,1).
     # A bracket letter below its head moves left by _enter, with no _lead:
     # when head letters entered it one at a time, the walk took 69,465
     # (27,483 on 1,1,1,1).  A late term that passes one head letter takes
     # it by _lead with the rest of head as its prefix, and a letter that
     # passes its tail carries its head the same way: when the head entered
     # the moved words by _into, the walk took 66,169 (23,363 on 1,1,1,1)
-    clear_caches()
     p = Pyramid(lam)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
     calls = _count_calls(monkeypatch, ["_lead"])
@@ -153,16 +153,15 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
 
 
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
-    # a deterministic count from a clean start, the selected vectors' own
-    # 776 calls included (the full table's are 892): each phi takes
-    # its modes in one acts call, which looks each distinct letter up
-    # once per mode; a bracket letter of depth >= 0 moves right through
+    # a deterministic count, with the bracket table cold or warm, the
+    # selected vectors' own 776 calls included (the full table's are 892):
+    # each phi takes its modes in one acts call, which looks each distinct
+    # letter up once per mode; a bracket letter of depth >= 0 moves right through
     # the rest of its word by _lead, which builds no word the vacuum kills;
     # a letter below its head, T's on the diagonal included, moves left by
     # _enter with no _lead (28,021 when head letters entered it one by one);
     # a letter that passes its tail carries its head as _lead's prefix
     # (25,406 when the head entered the moved words by _into)
-    clear_caches()
     p = Pyramid((2, 2, 2, 2))
     calls = _count_calls(monkeypatch, ["_lead"])
     assert annihilation_check(p, selected_vectors(p)).passed()
@@ -181,11 +180,10 @@ def test_annihilation_makes_no_into_call_on_2_2_2_2(monkeypatch):
 
 
 def test_vectors_lead_count_on_1_2_3_4_5(monkeypatch):
-    # a deterministic count from a clean start: T on the diagonal lowers
-    # a letter's depth and _enter moves it left past its head in one pass;
-    # when the head's letters entered it one at a time by _into, the
-    # table took 27,830 _lead and 11,185 _into calls
-    clear_caches()
+    # a deterministic count, with the bracket table cold or warm: T on the
+    # diagonal lowers a letter's depth and _enter moves it left past its
+    # head in one pass; when the head's letters entered it one at a time by
+    # _into, the table took 27,830 _lead and 11,185 _into calls
     calls = _count_calls(monkeypatch, ["_lead", "_into"])
     phi_table(Pyramid((1, 2, 3, 4, 5)))
     assert calls == {"_lead": 10307, "_into": 1216}
@@ -196,7 +194,6 @@ def test_tau_stage_makes_no_left_insertion_on_1_2_3_4_5(monkeypatch):
     # below a word moves left in it with no _lead and no _into (59,605 and
     # 27,928 calls when each word took the letter by _into)
     p = Pyramid((1, 2, 3, 4, 5))
-    clear_caches()
     calls = _count_calls(monkeypatch, ["_lead", "_into", "_enter"])
     assert cdet_tau(p, tau_keep(p))
     assert calls == {"_lead": 0, "_into": 0, "_enter": 37971}
@@ -205,10 +202,9 @@ def test_tau_stage_makes_no_left_insertion_on_1_2_3_4_5(monkeypatch):
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
     # the vector table fills the bracket table with the letter pairs its
     # products and translations meet, and nothing else
-    clear_caches()
+    ctx = fresh_context(Pyramid((1, 2, 3, 4, 5)), "affine")
     assert main(["--pyramid", "1,2,3,4,5", "vectors"]) == 0
     capsys.readouterr()
-    ctx = get_context(Pyramid((1, 2, 3, 4, 5)), "affine")
     assert sum(len(row) for row in ctx._loop_bracket_cache.values()) == 3612
 
 
@@ -217,7 +213,6 @@ def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
     # the result once: a recursion that sums Elements, or a product or
     # translation that wraps its result, builds thousands.  Every Element
     # is built by the constructor or by ``wrap``
-    clear_caches()
     built = []
     init, wrap = pbw.Element.__init__, pbw.Element.wrap.__func__
 
@@ -236,24 +231,29 @@ def test_vectors_builds_few_elements_on_1_2_3_4_5(monkeypatch, capsys):
     assert 0 < len(built) <= 102
 
 
-def test_clear_caches_empties_the_process_caches(capsys):
-    # the vector tables go with their callers: once both are dropped, no
-    # Element of the pyramid's context is left alive; the contexts are
-    # the one cache that lives as long as the process
-    p = Pyramid((1, 2, 3))
-    clear_caches()
-    phi_table(p)
-    selected_vectors(p)
-    ctx = get_context(p, "affine")
+def test_no_context_outlives_its_caller(capsys):
+    # the registry holds no context: a context lives as long as an element,
+    # an operator or a caller holds it, and no reference cycle keeps one
     gc.collect()
-    alive = [v for v in gc.get_objects() if isinstance(v, Element) and v.ctx is ctx]
+    assert len(pbw._CONTEXTS) == 0
+    for args in (["verify"], ["vectors"], ["center"], ["--z", "2", "shift"]):
+        assert main(["--pyramid", "1,2", *args]) == 0
+        capsys.readouterr()
+        assert len(pbw._CONTEXTS) == 0, args
+    gc.collect()
+    alive = [v for v in gc.get_objects() if isinstance(v, (pbw.LieContext, Element))]
     assert alive == []
-    assert main(["--pyramid", "1,2", "verify"]) == 0
-    capsys.readouterr()
-    assert pbw._CONTEXTS
-    clear_caches()
-    assert pbw._CONTEXTS == {}
-    assert get_context(p, "affine") is not ctx
+    # a library caller's table holds its context, and takes it along
+    for lam in ((1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 3, 4, 5)):
+        table = phi_table(Pyramid(lam))
+        assert list(pbw._CONTEXTS) == [(lam, "affine")]
+        del table
+        assert len(pbw._CONTEXTS) == 0, lam
+    # while a context is held, equal pyramids built apart share it
+    ctx = get_context(Pyramid((1, 2)), "finite")
+    assert get_context(Pyramid.parse("1,2"), "finite") is ctx
+    del ctx
+    assert len(pbw._CONTEXTS) == 0
 
 
 @pytest.mark.parametrize(
