@@ -7,7 +7,8 @@ report with no case reads EMPTY, not PASS), 1 when one fails (a
 ``shift`` Jacobian rank below the number of selected vectors is one), 2
 on usage or parse errors, so CI can gate on the suite, 130 (128 + SIGINT)
 with one ``error: interrupted`` line when the run is interrupted, and 141
-(128 + SIGPIPE) when the reader of stdout closes it early.
+(128 + SIGPIPE) when the reader of stdout closes it early, each through
+``_stop``; argparse's own usage errors exit 2 as argparse does.
 """
 
 from __future__ import annotations
@@ -375,40 +376,41 @@ def _write_stdout(text: str) -> None:
     out.flush()
 
 
+def _stop(exc: BaseException) -> int:
+    """The exit status of a run that exc stopped early, after at most one
+    ``error:`` line on stderr."""
+    if isinstance(exc, BrokenPipeError):
+        # the reader went away (``| head``): point stdout at devnull so the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    usage = isinstance(exc, UsageError)
+    print(f"error: {exc if usage else 'interrupted'}", file=sys.stderr)
+    return 2 if usage else 130
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = parse_config(args)
-        obj, reports = COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Every input was parsed under the int-to-str digit limit; a result
-    # computed from them, such as z^-2, may exceed it and is written too.
+    """Run one command and return its exit status."""
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
+        cfg = parse_config(build_parser().parse_args(argv))
+        obj, reports = COMMANDS[cfg.command](cfg)
+        # Every input was parsed under the int-to-str digit limit; a result
+        # computed from them, such as z^-2, may exceed it and is written too.
+        sys.set_int_max_str_digits(0)
         if cfg.fmt == "json":
             write_json(obj, _write_stdout)
         else:
             _write_stdout(render_text(cfg, obj))
-    except BrokenPipeError:
-        # The reader went away (``| head``): point stdout at devnull so the
-        # flush at exit does not raise again, and exit as SIGPIPE would.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, the shell's status for a death by SIGPIPE
+    except (UsageError, KeyboardInterrupt, BrokenPipeError) as exc:
+        return _stop(exc)
     finally:
         sys.set_int_max_str_digits(limit)
     return 0 if all(r.passed() for r in reports) else 1
 
 
 def entry() -> None:
-    try:
-        code = main()
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        sys.exit(130)  # 128 + SIGINT, the shell's status for a death by SIGINT
+    code = main()
     # The output is written in full, and the request's tables went with
     # main.  Frozen, the ~13,000 objects the imports made are left out of
     # the collections the interpreter runs as it shuts down: 4 ms, not 12,

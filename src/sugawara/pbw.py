@@ -61,9 +61,11 @@ arbitrary word by the same insertion, one letter at a time from its
 right end.  The action of X[s], s >= 0, the vacuum derivations T and
 Delta (``_derive``) and the tau determinant's right products by one
 letter place each letter they make by ``_enter``.
-``acts`` returns the list of several modes' actions on one state,
-whose letters it indexes by their places once, so a mode looks each
-distinct letter up once, not once per occurrence.
+``acts`` returns the brackets [g, v] of several letters g with one state
+v, whose letters it indexes by their places once, so a g looks each
+distinct letter up once, not once per occurrence: the action of the
+modes g >= 0, and every one-letter bracket of the commutator and the
+centrality check.
 
 The vacuum quotient is one rule of the kernels.  The depth >= 0 letters
 of a normal-ordered word are its last ones, so no kernel adds a word
@@ -79,13 +81,11 @@ The commutator walks the words of its right operand in decreasing order
 higher) by the Leibniz rule [a, y*W] = y*[a, W] + [a, y]*W, bottom-up:
 words that share a prefix are split by their next letter y, and the
 bracket [a, W] of the words W below y is summed, its cancellations made,
-before y enters it.  The brackets [a, y] with the letters of b are
-computed once per left operand, shared by all the right operands it is
-paired with, each by the same walk over a's words: right-ad by y is a
-derivation too, [x*W, y] = x*[W, y] + [x, y]*W.
-Every term either walk builds already has a bracket in it, so the
-top-length terms that a*b and b*a share, and that cancel in their
-difference, are never built.
+before y enters it.  The letter brackets [a, y] = -[y, a], for the
+letters y of all the right operands a left operand is paired with, are
+one ``acts`` call.  Every term the walk builds already has a bracket in
+it, so the top-length terms that a*b and b*a share, and that cancel in
+their difference, are never built.
 """
 
 from __future__ import annotations
@@ -464,9 +464,10 @@ class LieContext:
         return self.acts([g], v)[0]
 
     def acts(self, gs: Iterable[LoopGen], v: Element) -> List[Element]:
-        """[act(g, v) for g in gs], v's letters indexed by their places
-        once, so each g looks each distinct letter up once.  No mode is
-        checked: ``act`` checks one."""
+        """[[g, v] for g in gs], summed over the places of v's letters, which
+        are indexed once, so each g looks each distinct letter up once: the
+        vacuum action for a mode g >= 0, the bracket in the algebra for a g
+        below depth 0 or in finite mode.  No mode is checked."""
         self._own(v, v)
         places: Dict[LoopGen, list] = defaultdict(list)
         for m, c in v.terms.items():
@@ -543,27 +544,19 @@ class LieContext:
                 self._enter(out, m[:idx], z, m[idx + 1 :], k * c * v)
 
     def commutators(self, a: Element, bs: Iterable[Element]) -> List[Element]:
-        """[a, b] for each b in bs, by the Leibniz walk over b's words (see
-        the module docstring).  The letter brackets [a, y] are shared by all
-        the bs, each the same walk over a's words with the letter table
-        {x: [x, y]}.  ``_into`` only reads these tables."""
+        """[a, b] for each b in bs, by the Leibniz walk of [a, .] over b's
+        words (see the module docstring).  Its letter brackets
+        [a, y] = -[y, a], for the distinct letters y of all the bs, are one
+        ``acts`` call."""
         self._own(a, a)  # a against itself: only whether it lives here
-        a_words = sorted(a.terms.items(), reverse=True)
-        a_letters = dict.fromkeys(chain.from_iterable(a.terms))
-        ad: Dict[LoopGen, Terms] = {}
-        out = []
+        bs = list(bs)
         for b in bs:
             self._own(a, b)
+        ys = list(dict.fromkeys(y for b in bs for m in b.terms for y in m))
+        ad = {y: (-ya).terms for y, ya in zip(ys, self.acts(ys, a))}
+        out = []
+        for b in bs:
             words = sorted(b.terms.items(), reverse=True)
-            for y in chain.from_iterable(b.terms):
-                if y not in ad:
-                    ad[y] = {}
-                    # both below depth 0, or finite: [x, y] has no central term
-                    brackets = {
-                        x: {(z,): c for z, c in self.loop_bracket(x, y)[0]}
-                        for x in a_letters
-                    }
-                    self._leibniz(a_words, 0, 0, len(a_words), brackets, ad[y])
             res: Terms = {}
             self._leibniz(words, 0, 0, len(words), ad, res)
             out.append(Element(self, res))
@@ -573,10 +566,9 @@ class LieContext:
         self, words: list, d: int, lo: int, hi: int, ad: Dict[LoopGen, Terms], out: Terms
     ) -> None:
         """out += D(sum c w[d:]) over the (w, c) in words[lo:hi], in decreasing
-        order and sharing w[:d], for a derivation D with ad[y] = D(y): [a, .]
-        or, with ad[x] = [x, y], the right-ad [., y]: the group splits by its
-        next letter y = w[d], D(W) of the words W below y summed before y
-        enters it."""
+        order and sharing w[:d], for the derivation D = [a, .] with
+        ad[y] = D(y): the group splits by its next letter y = w[d], D(W) of
+        the words W below y summed before y enters it."""
         if lo < hi:  # commutators walks a zero element too
             hi -= len(words[hi - 1][0]) == d  # only w[:d] itself ends here: D(1) = 0
         while lo < hi:

@@ -35,11 +35,11 @@ def commutativity_check(
     labeled: Sequence[Tuple[str, Element]], ctx: LieContext
 ) -> Report:
     """All pairwise commutators vanish (a singleton gives an empty report).
-    Each left element takes its later partners in one
-    :meth:`~sugawara.pbw.LieContext.commutators` call, which shares the
-    letter brackets [a, y] among them."""
+    Each left element with a later partner takes them all in one
+    :meth:`~sugawara.pbw.LieContext.commutators` call, which makes the
+    letter brackets [a, y] they share in one ``acts`` call."""
     report = Report("commutativity", str(ctx.pyramid))
-    for a, (la, va) in enumerate(labeled):
+    for a, (la, va) in enumerate(labeled[:-1]):
         rest = labeled[a + 1 :]
         for (lb, _), diff in zip(rest, ctx.commutators(va, [vb for _, vb in rest])):
             report.add({"a": la, "b": lb}, diff)
@@ -48,18 +48,17 @@ def commutativity_check(
 
 def centrality_check(p: Pyramid, labeled: Sequence[Tuple[str, Element]]) -> Report:
     """Every element commutes with every basis symbol in the enveloping
-    algebra of the centralizer.  Each generator takes all the elements in
-    one :meth:`~sugawara.pbw.LieContext.commutators` call, which builds
-    its brackets with their letters once; the cases stay element-major."""
+    algebra of the centralizer.  Each element takes all the symbols in
+    one :meth:`~sugawara.pbw.LieContext.acts` call, [g, v] for each
+    symbol g, which looks each of its distinct letters up once per
+    symbol."""
     fin = get_context(p, "finite")
     report = Report("centrality", str(p))
-    elems = [elem for _, elem in labeled]
-    columns = [
-        (g.text(), fin.commutators(fin.gen(g.i, g.j, g.r), elems)) for g in p.basis()
-    ]
-    for e, (label, _) in enumerate(labeled):
-        for text, diffs in columns:
-            report.add({"element": label, "generator": text}, diffs[e])
+    basis = p.basis()
+    modes = [LoopGen(0, g.i, g.j, g.r) for g in basis]
+    for label, elem in labeled:
+        for g, diff in zip(basis, fin.acts(modes, elem)):
+            report.add({"element": label, "generator": g.text()}, diff)
     return report
 
 

@@ -559,6 +559,36 @@ def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
     assert err == "error: interrupted\n"
 
 
+@pytest.mark.parametrize(
+    "raised, code, err",
+    [
+        ("cli.UsageError('bad input')", 2, "error: bad input\n"),
+        ("KeyboardInterrupt", 130, "error: interrupted\n"),
+        ("BrokenPipeError", 141, ""),
+    ],
+    ids=["usage", "interrupt", "closed_pipe"],
+)
+def test_each_stop_exits_with_its_code_and_at_most_one_line(raised, code, err):
+    # every stop goes through one function: a command raises each in a
+    # process run by the module entry, whose exit status and stderr are read
+    script = (
+        "import sys\n"
+        "from sugawara import cli\n"
+        "def stop(cfg):\n"
+        f"    raise {raised}\n"
+        "cli.COMMANDS['basis'] = stop\n"
+        "sys.argv = ['sugawara', '--pyramid', '1,2', 'basis']\n"
+        "cli.entry()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (code, b"", err)
+
+
 def test_main_leaves_the_collector_unfrozen(capsys):
     before = gc.get_freeze_count()
     assert run(capsys, "--pyramid", "1,2", "verify")[0] == 0

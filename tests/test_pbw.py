@@ -265,8 +265,7 @@ def test_raw_affine_elements_are_projected_when_built():
 def test_commutators_split_large_groups(mode, monkeypatch):
     # words that share a prefix are split by their next letter: b's words
     # share prefixes, and a word that is a prefix of others ends inside a
-    # group; a left operand of many words groups in the walk that builds
-    # the letter brackets [a, y] too
+    # group; a, a left operand of many words, is a right operand too
     ctx = get_context(Pyramid((1, 2)), mode)
     depths = (0,) if mode == "finite" else (-1, -2)
     letters = sorted(LoopGen(d, *g) for d in depths for g in ctx.pyramid.basis())[:4]
@@ -294,7 +293,8 @@ def test_commutators_split_large_groups(mode, monkeypatch):
     got = ctx.commutators(a, bs)
     assert got == [two_product_commutator(ctx, a, v) for v in bs]
     assert got[0] and got[1] == got[0] and not got[2] and not got[3]
-    # both walks split a group below the root, and a word ended in one
+    # the walks over a and b split a group below the root, and a word
+    # ended in one
     assert (len(a.terms), True) in seen and (len(b.terms), True) in seen
 
 
@@ -640,6 +640,42 @@ def test_acts_against_naive_rewriter(lam):
             nonzero += bool(want)
     assert nonzero >= 20
     assert central >= 5
+
+
+@pytest.mark.parametrize("mode", ["finite", "affine"])
+def test_acts_is_the_bracket_with_each_letter(mode):
+    # in finite mode, and for letters y below depth 0, acts(ys, v) is
+    # [[y, v] for y in ys], the bracket y*v - v*y of two products: the
+    # centrality check and the commutator's letter brackets read it so.
+    # The identity sum_i E[i,i,0] commutes with every letter, though most
+    # of its letters do not: its place brackets cancel in the sum
+    rng = random.Random(59)
+    depths = (0,) if mode == "finite" else (-1, -2, -3)
+    nonzero = cancelled = 0
+    for lam in [(2, 2, 2, 2), (1, 1, 1, 1), (1, 2, 3), (2, 3), (1, 2, 2, 3)]:
+        p = Pyramid(lam)
+        ctx = get_context(p, mode)
+        basis = p.basis()
+        unit = ctx.combine(
+            ((LoopGen(depths[0], i, i, 0),), 1) for i in range(1, p.n + 1)
+        )
+        states = [
+            random_element(ctx, rng, n_terms=3, depths=depths),
+            random_element(ctx, rng, n_terms=2, depths=depths),
+            unit,
+            unit * random_state(ctx, rng, depths=depths) + ctx.one(),
+        ]
+        ys = [LoopGen(d, *g) for d in depths for g in basis]
+        for v in states:
+            letters = {x for m in v.terms for x in m}
+            for y, got in zip(ys, ctx.acts(ys, v)):
+                w = ctx.word([y])
+                assert got == ctx.mul(w, v) - ctx.mul(v, w)
+                nonzero += bool(got)
+                moved = any(ctx.loop_bracket(y, x) is not _EMPTY for x in letters)
+                cancelled += moved and not got
+    assert nonzero >= 150
+    assert cancelled >= 60
 
 
 @pytest.mark.parametrize("mode", ["finite", "affine"])
@@ -1049,9 +1085,11 @@ def test_into_adds_to_what_out_holds(mode):
 
 
 def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
-    # _into reads terms that others share (the words below a letter in the
-    # commutator walk and its ad[y] tables, a memo per left operand): every
-    # terms argument must read the same after the call as before it
+    # _into reads terms that others share, the commutator walk's dicts of
+    # the words below a letter, each read once per term of [a, y]: every
+    # terms argument must read the same after the call as before it.  The
+    # letter brackets [a, y] are made by acts and reach _into as heads,
+    # not as terms; verify 2,2,2 makes 888 _into calls, 2,2,2,2 30,080
     into = LieContext._into
     checked = []
 
@@ -1061,7 +1099,7 @@ def test_into_never_mutates_a_shared_memo_entry(monkeypatch, capsys):
         checked.append(terms == before)
 
     monkeypatch.setattr(LieContext, "_into", spy)
-    assert main(["--pyramid", "2,2,2", "verify"]) == 0
+    assert main(["--pyramid", "2,2,2,2", "verify"]) == 0
     capsys.readouterr()
     assert len(checked) > 1000 and all(checked)
 

@@ -8,7 +8,7 @@ from sugawara.cli import main
 from sugawara.pbw import Element, get_context
 from sugawara.pyramid import Pyramid
 from sugawara.reports import Report
-from sugawara.shift import symbols
+from sugawara.shift import a_chi_generators, center_generators, symbols
 from sugawara.detcalc import cdet_tau
 from sugawara.suga import phi_table, selected_pairs, selected_vectors, tau_keep
 from sugawara.verify import (
@@ -121,7 +121,7 @@ def _count_calls(monkeypatch, names):
 
         def counted(self, *args, name=name, method=method):
             calls[name] += 1
-            method(self, *args)
+            return method(self, *args)
 
         monkeypatch.setattr(pbw.LieContext, name, counted)
     return calls
@@ -129,7 +129,7 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize(
     "lam, count",
-    [((2, 2, 2, 2), 64289), ((1, 1, 1, 1), 19913)],
+    [((2, 2, 2, 2), 59955), ((1, 1, 1, 1), 18096)],
     ids=["2,2,2,2", "1,1,1,1"],
 )
 def test_commutativity_lead_count(monkeypatch, lam, count):
@@ -144,12 +144,45 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
     # (27,483 on 1,1,1,1).  A late term that passes one head letter takes
     # it by _lead with the rest of head as its prefix, and a letter that
     # passes its tail carries its head the same way: when the head entered
-    # the moved words by _into, the walk took 66,169 (23,363 on 1,1,1,1)
+    # the moved words by _into, the walk took 66,169 (23,363 on 1,1,1,1).
+    # The letter brackets [a, y] are one acts call, a pass over a's places:
+    # when each was the right-ad walk over a's words, 64,289 (19,913)
     p = Pyramid(lam)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
     calls = _count_calls(monkeypatch, ["_lead"])
     assert commutativity_check(labeled, get_context(p, "affine")).passed()
     assert calls["_lead"] == count
+
+
+def test_centrality_makes_one_acts_call_per_element_on_2_2_2_2(monkeypatch):
+    # each central element takes every basis symbol in one acts call, a
+    # pass over its places, with no commutator walk and no _into (32
+    # commutators, 21,600 _leibniz and 8,727 _into calls when each symbol
+    # took the elements by commutators)
+    p = Pyramid((2, 2, 2, 2))
+    labeled = [(f"Phi[{k},{r}]", e) for k, r, e in center_generators(p)]
+    calls = _count_calls(monkeypatch, ["acts", "commutators", "_leibniz", "_into"])
+    assert centrality_check(p, labeled).passed()
+    assert calls == {"acts": len(labeled), "commutators": 0, "_leibniz": 0, "_into": 0}
+    assert len(labeled) == 8
+
+
+@pytest.mark.parametrize("mode", ["affine", "finite"])
+def test_commutativity_makes_one_acts_call_per_left_operand(monkeypatch, mode):
+    # a left operand takes its later partners in one commutators call, whose
+    # letter brackets are one acts call; the last operand has no partner
+    # and makes neither
+    p = Pyramid((2, 2, 2, 2))
+    vectors = selected_vectors(p)
+    if mode == "affine":
+        labeled = [(f"phi[{k},{r}]", e) for k, r, e in vectors]
+    else:
+        gens = a_chi_generators(p, vectors, {})
+        labeled = [(f"{g.k},{g.r},{g.m}", g.element) for g in gens]
+    calls = _count_calls(monkeypatch, ["acts", "commutators"])
+    assert commutativity_check(labeled, get_context(p, mode)).passed()
+    assert calls == {"acts": len(labeled) - 1, "commutators": len(labeled) - 1}
+    assert len(labeled) > 2
 
 
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
