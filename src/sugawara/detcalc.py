@@ -51,10 +51,10 @@ The test looks at keys only, and two invariants make it exact
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import perm
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .pbw import Element, LieContext, _axpy, get_context
+from .pbw import Element, LieContext, LoopGen, _axpy, get_context
 from .pyramid import Pyramid
 
 UX = Tuple[int, int]
@@ -181,42 +181,36 @@ def build_tau_matrix(p: Pyramid) -> List[List[Callable]]:
     reversed and each entry multiplying its argument on the right:
     :func:`column_determinant` applied to this matrix builds the column
     products from the left.  The product B tau^b * A tau^a is
-    sum_k C(b,k) B T^k(A) tau^(b-k+a); each entry coefficient A is one
-    letter or 1, so each T^k(A) is a multiple of one letter, built once
-    per entry, when first needed, and each term of B takes it by one
-    ``_enter`` (T(1) = 0, and 1 is added by ``_axpy``).  The weight of A
-    is its letter's shift r (0 for 1), and the weight of B T^k(A) is the
-    sum of the two."""
+    sum_k C(b,k) B T^k(A) tau^(b-k+a).  Each entry coefficient A is one
+    letter X[-1] or 1, and T^k(X[-1]) = k! X[-1-k], T^k(1) = 0 for
+    k >= 1: so C(b,k) T^k(A) is perm(b,k) times the letter X[-1-k], which
+    each term of B takes by one ``_enter``, and 1 is added by ``_axpy``.
+    The weight of A is its letter's shift r (0 for 1), and the weight of
+    B T^k(A) is the sum of the two."""
     ctx = get_context(p, "affine")
     enter = ctx._enter
 
     def entry(i: int, j: int) -> Callable:
         lj = p.lambdas[j - 1]
-        # powers[a, w] = [A, T(A), T^2(A), ...] for the coefficient A of
-        # tau^a, of weight w
-        powers = {
-            (lj - 1 - r, r): [{(ctx.loop(i, j, r, -1),): 1}] for r in p.window(i, j)
-        }
+        # letters[a, w] = the coefficient of tau^a, of weight w: a letter,
+        # or None for 1
+        letters = {(lj - 1 - r, r): ctx.loop(i, j, r, -1) for r in p.window(i, j)}
         if i == j:
-            powers[lj, 0] = [{(): 1}]
+            letters[lj, 0] = None
 
         def apply(out: dict, inner: dict, sign: int) -> None:
             for (eb, wb), sb in inner.items():
-                for (ea, wa), row in powers.items():
-                    while len(row) <= eb:
-                        row.append({})
-                        ctx._derive(row[-1], row[-2], -1, 1)
+                for (ea, wa), a in letters.items():
+                    if a is None:
+                        _axpy(out.setdefault((eb + ea, wb + wa), {}), sb, sign)
+                        continue
                     for k in range(eb + 1):
-                        if row[k]:
-                            target = out.setdefault((eb - k + ea, wb + wa), {})
-                            c = sign * comb(eb, k)
-                            ((word, a),) = row[k].items()
-                            if word:
-                                z, ca = word[0], c * a
-                                for m, v in sb.items():
-                                    enter(target, m, z, (), ca * v)
-                            else:
-                                _axpy(target, sb, c)
+                        # the letter X[-1-k], a depth shift by -k
+                        z = int.__new__(LoopGen, a - (k << 32))
+                        target = out.setdefault((eb - k + ea, wb + wa), {})
+                        c = sign * perm(eb, k)
+                        for m, v in sb.items():
+                            enter(target, m, z, (), c * v)
 
         return apply
 

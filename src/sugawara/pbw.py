@@ -29,38 +29,36 @@ the pyramid bracket, the one check of both symbols.  Any other pair
 lifts the depth-0 entry of its symbols, the low 32 bits of its letters,
 to its depth by int arithmetic.
 
-The rewriting core inserts one letter from the left into a
-normal-ordered word.  Every product adds into its caller's dict:
-nothing returns a product to be summed again.  A product adds c * m * t,
-for each monomial m of its left operand and each term t of its right
-operand, with ``_into``: a t that starts at or above the last letter g
-of m is concatenated, and any other takes g from the left with
-``_lead``, the rest of m its prefix, straight into the caller's dict
-when t starts at or above the letter before g.  Only the terms that
-must pass two or more letters of m are summed in one dict, which then
-takes the rest of m the same way.  ``_lead`` adds pre g t into a dict
-for a normal-ordered pre t and a g at or above pre's last letter,
-moving g right past the letters of t at most g, t[:p] with
-p = bisect_right(t, g):
+The rewriting core places one letter in a normal-ordered word, and
+one routine does it: ``_enter`` adds h z t for a letter z between words
+h and t whose concatenation is normal-ordered.  A z above t's first
+letter moves right past the letters of t at most z, t[:p] with
+p = bisect_right(t, z), and a z below h's last letter moves left past
+the letters of h above it, h[q:] with q = bisect_right(h, z), in one
+pass each, with a bracket at every letter passed:
 
-    pre g t = pre t[:p] g t[p:] + sum_{i<p} pre t[:i] [g, t_i] t[i+1:].
+    h z t = h t[:p] z t[p:] + sum_{i<p} h t[:i] [z, t_i] t[i+1:],
+    h z t = h[:q] z h[q:] t + sum_{i>=q} h[:i] [h_i, z] h[i+1:] t;
 
-``_place`` adds one bracket: its central term times pre t[:i] t[i+1:],
-and each of its letters z between h = pre t[:i] and t[i+1:] by
-``_enter``: the word itself when it is normal-ordered, with no product;
-a z above t[i+1] moves right by ``_lead`` with h as its prefix; and a z
-below h's last letter moves left in one pass, the mirror of ``_lead``,
-past the letters of h above it, h[q:] with q = bisect_right(h, z):
+any other z stands where it is, and the word needs no product.
+``_place`` adds one bracket: its central term times the two words
+around it, and each of its letters between them by ``_enter``.  This
+terminates by the usual filtration argument: bracket terms are shorter
+words.
 
-    h z = h[:q] z h[q:] + sum_{i>=q} h[:i] [h_i, z] h[i+1:].
-
-This terminates by the usual filtration argument: bracket terms are
-shorter words.  ``mul`` adds each term of its left operand times its
-right operand by one ``_into`` call.  ``combine`` normal-orders an
-arbitrary word by the same insertion, one letter at a time from its
-right end.  The action of X[s], s >= 0, the vacuum derivations T and
-Delta (``_derive``) and the tau determinant's right products by one
-letter place each letter they make by ``_enter``.
+Every product adds into its caller's dict: nothing returns a product to
+be summed again.  A product adds c * m * t, for each monomial m of its
+left operand and each term t of its right operand, with ``_into``: a t
+that starts at or above the last letter g of m is concatenated, and any
+other takes g by ``_enter``, the rest of m its head, straight into the
+caller's dict when t starts at or above the letter before g.  Only the
+terms that must pass two or more letters of m are summed in one dict,
+which then takes the rest of m the same way.  ``mul`` adds each term of
+its left operand times its right operand by one ``_into`` call.
+``combine`` normal-orders an arbitrary word by the same insertion, one
+letter at a time from its right end.  The action of X[s], s >= 0, the
+vacuum derivations T and Delta (``_derive``) and the tau determinant's
+right products by one letter place each letter they make by ``_enter``.
 ``acts`` returns the brackets [g, v] of several letters g with one state
 v, whose letters it indexes by their places once, so a g looks each
 distinct letter up once, not once per occurrence: the action of the
@@ -70,11 +68,12 @@ centrality check.
 The vacuum quotient is one rule of the kernels.  The depth >= 0 letters
 of a normal-ordered word are its last ones, so no kernel adds a word
 with a letter at or above ``_kill``, depth 0 in affine mode and above
-every letter in finite mode: ``_lead`` leaves out t[:p] g t[p:] for
-such a g, ``_enter`` such a z with no tail, and ``_into`` the empty
-term under a head that ends in one.  ``Element`` drops the words that
-end in such a letter, so a kernel's right operand is a vacuum word and
-a letter of depth >= 0 moves right until the vacuum kills it.
+every letter in finite mode: ``_enter`` leaves out the word h t[:p] z
+t[p:] for such a z and adds nothing for one with no t after it, and
+``_into`` leaves out the empty term under a head that ends in one.
+``Element`` drops the words that end in such a letter, so a kernel's
+right operand is a vacuum word and a letter of depth >= 0 moves right
+until the vacuum kills it.
 
 The commutator walks the words of its right operand in decreasing order
 (in increasing order, its transient sums on 1,1,1,1,1 peak over a third
@@ -201,12 +200,6 @@ class Element:
         out.terms, out.ctx = terms, ctx
         return out
 
-    def _compat(self, other: "Element") -> None:
-        if self.ctx.key != other.ctx.key:
-            raise ValueError(
-                f"mixed contexts: {self.ctx.key} vs {other.ctx.key}"
-            )
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -216,7 +209,7 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._compat(other)
+        self.ctx._own(self, other)
         out = dict(self.terms)
         _axpy(out, other.terms, 1)
         return self.wrap(self.ctx, out)
@@ -332,33 +325,12 @@ class LieContext:
         central = hd * lie_form(self.pyramid, h.gen, g.gen)
         return (sym[0], central) if sym[0] or central else _EMPTY
 
-    def _lead(self, out: Terms, g: LoopGen, t: Monomial, c, pre: Monomial = ()) -> None:
-        """out += c * pre g t for a normal-ordered pre t and a g at or above
-        pre's last letter.  g passes the letters t[:p] at most g,
-        p = bisect_right(t, g), with a bracket at each:
-        pre g t = pre t[:p] g t[p:] + sum_{i<p} pre t[:i] [g, t_i] t[i+1:],
-        where pre t[:p] g t[p:] is left out for a g the vacuum kills, and
-        a bracket letter below the last of pre t[:i] moves left into it by
-        ``_enter``."""
-        p = bisect_right(t, g)
-        if g < self._kill:
-            m = pre + t[:p] + (g,) + t[p:]
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        row = self._loop_bracket_cache[g]
-        for i in range(p):
-            hit = row.get(t[i]) or self.loop_bracket(g, t[i])
-            if hit is not _EMPTY:
-                self._place(out, pre + t[:i], hit, t[i + 1 :], c)
-
     def _place(self, out: Terms, pre: Monomial, hit, post: Monomial, c) -> None:
         """out += c * pre [h, g] post for a nonempty bracket hit = [h, g]
         and words pre and post whose concatenation is normal-ordered: each
-        letter of the bracket goes between them by ``_enter``, and its
-        central scalar multiplies pre post."""
+        letter of the bracket goes between them by ``_enter``, which
+        brackets it in turn with the letters it passes, and its central
+        scalar multiplies pre post."""
         terms, central = hit
         for z, k in terms:
             self._enter(out, pre, z, post, k * c)
@@ -374,13 +346,12 @@ class LieContext:
         """out += c * head*terms for a normal-ordered head: a term that
         starts at or above head's last letter is concatenated, the empty
         term dropped if the vacuum kills that letter, and any other takes
-        that letter from the left by ``_lead`` with the rest of head as
-        its prefix, straight into out, when it starts at or above the
-        letter before (or head has one letter).  The terms that must pass
-        two or more head letters are gathered in one dict, which then
-        takes the rest of head the same way, so only one level's gathered
-        terms are alive at a time.  terms is only read, so it may be
-        shared."""
+        that letter by ``_enter`` with the rest of head as its head,
+        straight into out, when it starts at or above the letter before
+        (or head has one letter).  The terms that must pass two or more
+        head letters are gathered in one dict, which then takes the rest
+        of head the same way, so only one level's gathered terms are alive
+        at a time.  terms is only read, so it may be shared."""
         while head:
             last, pre = head[-1], head[:-1]
             low = pre[-1] if pre else None
@@ -388,11 +359,11 @@ class LieContext:
             for t, v in terms.items():
                 if t and t[0] < last:
                     if low is None or t[0] >= low:
-                        self._lead(out, last, t, c * v, pre)
+                        self._enter(out, pre, last, t, c * v)
                     else:
                         if late is None:
                             late = {}
-                        self._lead(late, last, t, c * v)
+                        self._enter(late, (), last, t, c * v)
                 elif t or last < self._kill:
                     m = head + t
                     v = out.get(m, 0) + c * v
@@ -440,11 +411,11 @@ class LieContext:
 
     # -- products and the module action
 
-    def _own(self, a: Element, b: Element) -> None:
-        """Raise ValueError unless a and b both live in this context."""
-        a._compat(b)
-        if a.ctx.key != self.key:
-            raise ValueError("operands do not belong to this context")
+    def _own(self, *elems: Element) -> None:
+        """Raise ValueError unless every one of elems lives in this context."""
+        for e in elems:
+            if e.ctx.key != self.key:
+                raise ValueError("operands do not belong to this context")
 
     def mul(self, a: Element, b: Element) -> Element:
         """a*b, as the sum over a's terms c*m of c * m*b, by ``_into``."""
@@ -468,7 +439,7 @@ class LieContext:
         are indexed once, so each g looks each distinct letter up once: the
         vacuum action for a mode g >= 0, the bracket in the algebra for a g
         below depth 0 or in finite mode.  No mode is checked."""
-        self._own(v, v)
+        self._own(v)
         places: Dict[LoopGen, list] = defaultdict(list)
         for m, c in v.terms.items():
             for idx, y in enumerate(m):
@@ -490,24 +461,27 @@ class LieContext:
         self, out: Terms, head: Monomial, z: LoopGen, tail: Monomial, c
     ) -> None:
         """out += c * head z tail for a letter z between words head and tail
-        whose concatenation is normal-ordered: nothing if the vacuum kills
-        z and no tail follows it; for a z above tail[0], z moves right
-        through tail by ``_lead`` with head as its prefix; for a z below
-        head[-1], z moves left past head[q:], q = bisect_right(head, z),
-        with a bracket at each, each bracket letter placed the same way:
-
-            head z tail = head[:q] z head[q:] tail
-                          + sum_{i>=q} head[:i] [head_i, z] head[i+1:] tail;
-
-        else the word itself, which is normal-ordered.  Neither branch
-        builds a dict of its own.  ``_lead``, the action, ``_derive`` and
-        the tau products place each letter they make this way."""
+        whose concatenation is normal-ordered (see the module docstring): a
+        z above tail[0] moves right past tail[:p], p = bisect_right(tail,
+        z), its word left out if the vacuum kills z; nothing is added if
+        the vacuum kills z and no tail follows it; a z below head[-1] moves
+        left past head[q:], q = bisect_right(head, z); else the word is
+        head z tail itself.  A bracket at each letter passed goes in by
+        ``_place``, and each branch adds its word at the one site below,
+        with no dict of its own."""
         if tail and z > tail[0]:
-            self._lead(out, z, tail, c, head)
+            p = bisect_right(tail, z)
+            row = self._loop_bracket_cache[z]
+            for i in range(p):
+                hit = row.get(tail[i]) or self.loop_bracket(z, tail[i])
+                if hit is not _EMPTY:
+                    self._place(out, head + tail[:i], hit, tail[i + 1 :], c)
+            if z >= self._kill:
+                return
+            w = head + tail[:p] + (z,) + tail[p:]
+        elif not tail and z >= self._kill:
             return
-        if not tail and z >= self._kill:
-            return
-        if head and z < head[-1]:
+        elif head and z < head[-1]:
             q = bisect_right(head, z)
             table = self._loop_bracket_cache
             for i in range(q, len(head)):
@@ -547,13 +521,14 @@ class LieContext:
         """[a, b] for each b in bs, by the Leibniz walk of [a, .] over b's
         words (see the module docstring).  Its letter brackets
         [a, y] = -[y, a], for the distinct letters y of all the bs, are one
-        ``acts`` call."""
-        self._own(a, a)  # a against itself: only whether it lives here
+        ``acts`` call.  When every one is empty, every [a, b] is 0 by the
+        Leibniz rule, and no word is walked."""
         bs = list(bs)
-        for b in bs:
-            self._own(a, b)
+        self._own(a, *bs)
         ys = list(dict.fromkeys(y for b in bs for m in b.terms for y in m))
         ad = {y: (-ya).terms for y, ya in zip(ys, self.acts(ys, a))}
+        if not any(ad.values()):
+            return [self.zero() for _ in bs]
         out = []
         for b in bs:
             words = sorted(b.terms.items(), reverse=True)

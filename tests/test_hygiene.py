@@ -136,7 +136,7 @@ def test_scan_sees_inexact_sites(tmp_path):
 
 
 HOT_PATH = (
-    "_lead", "_into", "_leibniz", "acts", "_enter", "_derive",
+    "_into", "_leibniz", "acts", "_enter", "_derive",
     "commutators", "loop_bracket", "_make_bracket",
 )
 LETTER_FIELDS = {"depth", "i", "j", "r"}
@@ -190,22 +190,23 @@ def test_vacuum_quotient_is_one_kernel_rule():
     seen, found = zero_comparisons(ROOT / "src" / "sugawara" / "pbw.py", HOT_PATH)
     assert seen == set(HOT_PATH)
     assert not found, f"letters compared with 0 on the hot path: {found}"
-    for name in ("_act_word", "_element"):
+    for name in ("_act_word", "_element", "_lead"):
         assert not hasattr(LieContext, name), name
     # the commutator walk has one path: no size cutoff picks a second one
     assert not hasattr(pbw, "_GROUP")
 
 
-def bracket_table_readers(path: Path):
-    """The functions in ``path`` that read ``_loop_bracket_cache``."""
+def readers(path: Path, ident: str):
+    """The functions in ``path`` that read a name or attribute spelled
+    ``ident``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         and any(
-            isinstance(sub, ast.Attribute)
-            and sub.attr == "_loop_bracket_cache"
+            isinstance(sub, (ast.Name, ast.Attribute))
+            and ident in (getattr(sub, "id", None), getattr(sub, "attr", None))
             and isinstance(sub.ctx, ast.Load)
             for sub in ast.walk(node)
         )
@@ -215,9 +216,30 @@ def bracket_table_readers(path: Path):
 def test_hot_path_names_every_bracket_table_reader():
     # a loop that looks letters up in the bracket rows is hot: both
     # scans above must read it
-    readers = bracket_table_readers(ROOT / "src" / "sugawara" / "pbw.py")
-    assert "_lead" in readers
-    assert readers <= set(HOT_PATH), sorted(readers - set(HOT_PATH))
+    found = readers(ROOT / "src" / "sugawara" / "pbw.py", "_loop_bracket_cache")
+    assert "_enter" in found
+    assert found <= set(HOT_PATH), sorted(found - set(HOT_PATH))
+
+
+def test_enter_is_the_one_placement_routine():
+    # a letter moves past the letters of a word, left or right, at one
+    # site: no second routine finds where it stops
+    path = ROOT / "src" / "sugawara" / "pbw.py"
+    assert readers(path, "bisect_right") == {"_enter"}
+    assert not hasattr(LieContext, "_lead")
+
+
+def test_scan_sees_readers(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def _enter(self, z):\n"
+        "    return bisect_right(self._loop_bracket_cache, z)\n"
+        "\n"
+        "def other(self):\n"
+        "    self._loop_bracket_cache = {}\n"
+    )
+    assert readers(path, "bisect_right") == {"_enter"}
+    assert readers(path, "_loop_bracket_cache") == {"_enter"}
 
 
 def test_scan_sees_zero_comparisons(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import operator
 import random
 import re
@@ -410,6 +411,19 @@ def test_translation_examples():
     assert translation_T(xy) == expected
 
 
+@pytest.mark.parametrize("lam", [(1, 2, 3), (2, 2)], ids=["1,2,3", "2,2"])
+def test_translation_powers_of_one_letter(lam):
+    # T^k(X[-1]) = k! X[-1-k], the closed form the tau determinant takes
+    # for the powers of T on an entry's letter
+    ctx = get_context(Pyramid(lam), "affine")
+    for g in ctx.pyramid.basis():
+        v = ctx.gen(*g, depth=-1)
+        for k in range(1, 7):
+            v = translation_T(v)
+            assert v == ctx.gen(*g, depth=-1 - k).scale(math.factorial(k)), (g, k)
+    assert len(ctx.pyramid.basis()) >= 8
+
+
 def test_delta_examples():
     ctx = get_context(Pyramid((1, 1)), "affine")
     assert delta(ctx.gen(1, 1, 0, depth=-1)).is_zero()
@@ -742,8 +756,9 @@ def _sorted_word(rng, letters, lo, hi):
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_lead_against_naive_rewriter(mode):
     # one letter g times a normal-ordered word t, a vacuum word in affine
-    # mode, against the naive normal form with the vacuum quotient: the
-    # words the vacuum kills are never built.  Each case is added once
+    # mode, placed by _enter with an empty head, against the naive normal
+    # form with the vacuum quotient: the words the vacuum kills are never
+    # built.  Each case is added once
     # into an empty dict and once, times a random scalar, into a
     # prefilled one, whose entry for the main word sometimes cancels it
     rng = random.Random(29)
@@ -769,7 +784,7 @@ def test_lead_against_naive_rewriter(mode):
             g = rng.choice(letters)
         want = naive_normal_order(ctx, (g,) + t)[0]
         fresh = {}
-        ctx._lead(fresh, g, t, 1)
+        ctx._enter(fresh, (), g, t, 1)
         assert fresh == want
         c = fill.choice([1, -1, 3, Fraction(-2, 3)])
         main = tuple(sorted((g,) + t))
@@ -780,7 +795,7 @@ def test_lead_against_naive_rewriter(mode):
         if fill.random() < 0.3:
             out[main] = -c
         before = dict(out)
-        ctx._lead(out, g, t, c)
+        ctx._enter(out, (), g, t, c)
         expect = dict(before)
         for m, v in want.items():
             expect[m] = expect.get(m, 0) + c * v
@@ -802,8 +817,8 @@ def test_lead_against_naive_rewriter(mode):
 @pytest.mark.parametrize("mode", ["finite", "affine"])
 def test_lead_with_prefix_against_naive_rewriter(mode):
     # pre g t for a normal-ordered pre t, a vacuum word in affine mode,
-    # and a g at or above pre's last letter, against the naive normal form
-    # with the vacuum quotient.  A bracket [g, t_i] goes between pre t[:i]
+    # and a g at or above pre's last letter, placed by _enter with pre as
+    # its head, against the naive normal form with the vacuum quotient.  A bracket [g, t_i] goes between pre t[:i]
     # and t[i+1:], so its letters below pre's last letter move left into
     # pre.  Each case is added once into an empty dict and once, times a
     # random scalar, into a prefilled one, whose entry for the main word
@@ -846,7 +861,7 @@ def test_lead_with_prefix_against_naive_rewriter(mode):
                 g = rng.choice(above)
         want = naive_normal_order(ctx, pre + (g,) + t)[0]
         fresh = {}
-        ctx._lead(fresh, g, t, 1, pre)
+        ctx._enter(fresh, pre, g, t, 1)
         assert fresh == want
         c = fill.choice([1, -1, 3, Fraction(-2, 3)])
         main = pre + tuple(sorted((g,) + t))
@@ -857,7 +872,7 @@ def test_lead_with_prefix_against_naive_rewriter(mode):
         if fill.random() < 0.3:
             out[main] = -c
         before = dict(out)
-        ctx._lead(out, g, t, c, pre)
+        ctx._enter(out, pre, g, t, c)
         expect = dict(before)
         for m, v in want.items():
             expect[m] = expect.get(m, 0) + c * v
@@ -882,7 +897,7 @@ def test_lead_with_prefix_against_naive_rewriter(mode):
 def test_into_paths_against_naive_rewriter(mode):
     # head*terms for heads of 1-4 letters against the naive normal form
     # with the vacuum quotient.  A term below head's last letter takes it
-    # with the rest of head as _lead's prefix when it starts at or above
+    # with the rest of head as _enter's head when it starts at or above
     # the letter before (or head has one letter); one that starts lower
     # must pass two or more head letters and waits for the next level.
     # Each case is added into an empty dict and into a prefilled one
@@ -1030,7 +1045,7 @@ def test_into_merges_late_terms_that_lead_to_one_word(mode):
         for t in words:
             if t[0] < g:
                 leads[t] = {}
-                ctx._lead(leads[t], g, t, 1)
+                ctx._enter(leads[t], (), g, t, 1)
         pairs = [
             (t1, t2)
             for t1, t2 in itertools.combinations(leads, 2)

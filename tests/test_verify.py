@@ -129,7 +129,7 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize(
     "lam, count",
-    [((2, 2, 2, 2), 59955), ((1, 1, 1, 1), 18096)],
+    [((2, 2, 2, 2), 75375), ((1, 1, 1, 1), 43719)],
     ids=["2,2,2,2", "1,1,1,1"],
 )
 def test_commutativity_lead_count(monkeypatch, lam, count):
@@ -139,19 +139,22 @@ def test_commutativity_lead_count(monkeypatch, lam, count):
     # that bracketed each path of b's words on its own took 85,459, and the
     # one that summed groups of at most 8 words word by word 70,601 (29,428
     # on 1,1,1,1).
-    # A bracket letter below its head moves left by _enter, with no _lead:
-    # when head letters entered it one at a time, the walk took 69,465
-    # (27,483 on 1,1,1,1).  A late term that passes one head letter takes
-    # it by _lead with the rest of head as its prefix, and a letter that
-    # passes its tail carries its head the same way: when the head entered
-    # the moved words by _into, the walk took 66,169 (23,363 on 1,1,1,1).
-    # The letter brackets [a, y] are one acts call, a pass over a's places:
-    # when each was the right-ad walk over a's words, 64,289 (19,913)
+    # A bracket letter below its head moves left in one pass: when head
+    # letters entered it one at a time, the walk took 69,465 (27,483 on
+    # 1,1,1,1).  A late term that passes one head letter takes it with
+    # the rest of head as its head, and a letter that passes its tail
+    # carries its head the same way: when the head entered the moved
+    # words by _into, the walk took 66,169 (23,363 on 1,1,1,1).  The
+    # letter brackets [a, y] are one acts call, a pass over a's places:
+    # when each was the right-ad walk over a's words, 64,289 (19,913).
+    # Those counts are of _lead, a second routine that moved a letter
+    # right; _enter places every letter now, 59,955 _lead calls plus
+    # 15,420 _enter calls when _lead was left (18,096 plus 25,623)
     p = Pyramid(lam)
     labeled = [(f"phi[{k},{r}]", e) for k, r, e in selected_vectors(p)]
-    calls = _count_calls(monkeypatch, ["_lead"])
+    calls = _count_calls(monkeypatch, ["_enter"])
     assert commutativity_check(labeled, get_context(p, "affine")).passed()
-    assert calls["_lead"] == count
+    assert calls["_enter"] == count
 
 
 def test_centrality_makes_one_acts_call_per_element_on_2_2_2_2(monkeypatch):
@@ -185,26 +188,42 @@ def test_commutativity_makes_one_acts_call_per_left_operand(monkeypatch, mode):
     assert len(labeled) > 2
 
 
+def test_commutativity_walks_no_word_when_every_letter_bracket_is_empty(monkeypatch):
+    # at chi = 0 the A_chi generators are central: every letter bracket
+    # [a, y] is empty, so [a, b] = 0 by the Leibniz rule and the walk over
+    # b's words is skipped (5,847 _leibniz calls on 2,2,2,2 when it ran)
+    p = Pyramid((2, 2, 2, 2))
+    gens = a_chi_generators(p, selected_vectors(p), {})
+    labeled = [(f"{g.k},{g.r},{g.m}", g.element) for g in gens]
+    calls = _count_calls(monkeypatch, ["acts", "_leibniz"])
+    assert commutativity_check(labeled, get_context(p, "finite")).passed()
+    assert calls == {"acts": 19, "_leibniz": 0}
+    assert len(labeled) == 20
+
+
 def test_annihilation_lead_count_on_2_2_2_2(monkeypatch):
     # a deterministic count, with the bracket table cold or warm, the
-    # selected vectors' own 776 calls included (the full table's are 892):
-    # each phi takes its modes in one acts call, which looks each distinct
-    # letter up once per mode; a bracket letter of depth >= 0 moves right through
-    # the rest of its word by _lead, which builds no word the vacuum kills;
-    # a letter below its head, T's on the diagonal included, moves left by
-    # _enter with no _lead (28,021 when head letters entered it one by one);
-    # a letter that passes its tail carries its head as _lead's prefix
-    # (25,406 when the head entered the moved words by _into)
+    # selected vectors' own 2,076 calls included (the full table's are
+    # 2,445): each phi takes its modes in one acts call, which looks each
+    # distinct letter up once per mode; a bracket letter of depth >= 0
+    # moves right through the rest of its word, and no word the vacuum
+    # kills is built; a letter below its head, T's on the diagonal
+    # included, moves left in one pass (28,021 _lead calls when head
+    # letters entered it one by one); a letter that passes its tail
+    # carries its head (25,406 _lead calls when the head entered the moved
+    # words by _into).  _enter places every letter: 48,010 _enter and 776
+    # _lead calls from _into when a second routine, _lead, moved a letter
+    # right
     p = Pyramid((2, 2, 2, 2))
-    calls = _count_calls(monkeypatch, ["_lead"])
+    calls = _count_calls(monkeypatch, ["_enter"])
     assert annihilation_check(p, selected_vectors(p)).passed()
-    assert calls["_lead"] == 25266
+    assert calls["_enter"] == 48786
 
 
 def test_annihilation_makes_no_into_call_on_2_2_2_2(monkeypatch):
     # every letter the action makes is placed by _enter, and one that
-    # passes its tail moves right with its head as _lead's prefix, so no
-    # head enters a dict of moved words (24,490 _into calls when one did)
+    # passes its tail moves right with its head, so no head enters a dict
+    # of moved words (24,490 _into calls when one did)
     p = Pyramid((2, 2, 2, 2))
     vectors = selected_vectors(p)
     calls = _count_calls(monkeypatch, ["_into"])
@@ -216,20 +235,24 @@ def test_vectors_lead_count_on_1_2_3_4_5(monkeypatch):
     # a deterministic count, with the bracket table cold or warm: T on the
     # diagonal lowers a letter's depth and _enter moves it left past its
     # head in one pass; when the head's letters entered it one at a time by
-    # _into, the table took 27,830 _lead and 11,185 _into calls
-    calls = _count_calls(monkeypatch, ["_lead", "_into"])
+    # _into, the table took 27,830 _lead and 11,185 _into calls; with
+    # _lead, the routine that moved a letter right, 10,307 _lead calls
+    # from _into beside 23,814 _enter calls
+    calls = _count_calls(monkeypatch, ["_enter", "_into"])
     phi_table(Pyramid((1, 2, 3, 4, 5)))
-    assert calls == {"_lead": 10307, "_into": 1216}
+    assert calls == {"_enter": 34121, "_into": 1216}
 
 
 def test_tau_stage_makes_no_left_insertion_on_1_2_3_4_5(monkeypatch):
     # each term of B takes T^k(A), one letter, by _enter, and a letter
-    # below a word moves left in it with no _lead and no _into (59,605 and
-    # 27,928 calls when each word took the letter by _into)
+    # below a word moves left in it with no _into (59,605 _lead and 27,928
+    # _into calls when each word took the letter by _into).  T^k(A) is
+    # k! X[-1-k] in closed form: building it by _derive took 259 more
+    # _enter calls (37,971)
     p = Pyramid((1, 2, 3, 4, 5))
-    calls = _count_calls(monkeypatch, ["_lead", "_into", "_enter"])
+    calls = _count_calls(monkeypatch, ["_into", "_enter"])
     assert cdet_tau(p, tau_keep(p))
-    assert calls == {"_lead": 0, "_into": 0, "_enter": 37971}
+    assert calls == {"_into": 0, "_enter": 37712}
 
 
 def test_vectors_memo_footprint_on_1_2_3_4_5(capsys):
